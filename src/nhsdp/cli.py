@@ -151,6 +151,10 @@ def _cmd_mn_pda(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.N < 1:
+        raise _UsageError(f"--N must be at least 1, got {args.N}")
+    if args.packet_len < 1:
+        raise _UsageError(f"--packet-len must be at least 1, got {args.packet_len}")
     arr = _load_pda_file(args.file)
     spec = args.demands
     if spec == "all" or spec.startswith("sample:"):
@@ -185,14 +189,15 @@ def _cmd_simulate(args) -> int:
         demand = tuple(int(tok) for tok in spec.split(","))
     except ValueError:
         raise _UsageError(f"--demands expects all, sample:COUNT, or a comma list; got {spec!r}")
+    if len(demand) != arr.K:
+        raise _UsageError(f"--demands lists {len(demand)} files, {args.file} has K={arr.K} users")
+    if any(not (0 <= x < args.N) for x in demand):
+        raise _UsageError(f"--demands entries must be file indices in [0, {args.N}) for --N {args.N}")
     library = simulate.FileLibrary.random(args.N, arr.F, args.packet_len, args.seed)
     cache = simulate.place(arr, library)
     transcript = simulate.deliver(arr, library, cache, demand)
-    bad = []
-    for k in range(arr.K):
-        got = simulate.decode(arr, cache, transcript, k)
-        if got != library.file_bytes(demand[k]):
-            bad.append(k)
+    files = simulate.decode(arr, cache, transcript)
+    bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
     load = transcript.bytes_on_wire / (arr.F * args.packet_len)
     print(f"demand {spec}: {arr.K - len(bad)}/{arr.K} users decoded, load = {load:g}")
     _write(args.out, serialize.transcript_to_json(transcript))

@@ -138,7 +138,7 @@ def transcript_to_json(transcript: DeliveryTranscript) -> str:
             for txn in transcript.transmissions
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 CSV_COLUMNS = (

@@ -1,13 +1,14 @@
 """End-to-end execution of the caching scheme described by a PDA.
 
-Placement fills each user's cache with the packets marked by stars in its
+Placement copies into each user's cache the packets marked by stars in its
 column; delivery broadcasts one XOR per symbol; decoding cancels cached
 interference and must reproduce every requested file byte-for-byte.  The
 measured quantities (cache bytes, bytes on the wire, load) are counted from
 the actual byte traffic, not read off formulas.
 
-Packets are fixed-width byte blocks held as integers so XOR is a single
-operation; file contents are reproducible from a recorded 64-bit seed.
+Packets are fixed-width byte blocks, zero-padded to whole 64-bit words and
+held in numpy arrays, so XOR runs over many packets and many demand vectors
+at once; file contents are reproducible from a recorded 64-bit seed.
 Demands are 0-based file indices.
 """
 
@@ -15,50 +16,64 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .pda import STAR, Pda
 
 DEFAULT_PACKET_LEN = 16
 
+# Words (uint64) per batched working array in a demand sweep; a chunk of
+# demand vectors is sized so that each of its arrays stays near 2 MiB.
+_CHUNK_WORDS = 1 << 18
+_MAX_CHUNK = 256
+
 
 class UnrecoverablePacketError(RuntimeError):
-    """A decode step needed an interfering packet missing from the cache.
+    """A decode step needed a packet missing from the receiver's cache.
 
     For a valid PDA this cannot happen (the cross-cell star guarantees the
     interferer is cached); seeing it means the array or cache is corrupt.
     """
 
 
-@dataclass(frozen=True)
+def _words(packet_len: int) -> int:
+    return -(-packet_len // 8)
+
+
+@dataclass(frozen=True, eq=False)
 class FileLibrary:
-    """N files of F packets each, every packet exactly packet_len bytes."""
+    """N files of F packets each, every packet exactly packet_len bytes.
+
+    ``data`` is an (N, F, W) uint64 array, W = ceil(packet_len / 8): each
+    packet's bytes in order, zero-padded to 8W bytes.
+    """
 
     packet_len: int
-    packets: tuple[tuple[int, ...], ...]
+    data: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
         if self.packet_len < 1:
             raise ValueError("packet_len must be >= 1")
-        if not self.packets or not self.packets[0]:
-            raise ValueError("library must hold at least one file and packet")
-        width = len(self.packets[0])
-        if any(len(f) != width for f in self.packets):
-            raise ValueError("all files must have the same packet count")
-        limit = 1 << (8 * self.packet_len)
-        if any(not (0 <= p < limit) for f in self.packets for p in f):
-            raise ValueError(f"packet values must fit in {self.packet_len} bytes")
+        data = np.ascontiguousarray(self.data)
+        W = _words(self.packet_len)
+        if data.dtype != np.uint64 or data.ndim != 3 or data.shape[2] != W or 0 in data.shape:
+            raise ValueError(f"library data must be a non-empty (N, F, {W}) uint64 array")
+        if data.view(np.uint8)[..., self.packet_len :].any():
+            raise ValueError("padding bytes past packet_len must be zero")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def N(self) -> int:
-        return len(self.packets)
+        return self.data.shape[0]
 
     @property
     def F(self) -> int:
-        return len(self.packets[0])
+        return self.data.shape[1]
 
     @classmethod
     def random(
@@ -67,26 +82,33 @@ class FileLibrary:
         """Deterministic pseudo-random contents from a 64-bit seed."""
         rng = random.Random(seed)
         bits = 8 * packet_len
-        packets = tuple(
-            tuple(rng.getrandbits(bits) for _ in range(F)) for _ in range(N)
+        raw = b"".join(
+            rng.getrandbits(bits).to_bytes(packet_len, "big") for _ in range(N * F)
         )
-        return cls(packet_len, packets, seed)
+        padded = np.zeros((N, F, 8 * _words(packet_len)), dtype=np.uint8)
+        padded[..., :packet_len] = np.frombuffer(raw, dtype=np.uint8).reshape(N, F, packet_len)
+        return cls(packet_len, padded.view(np.uint64), seed)
 
     def packet_bytes(self, n: int, j: int) -> bytes:
-        return self.packets[n][j].to_bytes(self.packet_len, "big")
+        return self.data[n, j].view(np.uint8)[: self.packet_len].tobytes()
 
     def file_bytes(self, n: int) -> bytes:
-        return b"".join(self.packet_bytes(n, j) for j in range(self.F))
+        return self.data[n].view(np.uint8)[:, : self.packet_len].tobytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CacheContents:
-    """Per-user caches: user k holds packet (n, j) iff cell (j, k) is a star."""
+    """Per-user cache copies: user k holds packet (n, j) iff cell (j, k) is a star.
 
-    users: tuple[dict, ...]  # each dict maps (file, packet) -> packet value
+    ``users[k, n, slots[k, j]]`` is user k's own copy of packet j of file n;
+    ``slots[k, j]`` is -1 where user k does not cache row j.
+    """
+
+    users: np.ndarray  # (K, N, Zmax, W) uint64
+    slots: np.ndarray  # (K, F) int64
 
     def cached_bytes(self, k: int, packet_len: int) -> int:
-        return len(self.users[k]) * packet_len
+        return int((self.slots[k] >= 0).sum()) * self.users.shape[1] * packet_len
 
 
 @dataclass(frozen=True)
@@ -113,37 +135,118 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
         raise ValueError(
             f"library has {library.F} packets per file, PDA needs {pda.F}"
         )
-    users = []
-    for k in range(pda.K):
-        star_rows = [j for j in range(pda.F) if pda.grid[j, k] == STAR]
-        cache = {
-            (n, j): library.packets[n][j]
-            for n in range(library.N)
-            for j in star_rows
-        }
-        users.append(cache)
-    return CacheContents(tuple(users))
+    star = (pda.grid == STAR).T  # (K, F)
+    slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
+    ks, js = np.nonzero(star)
+    zmax = max(1, int(star.sum(axis=1).max()))
+    users = np.zeros((pda.K, library.N, zmax, library.data.shape[2]), dtype=np.uint64)
+    users[ks, :, slots[ks, js]] = library.data[:, js].swapaxes(0, 1)
+    return CacheContents(users, slots)
 
 
-# Demand sweeps call deliver/decode thousands of times on one grid, so the
-# grid scan is memoized per PDA object (keyed weakly by identity).
-_LAYOUTS: "weakref.WeakKeyDictionary[Pda, tuple]" = weakref.WeakKeyDictionary()
+class _Layout:
+    """The symbol groups of one PDA, as flat index arrays.
+
+    Non-star cells are sorted by (symbol, user, row), so symbol s owns cells
+    ``sym_edges[s-1]:sym_edges[s]``.  ``pairs[t-1]`` holds the ordered
+    (receiver cell, other cell) pairs at offset t within a group: each cell
+    of a group larger than t, and the cell t places after it, cyclically.
+    """
+
+    def __init__(self, pda: Pda):
+        grid = pda.grid
+        rows, users = np.nonzero(grid)
+        syms = grid[rows, users]
+        order = np.lexsort((rows, users, syms))
+        self.S = pda.S
+        self.cell_row, self.cell_user, self.cell_sym = rows[order], users[order], syms[order]
+        self.sym_edges = np.searchsorted(self.cell_sym, np.arange(1, pda.S + 2))
+        first = self.sym_edges[self.cell_sym - 1]
+        size = self.sym_edges[self.cell_sym] - first
+        pairs = []
+        for t in range(1, int(size.max(initial=0))):
+            c = np.flatnonzero(size > t)
+            pairs.append((c, first[c] + (c - first[c] + t) % size[c]))
+        self.pairs = tuple(pairs)
+        self.star_row, self.star_user = np.nonzero(grid == STAR)
 
 
-def _layout(pda: Pda) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
-    """(contributors, columns): cells per symbol ordered by user, and the
-    plain-int symbol column of each user."""
-    cached = _LAYOUTS.get(pda)
-    if cached is not None:
-        return cached
-    columns = [[int(s) for s in pda.grid[:, k]] for k in range(pda.K)]
-    contributors: list[list[tuple[int, int]]] = [[] for _ in range(pda.S + 1)]
-    for k in range(pda.K):
-        for j, s in enumerate(columns[k]):
-            if s != STAR:
-                contributors[s].append((j, k))
-    _LAYOUTS[pda] = (contributors, columns)
-    return contributors, columns
+# The kernels loop over the offset within a symbol group, so each numpy call
+# moves whole (B, W) blocks for every group at once.  np.bitwise_xor.reduceat
+# over the same gathers would make one inner-loop call per (group, demand,
+# word), which dominates when groups hold a few cells.
+
+def _payloads(layout: _Layout, data: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
+    XOR of the demanded packets of its cells (zero for an empty symbol)."""
+    N, F, W = data.shape
+    flat, dT = data.reshape(-1, W), d.T
+    starts, sizes = layout.sym_edges[:-1], np.diff(layout.sym_edges)
+    out = np.zeros((layout.S, len(d), W), dtype=np.uint64)
+    for t in range(int(sizes.max(initial=0))):
+        s = np.flatnonzero(sizes > t)
+        c = starts[s] + t
+        out[s] ^= np.take(flat, dT[layout.cell_user[c]] * F + layout.cell_row[c, None], axis=0)
+    return out
+
+
+def _decode(layout: _Layout, cache: CacheContents, payloads: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(K, F, B, W) files every user recovers from payloads (S, B, W).
+
+    Star rows are the user's own cached copy; any other row is its symbol's
+    payload XOR the group's other packets, each read from the receiver's
+    cache through the slot map.  A missing slot (-1) reads some other
+    cached packet, so callers must screen users with ``_blocked`` first.
+    """
+    users, slots = cache.users, cache.slots
+    K, N, Z, W = users.shape
+    F = slots.shape[1]
+    flat, dT = users.reshape(-1, W), d.T
+
+    def cached(k, u, j):  # user k's copy of row j of the file user u demands
+        base = k * (N * Z) + slots[k, j]
+        return np.take(flat, dT[u] * Z + base[:, None], axis=0)
+
+    out = np.empty((K * F, len(d), W), dtype=np.uint64)
+    out[layout.star_user * F + layout.star_row] = cached(
+        layout.star_user, layout.star_user, layout.star_row
+    )
+    got = payloads[layout.cell_sym - 1]
+    for c, o in layout.pairs:
+        got[c] ^= cached(layout.cell_user[c], layout.cell_user[o], layout.cell_row[o])
+    out[layout.cell_user * F + layout.cell_row] = got
+    return out.reshape(K, F, len(d), W)
+
+
+def _blocked(layout: _Layout, slots: np.ndarray) -> dict[int, tuple[int, int, int]]:
+    """Users that need a packet their cache has no slot for.
+
+    Maps each such user to its first witness (row, user whose demand names
+    the file, symbol), interferers before its own star rows; symbol 0 marks
+    an own star row.
+    """
+    blocked: dict[int, tuple[int, int, int]] = {}
+    for c, o in layout.pairs:
+        recv, row = layout.cell_user[c], layout.cell_row[o]
+        for i in np.flatnonzero(slots[recv, row] < 0).tolist():
+            blocked.setdefault(
+                int(recv[i]),
+                (int(row[i]), int(layout.cell_user[o[i]]), int(layout.cell_sym[c[i]])),
+            )
+    for i in np.flatnonzero(slots[layout.star_user, layout.star_row] < 0).tolist():
+        k = int(layout.star_user[i])
+        blocked.setdefault(k, (int(layout.star_row[i]), k, 0))
+    return blocked
+
+
+def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
+    row, u, symbol = witness
+    if symbol:
+        return (
+            f"user {k} lacks interfering packet ({d[u]}, {row}) "
+            f"needed for symbol {symbol}"
+        )
+    return f"user {k} should have cached packet ({d[k]}, {row})"
 
 
 def deliver(
@@ -155,8 +258,7 @@ def deliver(
     """Broadcast, for each symbol s, the XOR of the demanded packets it marks.
 
     The cache argument documents that delivery happens after placement; the
-    server only reads the library.  Exactly S transmissions of one packet
-    each are sent, so the measured load is S/F regardless of the demand.
+    server only reads the library.  bytes_on_wire sums the payloads emitted.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -166,64 +268,59 @@ def deliver(
     if library.F != pda.F:
         raise ValueError("library packet count does not match the PDA")
 
-    table, _ = _layout(pda)
-    packets = library.packets
-    transmissions = []
-    for s in range(1, pda.S + 1):
-        payload = 0
-        contributors = []
-        for j, k in table[s]:
-            payload ^= packets[d[k]][j]
-            contributors.append((k, j))
-        transmissions.append(
-            Transmission(s, payload.to_bytes(library.packet_len, "big"), tuple(contributors))
-        )
+    layout = _Layout(pda)
+    payloads = _payloads(layout, library.data, np.array([d], dtype=np.int64))[:, 0]
+    wire = payloads.view(np.uint8)[:, : library.packet_len]
+    contributors = list(zip(layout.cell_user.tolist(), layout.cell_row.tolist()))
+    edges = layout.sym_edges.tolist()
+    transmissions = tuple(
+        Transmission(s, wire[s - 1].tobytes(), tuple(contributors[edges[s - 1] : edges[s]]))
+        for s in range(1, len(wire) + 1)
+    )
     return DeliveryTranscript(
         demands=d,
-        transmissions=tuple(transmissions),
-        bytes_on_wire=pda.S * library.packet_len,
+        transmissions=transmissions,
+        bytes_on_wire=sum(len(t.payload) for t in transmissions),
         packet_len=library.packet_len,
         seed=library.seed,
     )
 
 
-def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript, k: int) -> bytes:
-    """Recover user k's requested file from its cache plus the broadcast.
+def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
+    """Recover every user's requested file from its cache plus the broadcast.
 
-    For every non-star cell (j, k) with symbol s the user cancels all other
-    contributions to transmission s using cached packets, leaving its own
-    missing packet; star rows come straight from the cache.
+    For every non-star cell (j, k) with symbol s user k cancels all other
+    contributions to transmission s using its cached packets, leaving its
+    own missing packet; star rows come straight from the cache.  Entry k of
+    the result is user k's file.
     """
-    if not (0 <= k < pda.K):
-        raise ValueError(f"user index {k} out of range for K={pda.K}")
-    _, columns = _layout(pda)
     d = transcript.demands
-    own = cache.users[k]
-    parts: list[bytes] = []
-    for j, s in enumerate(columns[k]):
-        if s == STAR:
-            try:
-                value = own[(d[k], j)]
-            except KeyError:
-                raise UnrecoverablePacketError(
-                    f"user {k} should have cached packet ({d[k]}, {j})"
-                ) from None
-        else:
-            txn = transcript.transmissions[s - 1]
-            assert txn.symbol == s
-            value = int.from_bytes(txn.payload, "big")
-            for user, packet in txn.contributors:
-                if user == k:
-                    continue
-                try:
-                    value ^= own[(d[user], packet)]
-                except KeyError:
-                    raise UnrecoverablePacketError(
-                        f"user {k} lacks interfering packet ({d[user]}, {packet}) "
-                        f"needed for symbol {s}"
-                    ) from None
-        parts.append(value.to_bytes(transcript.packet_len, "big"))
-    return b"".join(parts)
+    L = transcript.packet_len
+    K, N, _, W = cache.users.shape
+    if cache.slots.shape != (pda.K, pda.F):
+        raise ValueError(f"cache holds {K} users of {cache.slots.shape[1]} rows, PDA is {pda.F}x{pda.K}")
+    if len(d) != pda.K:
+        raise ValueError(f"transcript serves {len(d)} users, PDA has K={pda.K}")
+    if any(not (0 <= x < N) for x in d):
+        raise ValueError(f"transcript demands must be file indices below N={N}")
+    if _words(L) != W or any(len(t.payload) != L for t in transcript.transmissions):
+        raise ValueError(f"payloads must be packet_len={L} bytes and fit the cache's packets")
+    if sorted(t.symbol for t in transcript.transmissions) != list(range(1, pda.S + 1)):
+        raise ValueError(f"transcript must carry one transmission per symbol 1..S={pda.S}")
+
+    layout = _Layout(pda)
+    blocked = _blocked(layout, cache.slots)
+    if blocked:
+        k = min(blocked)
+        raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
+    txns = transcript.transmissions
+    wire = np.zeros((pda.S, 1, 8 * W), dtype=np.uint8)
+    wire[np.array([t.symbol - 1 for t in txns], dtype=np.int64), 0, :L] = np.frombuffer(
+        b"".join(t.payload for t in txns), dtype=np.uint8
+    ).reshape(len(txns), L)
+    files = _decode(layout, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    files = files[:, :, 0].view(np.uint8)[..., :L]
+    return tuple(files[k].tobytes() for k in range(pda.K))
 
 
 @dataclass(frozen=True)
@@ -244,10 +341,20 @@ class DemandCheckReport:
         return not self.failures and self.loads_all_equal
 
 
-def _demand_iter(N: int, K: int, budget: int, seed: int):
+def _demand_chunks(N: int, K: int, budget: int, seed: int, size: int):
+    """(total, exhaustive, chunks): (B, K) int64 arrays of demand vectors.
+
+    Exhaustive sweeps count through [0, N^K) in mixed radix N, which is
+    itertools.product order; samples keep their seeded random.Random order.
+    """
     total = N**K
     if total <= budget:
-        return total, True, itertools.product(range(N), repeat=K)
+        radix = N ** np.arange(K - 1, -1, -1, dtype=np.int64)
+        chunks = (
+            np.arange(start, min(start + size, total), dtype=np.int64)[:, None] // radix % N
+            for start in range(0, total, size)
+        )
+        return total, True, chunks
 
     def sampled():
         yield (0,) * K  # all-equal corner
@@ -257,7 +364,12 @@ def _demand_iter(N: int, K: int, budget: int, seed: int):
         for _ in range(budget):
             yield tuple(rng.randrange(N) for _ in range(K))
 
-    return total, False, sampled()
+    def chunks():
+        vectors = sampled()
+        while batch := list(itertools.islice(vectors, size)):
+            yield np.array(batch, dtype=np.int64)
+
+    return total, False, chunks()
 
 
 def exhaustive_demand_check(
@@ -270,34 +382,50 @@ def exhaustive_demand_check(
     """Run place/deliver/decode over all N^K demands (or a seeded sample).
 
     Every user of every checked demand must recover its file byte-exactly,
-    and the measured load bytes_on_wire / (F * packet_len) must equal S/F
-    for each vector.  When N^K exceeds the budget, a deterministic sample
-    plus the all-equal and (when N >= K) all-distinct corners is used.
+    and the measured load (payload bytes emitted) / (F * packet_len) must
+    equal S/F for each vector.  When N^K exceeds the budget, a deterministic
+    sample plus the all-equal and (when N >= K) all-distinct corners is used.
+    Demand vectors run in chunks through the same kernels as deliver/decode.
     """
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
-    expected = [library.file_bytes(n) for n in range(N)]
+    layout = _Layout(pda)
+    blocked = _blocked(layout, cache.slots)
+    is_blocked = np.zeros(pda.K, dtype=bool)
+    is_blocked[list(blocked)] = True
     nominal = Fraction(pda.S, pda.F)
+    W = library.data.shape[2]
+    rows = np.arange(pda.F)[:, None]
+    size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (pda.F * pda.K * W)))
 
-    total, exhaustive, demands = _demand_iter(N, pda.K, demand_budget, seed)
+    total, exhaustive, chunks = _demand_chunks(N, pda.K, demand_budget, seed, size)
     failures = []
     max_load = Fraction(0)
     checked = 0
-    for d in demands:
-        checked += 1
-        transcript = deliver(pda, library, cache, d)
-        load = Fraction(transcript.bytes_on_wire, pda.F * packet_len)
+    for d in chunks:
+        checked += len(d)
+        payloads = _payloads(layout, library.data, d)
+        load = Fraction(len(payloads) * packet_len, pda.F * packet_len)
         max_load = max(max_load, load)
         if load != nominal:
-            failures.append((d, None, f"measured load {load} != nominal {nominal}"))
-        for k in range(pda.K):
-            try:
-                got = decode(pda, cache, transcript, k)
-            except UnrecoverablePacketError as exc:
-                failures.append((d, k, str(exc)))
-                continue
-            if got != expected[d[k]]:
-                failures.append((d, k, "decoded bytes differ from the library file"))
+            # A broadcast that does not carry one payload per symbol cannot
+            # be decoded against the array, so only the load is reported.
+            failures += [
+                (v, None, f"measured load {load} != nominal {nominal}")
+                for v in map(tuple, d.tolist())
+            ]
+            continue
+        files = _decode(layout, cache, payloads, d)
+        expected = np.take(library.data.reshape(-1, W), d.T[:, None, :] * pda.F + rows, axis=0)
+        wrong = (files != expected).any(axis=1).any(axis=-1)  # (K, B)
+        for b, k in zip(*np.nonzero(wrong.T | is_blocked)):
+            v, k = tuple(d[b].tolist()), int(k)
+            reason = (
+                _unrecoverable(k, blocked[k], v)
+                if k in blocked
+                else "decoded bytes differ from the library file"
+            )
+            failures.append((v, k, reason))
 
     return DemandCheckReport(
         total_demands=total,

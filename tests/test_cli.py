@@ -159,6 +159,20 @@ class TestFailures:
         )
         assert code == 2 and "sample:COUNT" in stderr
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (("--N", 4, "--demands", "0,1,2"), "--demands"),
+            (("--N", 2, "--demands", "0,1,2,1"), "--demands"),
+            (("--N", 0), "--N"),
+            (("--N", 2, "--packet-len", 0), "--packet-len"),
+        ],
+        ids=["demand_length", "demand_index", "zero_files", "zero_packet_len"],
+    )
+    def test_simulate_bad_values_are_usage_errors(self, ex4_file, capsys, flags, flag):
+        code, _, stderr = run(capsys, "simulate", ex4_file, *flags)
+        assert code == 2 and flag in stderr
+
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

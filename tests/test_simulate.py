@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +14,13 @@ from nhsdp import (
     UnrecoverablePacketError,
     decode,
     deliver,
+    drop_columns,
     exhaustive_demand_check,
     mn_pda,
     pda_from_nhsdp,
     place,
+    serialize,
+    simulate,
 )
 from nhsdp.packing import Nhsdp
 
@@ -29,12 +37,31 @@ def ex15_pda(ex15_packing) -> Pda:
     return pda_from_nhsdp(ex15_packing)
 
 
+@pytest.fixture
+def irregular_pda(ex15_pda) -> Pda:
+    """ex15 with its last user dropped: symbol groups of 3 and 4."""
+    return drop_columns(ex15_pda, range(14))
+
+
+def corrupt_place(monkeypatch, corrupt):
+    """Make every later place() hand back a cache that corrupt() has edited."""
+    real = simulate.place
+
+    def place_then_corrupt(pda, library):
+        cache = real(pda, library)
+        corrupt(cache)
+        return cache
+
+    monkeypatch.setattr(simulate, "place", place_then_corrupt)
+
+
 class TestPlacement:
     def test_worked_4x4_caches(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=7)
         cache = place(ex4_pda, library)
-        # User 0's column has stars in rows 0 and 2.
-        assert set(cache.users[0]) == {(n, j) for n in range(4) for j in (0, 2)}
+        # User 0's column has stars in rows 0 and 2, held in slots 0 and 1.
+        assert cache.slots[0].tolist() == [0, -1, 1, -1]
+        assert np.array_equal(cache.users[0], library.data[:, [0, 2]])
         for k in range(4):
             assert cache.cached_bytes(k, library.packet_len) == 2 * 4 * 16
 
@@ -42,7 +69,16 @@ class TestPlacement:
         arr = Pda(np.zeros((3, 2), dtype=np.int64), Z=3, S=0)
         library = FileLibrary.random(2, 3, seed=1)
         cache = place(arr, library)
-        assert all(len(cache.users[k]) == 2 * 3 for k in range(2))
+        assert (cache.slots >= 0).all()
+        for k in range(2):
+            assert np.array_equal(cache.users[k], library.data)
+            assert cache.cached_bytes(k, library.packet_len) == 2 * 3 * 16
+
+    def test_cache_is_a_copy(self, ex4_pda):
+        library = FileLibrary.random(4, 4, seed=7)
+        cache = place(ex4_pda, library)
+        cache.users[0, 0, 0, 0] ^= 1
+        assert library.packet_bytes(0, 0) == FileLibrary.random(4, 4, seed=7).packet_bytes(0, 0)
 
     def test_cache_size_identity(self, ex15_pda):
         library = FileLibrary.random(3, 15, seed=2)
@@ -76,7 +112,7 @@ class TestDelivery:
         transcript = deliver(arr, library, cache, (0, 1))
         assert transcript.transmissions == ()
         assert transcript.bytes_on_wire == 0
-        assert decode(arr, cache, transcript, 0) == library.file_bytes(0)
+        assert decode(arr, cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
 
     def test_fifteen_user_load(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=3)
@@ -105,36 +141,87 @@ class TestDelivery:
             first_user, first_packet = txn.contributors[0]
             assert rest == library.packet_bytes(d[first_user], first_packet)
 
+    def test_wire_bytes_count_emitted_payloads(self, ex15_pda, monkeypatch):
+        library = FileLibrary.random(2, 15, packet_len=5, seed=3)
+        cache = place(ex15_pda, library)
+        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
+        assert transcript.bytes_on_wire == 30 * 5
+        real = simulate._payloads
+        monkeypatch.setattr(simulate, "_payloads", lambda *a: real(*a)[:-1])
+        short = deliver(ex15_pda, library, cache, (1,) * 15)
+        assert len(short.transmissions) == 29
+        assert short.bytes_on_wire == 29 * 5
+
+
+# sha256 of each transcript's JSON, parsed and re-dumped with sorted keys, as
+# produced by the integer-packet simulator this one replaced.
+TRANSCRIPT_GOLDENS = {
+    "ex4": "de775b22f225b5feacc63e00f62a0188840e22b56d48d8eb89a317637eeffcc9",
+    "ex15": "6829e237aa586ff88292871bd7e6a5bf537636acc4002ccb386c7471e1e3aae1",
+    "irregular": "b8e89fd353771b1fe288601eb1a3e1e123e22d2ed7d12f8b64c17f13601495ff",
+}
+
+
+@pytest.mark.parametrize(
+    "name, n_files, seed, demand",
+    [
+        ("ex4", 4, 0, (0, 1, 2, 3)),
+        ("ex15", 2, 3, tuple(k % 2 for k in range(15))),
+        ("irregular", 2, 3, tuple(k % 2 for k in range(14))),
+    ],
+)
+def test_transcript_golden(request, name, n_files, seed, demand):
+    arr = request.getfixturevalue(f"{name}_pda")
+    library = FileLibrary.random(n_files, arr.F, seed=seed)
+    cache = place(arr, library)
+    transcript = deliver(arr, library, cache, demand)
+    doc = json.loads(serialize.transcript_to_json(transcript))
+    canonical = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == TRANSCRIPT_GOLDENS[name]
+    files = decode(arr, cache, transcript)
+    assert files == tuple(library.file_bytes(n) for n in demand)
+
 
 class TestDecode:
     def test_all_users_recover(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=5)
         cache = place(ex4_pda, library)
         transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
-        for k in range(4):
-            assert decode(ex4_pda, cache, transcript, k) == library.file_bytes(k)
+        files = decode(ex4_pda, cache, transcript)
+        assert files == tuple(library.file_bytes(k) for k in range(4))
 
     def test_same_demand_vector(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=5)
         cache = place(ex15_pda, library)
         transcript = deliver(ex15_pda, library, cache, (0,) * 15)
-        for k in range(15):
-            assert decode(ex15_pda, cache, transcript, k) == library.file_bytes(0)
+        assert decode(ex15_pda, cache, transcript) == (library.file_bytes(0),) * 15
 
     def test_unrecoverable_fires_on_corrupt_cache(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=5)
         cache = place(ex4_pda, library)
         transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
-        del cache.users[0][(1, 0)]  # user 0 needs this to cancel symbol 1
-        with pytest.raises(UnrecoverablePacketError):
-            decode(ex4_pda, cache, transcript, 0)
+        cache.slots[0, 0] = -1  # user 0 needs row 0 of file 1 to cancel symbol 1
+        with pytest.raises(
+            UnrecoverablePacketError,
+            match=r"^user 0 lacks interfering packet \(1, 0\) needed for symbol 1$",
+        ):
+            decode(ex4_pda, cache, transcript)
 
     def test_rejects_bad_user(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
         transcript = deliver(ex4_pda, library, cache, (0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            decode(ex4_pda, cache, transcript, 4)
+        too_many = dataclasses.replace(transcript, demands=(0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="serves 5 users"):
+            decode(ex4_pda, cache, too_many)
+
+    def test_rejects_transcript_missing_a_symbol(self, ex4_pda):
+        library = FileLibrary.random(2, 4, seed=0)
+        cache = place(ex4_pda, library)
+        transcript = deliver(ex4_pda, library, cache, (0, 1, 0, 1))
+        short = dataclasses.replace(transcript, transmissions=transcript.transmissions[:-1])
+        with pytest.raises(ValueError, match="one transmission per symbol"):
+            decode(ex4_pda, cache, short)
 
 
 class TestDemandSweep:
@@ -161,9 +248,77 @@ class TestDemandSweep:
         assert report.exhaustive and report.checked == 16 and report.ok
         assert report.nominal_load == Fraction(4, 6)
 
+    def test_irregular_exhaustive(self, irregular_pda):
+        report = exhaustive_demand_check(irregular_pda, N=2)
+        assert report.exhaustive and report.checked == 2**14
+        assert report.ok
+        assert report.nominal_load == 2 == report.max_measured_load
+
+    def test_corrupt_cached_byte_flags_only_affected_users(self, ex4_pda, monkeypatch):
+        # User 0 holds row 0 in slot 0.  It reads its copy of packet (1, 0)
+        # for its own star row when it wants file 1, and to cancel symbols 1
+        # and 4, whose other cells are row 0 of users 1 and 3.
+        def flip(cache):
+            cache.users.view(np.uint8)[0, 1, 0, 0] ^= 0x80
+
+        corrupt_place(monkeypatch, flip)
+        report = exhaustive_demand_check(ex4_pda, N=4)
+        expected = [
+            (d, 0, "decoded bytes differ from the library file")
+            for d in itertools.product(range(4), repeat=4)
+            if 1 in (d[0], d[1], d[3])
+        ]
+        assert report.checked == 256 and report.loads_all_equal
+        assert list(report.failures) == expected
+
+    def test_cleared_slot_blocks_only_that_user(self, ex4_pda, monkeypatch):
+        def clear(cache):
+            cache.slots[0, 0] = -1
+
+        corrupt_place(monkeypatch, clear)
+        report = exhaustive_demand_check(ex4_pda, N=4)
+        assert len(report.failures) == 256
+        assert {user for _, user, _ in report.failures} == {0}
+        d, _, reason = report.failures[7]
+        assert d == (0, 0, 1, 3)
+        assert reason == "user 0 lacks interfering packet (0, 0) needed for symbol 1"
+
+    def test_short_broadcast_fails_the_load(self, ex15_pda, monkeypatch):
+        real = simulate._payloads
+        monkeypatch.setattr(simulate, "_payloads", lambda *a: real(*a)[:-1])
+        report = exhaustive_demand_check(ex15_pda, N=2, demand_budget=10)
+        assert not report.ok and not report.loads_all_equal
+        assert report.max_measured_load == Fraction(29, 15)
+        assert len(report.failures) == report.checked == 11  # 10 samples + all-equal corner
+        assert all(user is None and "measured load 29/15" in reason
+                   for _, user, reason in report.failures)
+
+    def test_sampled_order_is_seeded_stream(self, ex4_pda, monkeypatch):
+        seen = []
+        real = simulate._payloads
+
+        def record(layout, data, d):
+            seen.extend(map(tuple, d.tolist()))
+            return real(layout, data, d)
+
+        monkeypatch.setattr(simulate, "_payloads", record)
+        exhaustive_demand_check(ex4_pda, N=4, demand_budget=5, seed=11)
+        rng = random.Random(11)
+        sample = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(5)]
+        assert seen == [(0, 0, 0, 0), (0, 1, 2, 3)] + sample
+
     def test_library_determinism(self):
         a = FileLibrary.random(2, 3, seed=42)
         b = FileLibrary.random(2, 3, seed=42)
-        assert a.packets == b.packets
+        assert np.array_equal(a.data, b.data)
         assert a.file_bytes(1) == b.file_bytes(1)
-        assert FileLibrary.random(2, 3, seed=43).packets != a.packets
+        assert not np.array_equal(FileLibrary.random(2, 3, seed=43).data, a.data)
+
+    def test_library_matches_seeded_stream(self):
+        # Packets are drawn in (file, packet) order as packet_len-byte
+        # big-endian integers; 5 bytes also exercises the word padding.
+        library = FileLibrary.random(3, 4, packet_len=5, seed=42)
+        rng = random.Random(42)
+        for n in range(3):
+            want = b"".join(rng.getrandbits(40).to_bytes(5, "big") for _ in range(4))
+            assert library.file_bytes(n) == want
