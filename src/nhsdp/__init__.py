@@ -31,7 +31,6 @@ from .packing import (
     construct_nhsdp,
     ds_search,
     half_sum_set,
-    phi_value,
     solve_problem1_exact,
     verify_cdp,
     verify_nhsdp,
@@ -46,13 +45,13 @@ from .pda import (
     mn_pda,
     pda_from_nhsdp,
     pda_stats,
+    symbol_groups,
     verify_pda,
 )
 from .ringmath import (
     OddResidueRing,
     binomial,
     gaussian_binomial,
-    gcd_lcm,
     integer_nth_root,
     is_prime_power,
 )

@@ -45,6 +45,53 @@ def _load_pda_file(path: str) -> pda_mod.Pda:
         raise _UsageError(f"{path} is not a readable PDA file: {exc}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+# What each field of a packing or NTAP file must hold.
+_FIELDS = {
+    "v": ("a positive integer", lambda x: _is_int(x) and x > 0),
+    "g": ("an integer", _is_int),
+    "blocks": (
+        "a list of integer lists",
+        lambda x: isinstance(x, list) and all(map(_is_int_list, x)),
+    ),
+    "elements": ("a list of integers", _is_int_list),
+}
+
+
+def _load_nhsdp_file(path: str, allow_ntap: bool = False) -> packing.Nhsdp | designs.NtapSet:
+    """A packing from JSON with "v", "blocks" and an optional "g".
+
+    With allow_ntap, a file with "elements" and no "blocks" is read as an
+    NTAP set instead.  Text that is not JSON, or a field that is missing or
+    of the wrong type, is a usage error naming the path and the field.
+    """
+    text = _read(path)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise _UsageError(f"{path} is not JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise _UsageError(f"{path} must hold a JSON object")
+    ntap = allow_ntap and "blocks" not in doc and "elements" in doc
+    for name in ("v", "elements" if ntap else "blocks", *(("g",) if "g" in doc else ())):
+        what, ok = _FIELDS[name]
+        if name not in doc:
+            raise _UsageError(f"{path} has no field {name!r}")
+        if not ok(doc[name]):
+            raise _UsageError(f"field {name!r} of {path} must be {what}")
+    try:
+        return serialize.ntap_from_json(text) if ntap else serialize.nhsdp_from_json(text)
+    except ValueError as exc:
+        raise _UsageError(f"{path} is not a readable packing file: {exc}")
+
+
 def _emit_pda(pda: pda_mod.Pda, out: str | None, fmt: str) -> None:
     if out:
         payload = serialize.pda_to_json(pda) if fmt == "json" else serialize.pda_to_text(pda)
@@ -63,7 +110,7 @@ def _cmd_construct_nhsdp(args) -> int:
 
 
 def _cmd_verify_nhsdp(args) -> int:
-    packing_obj = serialize.nhsdp_from_json(_read(args.file))
+    packing_obj = _load_nhsdp_file(args.file)
     verdict = packing_obj.verify()
     if verdict.ok:
         print(f"({packing_obj.v},{packing_obj.g},{packing_obj.b}) NHSDP: valid")
@@ -104,7 +151,7 @@ def _cmd_solve_params(args) -> int:
 
 
 def _cmd_build_pda(args) -> int:
-    packing_obj = serialize.nhsdp_from_json(_read(args.file))
+    packing_obj = _load_nhsdp_file(args.file)
     arr = pda_mod.pda_from_nhsdp(packing_obj)
     K, F, Z, S = arr.params()
     print(f"built ({K},{F},{Z},{S}) PDA")
@@ -135,7 +182,10 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_group(args) -> int:
     arr = _load_pda_file(args.file)
-    grouped = pda_mod.group_pda_divisible(arr, args.K)
+    try:
+        grouped = pda_mod.group_pda_divisible(arr, args.K)
+    except ValueError as exc:  # a target that is not a multiple of K1
+        raise _UsageError(f"--K: {exc}")
     K, F, Z, S = grouped.params()
     print(f"grouped to a ({K},{F},{Z},{S}) PDA")
     _emit_pda(grouped, args.out, args.format)
@@ -212,16 +262,9 @@ def _cmd_ntap(args) -> int:
 
 
 def _cmd_phf(args) -> int:
-    text = _read(args.file)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise _UsageError(f"{args.file} is not JSON: {exc}")
-    if "blocks" in doc:
-        packing_obj = serialize.nhsdp_from_json(text)
-        ntap = designs.NtapSet.from_packing(packing_obj)
-    else:
-        ntap = serialize.ntap_from_json(text)
+    ntap = _load_nhsdp_file(args.file, allow_ntap=True)
+    if isinstance(ntap, packing.Nhsdp):
+        ntap = designs.NtapSet.from_packing(ntap)
     phf = designs.phf_from_ntap(ntap)
     verdict = designs.verify_phf(phf)
     if not verdict.ok:

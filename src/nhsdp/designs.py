@@ -186,16 +186,15 @@ def phf_from_ntap(ntap: NtapSet) -> PhfArray:
     return phf_columns_from_elements(ntap.v, ntap.elements)
 
 
-_FULL_CHECK_CAP = 50_000_000
-
-
 def verify_phf(phf: PhfArray) -> Verdict:
     """Check that some row separates every t-subset of columns.
 
-    Small arrays are swept triple-by-triple.  For strength 3 beyond the cap,
-    an equivalent pair-class sweep runs instead: any unseparated triple
-    contains a pair colliding in row 0, so it suffices to extend each such
-    pair by the columns that collide with it in every remaining row.
+    Strength 3 takes the exact pair-class sweep: an unseparated triple has a
+    pair colliding in row 0, and its third column collides with that pair in
+    every row where the pair itself separates.  The cost is O(r*m) plus, per
+    pair colliding in row 0, r set intersections of bucket sizes, rather
+    than C(m, 3) triples.  Any other strength sweeps all C(m, t) subsets.
+    Either way the witness is the lexicographically first unseparated subset.
     """
     r, m = phf.r, phf.m
     t = phf.t
@@ -203,26 +202,19 @@ def verify_phf(phf: PhfArray) -> Verdict:
         raise ValueError(f"strength t={t} exceeds column count m={m}")
     cols = [tuple(int(v) for v in phf.grid[:, c]) for c in range(m)]
 
-    if math.comb(m, t) <= _FULL_CHECK_CAP or t != 3:
+    if t != 3:
         for subset in itertools.combinations(range(m), t):
             if not _separated(cols, subset, r):
-                return Verdict(
-                    False,
-                    "unseparated",
-                    f"no row separates columns {subset}",
-                    {"columns": subset},
-                )
-        return Verdict(True, "valid", f"(3;{m},{phf.q},{t}) PHF" if t == 3 else "PHF")
+                return _unseparated(subset)
+        return Verdict(True, "valid", "PHF")
 
-    # Pair-class sweep (exact, strength 3 only): an unseparated triple has a
-    # pair colliding in row 0; its third column must collide with that pair
-    # in every row where the pair itself separates.
     buckets: list[dict[int, list[int]]] = []
     for j in range(r):
         bucket: dict[int, list[int]] = {}
         for c in range(m):
             bucket.setdefault(cols[c][j], []).append(c)
         buckets.append(bucket)
+    first: tuple[int, int, int] | None = None
     for group in buckets[0].values():
         for a, b in itertools.combinations(group, 2):
             candidates: set[int] | None = None  # None: unconstrained so far
@@ -234,25 +226,26 @@ def verify_phf(phf: PhfArray) -> Verdict:
                 candidates = row_hits if candidates is None else candidates & row_hits
                 if not candidates:
                     break
-            if candidates is None:
-                # (a, b) collide in every row; any third column completes
-                # an unseparated triple (m >= 3 is guaranteed by t <= m).
-                c = next(c for c in range(m) if c != a and c != b)
-                return Verdict(
-                    False,
-                    "unseparated",
-                    f"no row separates columns {tuple(sorted((a, b, c)))}",
-                    {"columns": tuple(sorted((a, b, c)))},
-                )
-            for c in sorted(candidates):
+            # The smallest completing column gives this pair's first triple;
+            # with candidates None, (a, b) collide in every row and any
+            # third column completes one.
+            for c in range(m) if candidates is None else sorted(candidates):
                 if c != a and c != b and not _separated(cols, (a, b, c), r):
-                    return Verdict(
-                        False,
-                        "unseparated",
-                        f"no row separates columns {(a, b, c)}",
-                        {"columns": (a, b, c)},
-                    )
+                    triple = tuple(sorted((a, b, c)))
+                    first = triple if first is None else min(first, triple)
+                    break
+    if first is not None:
+        return _unseparated(first)
     return Verdict(True, "valid", f"(3;{m},{phf.q},3) PHF")
+
+
+def _unseparated(columns: tuple[int, ...]) -> Verdict:
+    return Verdict(
+        False,
+        "unseparated",
+        f"no row separates columns {columns}",
+        {"columns": columns},
+    )
 
 
 def _separated(cols, subset, r) -> bool:

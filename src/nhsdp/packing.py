@@ -192,11 +192,6 @@ def block_params(m: Sequence[int]) -> BlockParams:
     return BlockParams(ms, tuple(f), x, total)
 
 
-def phi_value(m: Sequence[int]) -> int:
-    """phi(m) = sum_i f(i); equals (prod_i (1 + 2 m_i) - 1) / 2."""
-    return block_params(m).phi
-
-
 def construct_nhsdp(v: int, m: Sequence[int]) -> Nhsdp:
     """Build the (v, 2^n, prod m_i) packing from scale parameters m.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -78,88 +78,78 @@ class Pda:
         return self.K, self.F, self.Z, self.S
 
 
+class SymbolGroups(NamedTuple):
+    """The non-star cells of a PDA, sorted by (symbol, user, row).
+
+    Symbol s owns cells ``edges[s-1]:edges[s]``, so ``np.diff(edges)``
+    counts the occurrences of every symbol in [1, S].
+    """
+
+    row: np.ndarray
+    user: np.ndarray
+    symbol: np.ndarray
+    edges: np.ndarray
+
+
+def symbol_groups(pda: Pda) -> SymbolGroups:
+    """Index the cells of each symbol with one scan and one sort.
+
+    The sort key is symbol * F*K + user * F + row, the cell's position in
+    the transposed grid, which fits int64 while S * F * K < 2**63.
+    """
+    gT = np.ascontiguousarray(pda.grid.T)
+    cell = np.flatnonzero(gT)
+    symbol, cell = np.divmod(np.sort(gT.ravel()[cell] * gT.size + cell), gT.size)
+    user, row = np.divmod(cell, pda.F)
+    edges = np.r_[0, np.cumsum(np.bincount(symbol, minlength=pda.S + 1)[1:])]
+    return SymbolGroups(row, user, symbol, edges)
+
+
 def verify_pda(pda: Pda) -> Verdict:
     """Exhaustively check C1, C2, C3a, and C3b.
 
-    Cells are grouped by symbol, so the cost is O(F*K + sum_s occ(s)^2)
-    rather than a blind O((FK)^2) pair sweep.  Violations carry the cell
-    coordinates involved.
+    Within each symbol group of ``symbol_groups``, cell i is compared with
+    cell i + t for t = 1, 2, ..., one offset at a time, so the cost is
+    O(F*K + sum_s occ(s)^2) time and O(F*K) memory for any group sizes.
+    C3a is reported before C3b; either witness is the first violating pair
+    by (symbol, cells in row-major order).
     """
-    grid = pda.grid
-    F, K = grid.shape
-
-    rows_idx, cols_idx = np.nonzero(grid != STAR)
-    syms = grid[rows_idx, cols_idx]
-    if pda.S == 0:
-        return _check_c1_c2(pda, syms)
-
-    order = np.argsort(syms, kind="stable")
-    syms_s = syms[order]
-    rows_s = rows_idx[order]
-    cols_s = cols_idx[order]
-    starts = np.flatnonzero(np.r_[True, syms_s[1:] != syms_s[:-1]])
-    ends = np.r_[starts[1:], len(syms_s)]
-    sizes = ends - starts
-
-    if sizes.max(initial=0) >= 2:
-        if sizes.min() == sizes.max():
-            # Regular case: one reshape covers every symbol group at once.
-            g = int(sizes[0])
-            rows_g = rows_s.reshape(-1, g)
-            cols_g = cols_s.reshape(-1, g)
-            p1, p2 = np.triu_indices(g, 1)
-            r1, c1 = rows_g[:, p1].ravel(), cols_g[:, p1].ravel()
-            r2, c2 = rows_g[:, p2].ravel(), cols_g[:, p2].ravel()
-            sym_of_pair = np.repeat(syms_s[starts], p1.size)
-        else:
-            r1l, c1l, r2l, c2l, sl = [], [], [], [], []
-            for start, end in zip(starts, ends):
-                size = end - start
-                if size < 2:
-                    continue
-                p1, p2 = np.triu_indices(size, 1)
-                r1l.append(rows_s[start:end][p1])
-                c1l.append(cols_s[start:end][p1])
-                r2l.append(rows_s[start:end][p2])
-                c2l.append(cols_s[start:end][p2])
-                sl.append(np.full(p1.size, syms_s[start]))
-            r1, c1 = np.concatenate(r1l), np.concatenate(c1l)
-            r2, c2 = np.concatenate(r2l), np.concatenate(c2l)
-            sym_of_pair = np.concatenate(sl)
-
-        clash = (r1 == r2) | (c1 == c2)
-        if clash.any():
-            i = int(np.flatnonzero(clash)[0])
-            return Verdict(
-                False,
-                "C3a",
-                f"symbol {int(sym_of_pair[i])} repeats at cells "
-                f"({int(r1[i])},{int(c1[i])}) and ({int(r2[i])},{int(c2[i])})",
-                {
-                    "symbol": int(sym_of_pair[i]),
-                    "cells": ((int(r1[i]), int(c1[i])), (int(r2[i]), int(c2[i]))),
-                },
+    groups = symbol_groups(pda)
+    grid, K = pda.grid, pda.K
+    star = (grid == STAR).ravel()
+    row, user = groups.row, groups.user
+    first: dict[str, tuple[int, int, int]] = {}
+    after = groups.edges[groups.symbol] - np.arange(row.size) - 1  # later cells in its group
+    c, t = np.flatnonzero(after > 0), 1
+    while c.size:
+        o = c + t
+        rc, ro, uc, uo = row[c], row[o], user[c], user[o]
+        clash = (rc == ro) | (uc == uo)
+        cross = ~(star[rc * K + uo] & star[ro * K + uc])
+        for code, bad in (("C3a", clash), ("C3b", cross)):
+            if bad.any():
+                a, b = rc[bad] * K + uc[bad], ro[bad] * K + uo[bad]
+                a, b = np.minimum(a, b), np.maximum(a, b)
+                sym = groups.symbol[c[bad]]
+                i = np.lexsort((b, a, sym))[0]
+                key = (int(sym[i]), int(a[i]), int(b[i]))
+                first[code] = min(first.get(code, key), key)
+        t += 1
+        c = c[after[c] >= t]
+    for code in ("C3a", "C3b"):
+        if code in first:
+            s, a, b = first[code]
+            cells = (divmod(a, K), divmod(b, K))
+            (r1, c1), (r2, c2) = cells
+            detail = (
+                f"symbol {s} repeats at cells ({r1},{c1}) and ({r2},{c2})"
+                if code == "C3a"
+                else f"cells ({r1},{c1}) and ({r2},{c2}) share symbol {s} "
+                "but a cross cell is not a star"
             )
+            return Verdict(False, code, detail, {"symbol": s, "cells": cells})
 
-        cross = (grid[r1, c2] != STAR) | (grid[r2, c1] != STAR)
-        if cross.any():
-            i = int(np.flatnonzero(cross)[0])
-            return Verdict(
-                False,
-                "C3b",
-                f"cells ({int(r1[i])},{int(c1[i])}) and ({int(r2[i])},{int(c2[i])}) "
-                f"share symbol {int(sym_of_pair[i])} but a cross cell is not a star",
-                {
-                    "symbol": int(sym_of_pair[i]),
-                    "cells": ((int(r1[i]), int(c1[i])), (int(r2[i]), int(c2[i]))),
-                },
-            )
-
-    return _check_c1_c2(pda, syms)
-
-
-def _check_c1_c2(pda: Pda, syms: np.ndarray) -> Verdict:
-    star_counts = (pda.grid == STAR).sum(axis=0)
+    star_counts = star.reshape(grid.shape).sum(axis=0)
     bad = np.nonzero(star_counts != pda.Z)[0]
     if bad.size:
         k = int(bad[0])
@@ -169,21 +159,16 @@ def _check_c1_c2(pda: Pda, syms: np.ndarray) -> Verdict:
             f"column {k} has {int(star_counts[k])} stars, declared Z={pda.Z}",
             {"column": k, "stars": int(star_counts[k]), "Z": pda.Z},
         )
-    present = np.unique(syms)
-    if present.size != pda.S:
-        missing = sorted(set(range(1, pda.S + 1)) - set(int(s) for s in present))
+    missing = (np.flatnonzero(np.diff(groups.edges) == 0) + 1).tolist()
+    if missing:
         return Verdict(
             False,
             "C2",
             f"{len(missing)} of S={pda.S} symbols never occur, first missing {missing[0]}",
             {"missing": missing[:16]},
         )
-    return Verdict(True, "valid", _valid_detail(pda), {"params": pda.params()})
-
-
-def _valid_detail(pda: Pda) -> str:
     K, F, Z, S = pda.params()
-    return f"({K},{F},{Z},{S}) PDA"
+    return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", {"params": pda.params()})
 
 
 def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
@@ -218,16 +203,14 @@ def conjugate_pda(pda: Pda) -> Pda:
     F, K, Z, S = pda.F, pda.K, pda.Z, pda.S
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
-    rows_with_symbol = np.unique(np.nonzero(pda.grid != STAR)[0])
-    if rows_with_symbol.size != F:
-        missing = sorted(set(range(F)) - set(int(r) for r in rows_with_symbol))
+    groups = symbol_groups(pda)
+    empty = np.flatnonzero(np.bincount(groups.row, minlength=F) == 0)
+    if empty.size:
         raise ValueError(
-            f"row {missing[0]} is all stars; compact rows before conjugating"
+            f"row {int(empty[0])} is all stars; compact rows before conjugating"
         )
     out = np.zeros((S, K), dtype=np.int64)
-    rows_idx, cols_idx = np.nonzero(pda.grid != STAR)
-    syms = pda.grid[rows_idx, cols_idx]
-    out[syms - 1, cols_idx] = rows_idx + 1
+    out[groups.symbol - 1, groups.user] = groups.row + 1
     return Pda(out, Z=S - (F - Z), S=F)
 
 
@@ -316,7 +299,7 @@ def pda_stats(pda: Pda) -> PdaStats:
     gain = Fraction(K * (F - Z), S) if S else None
     regular: int | None = None
     if S:
-        _, counts = np.unique(pda.grid[pda.grid != STAR], return_counts=True)
-        if counts.size == S and counts.min() == counts.max():
-            regular = int(counts[0])
+        sizes = np.diff(symbol_groups(pda).edges)
+        if sizes[0] and (sizes == sizes[0]).all():
+            regular = int(sizes[0])
     return PdaStats(K, F, Z, S, memory, load, gain, regular)

@@ -14,30 +14,15 @@ class OddResidueRing:
     """Z_v for an odd modulus v >= 3, where 2 is invertible.
 
     Carries ``inv2``, the residue with ``2 * inv2 == 1 (mod v)``, so half-sums
-    (x + y) / 2 are single multiplications.  Instances are immutable and safe
-    to share between threads.
+    (x + y) / 2 are single multiplications.
     """
-
-    __slots__ = ("v", "inv2")
 
     def __init__(self, v: int):
         if v < 3 or v % 2 == 0:
             raise ValueError(f"modulus must be an odd integer >= 3, got {v}")
-        object.__setattr__(self, "v", v)
+        self.v = v
         # (v+1)/2 is exact for odd v: 2*(v+1)/2 = v+1 = 1 (mod v)
-        object.__setattr__(self, "inv2", (v + 1) // 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OddResidueRing is immutable")
-
-    def __repr__(self) -> str:
-        return f"OddResidueRing({self.v})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OddResidueRing) and other.v == self.v
-
-    def __hash__(self) -> int:
-        return hash(("OddResidueRing", self.v))
+        self.inv2 = (v + 1) // 2
 
     def reduce(self, x: int) -> int:
         """Canonicalize x into [0, v); accepts signed input."""
@@ -75,14 +60,6 @@ def gaussian_binomial(k: int, t: int, q: int) -> int:
     quotient, remainder = divmod(num, den)
     assert remainder == 0, "Gaussian binomial is always an integer"
     return quotient
-
-
-def gcd_lcm(a: int, b: int) -> tuple[int, int]:
-    """Return (gcd(a, b), lcm(a, b)) for positive integers."""
-    if a < 1 or b < 1:
-        raise ValueError("gcd_lcm requires positive integers")
-    g = math.gcd(a, b)
-    return g, a // g * b
 
 
 def integer_nth_root(v: int, n: int) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .packing import block_params, choose_params_closed_form, solve_problem1_exact
-from .ringmath import binomial, gaussian_binomial, gcd_lcm, is_prime_power
+from .ringmath import binomial, gaussian_binomial, is_prime_power
 
 SCHEME_NAMES = (
     "MN",
@@ -348,8 +348,7 @@ def apply_grouping_formula(base: SchemePoint, target_K: int) -> SchemePoint:
     K1 = base.K
     if target_K <= K1:
         raise ValueError(f"target K={target_K} must exceed the base K1={K1}")
-    g, _ = gcd_lcm(K1, target_K)
-    h1 = K1 // g
+    h1 = K1 // math.gcd(K1, target_K)
     new_params = dict(base.params)
     new_params["grouped_from_K"] = K1
     return SchemePoint(

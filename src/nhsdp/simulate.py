@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pda import STAR, Pda
+from .pda import STAR, Pda, SymbolGroups, symbol_groups
 
 DEFAULT_PACKET_LEN = 16
 
@@ -144,31 +144,17 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     return CacheContents(users, slots)
 
 
-class _Layout:
-    """The symbol groups of one PDA, as flat index arrays.
-
-    Non-star cells are sorted by (symbol, user, row), so symbol s owns cells
-    ``sym_edges[s-1]:sym_edges[s]``.  ``pairs[t-1]`` holds the ordered
-    (receiver cell, other cell) pairs at offset t within a group: each cell
-    of a group larger than t, and the cell t places after it, cyclically.
-    """
-
-    def __init__(self, pda: Pda):
-        grid = pda.grid
-        rows, users = np.nonzero(grid)
-        syms = grid[rows, users]
-        order = np.lexsort((rows, users, syms))
-        self.S = pda.S
-        self.cell_row, self.cell_user, self.cell_sym = rows[order], users[order], syms[order]
-        self.sym_edges = np.searchsorted(self.cell_sym, np.arange(1, pda.S + 2))
-        first = self.sym_edges[self.cell_sym - 1]
-        size = self.sym_edges[self.cell_sym] - first
-        pairs = []
-        for t in range(1, int(size.max(initial=0))):
-            c = np.flatnonzero(size > t)
-            pairs.append((c, first[c] + (c - first[c] + t) % size[c]))
-        self.pairs = tuple(pairs)
-        self.star_row, self.star_user = np.nonzero(grid == STAR)
+def _pairs(groups: SymbolGroups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Ordered (receiver cell, other cell) pairs per offset t >= 1 within a
+    symbol group: each cell of a group larger than t, and the cell t places
+    after it, cyclically.  Cells index ``groups``."""
+    first = groups.edges[groups.symbol - 1]
+    size = groups.edges[groups.symbol] - first
+    pairs = []
+    for t in range(1, int(size.max(initial=0))):
+        c = np.flatnonzero(size > t)
+        pairs.append((c, first[c] + (c - first[c] + t) % size[c]))
+    return tuple(pairs)
 
 
 # The kernels loop over the offset within a symbol group, so each numpy call
@@ -176,27 +162,30 @@ class _Layout:
 # over the same gathers would make one inner-loop call per (group, demand,
 # word), which dominates when groups hold a few cells.
 
-def _payloads(layout: _Layout, data: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _payloads(groups: SymbolGroups, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
     XOR of the demanded packets of its cells (zero for an empty symbol)."""
     N, F, W = data.shape
     flat, dT = data.reshape(-1, W), d.T
-    starts, sizes = layout.sym_edges[:-1], np.diff(layout.sym_edges)
-    out = np.zeros((layout.S, len(d), W), dtype=np.uint64)
+    starts, sizes = groups.edges[:-1], np.diff(groups.edges)
+    out = np.zeros((len(sizes), len(d), W), dtype=np.uint64)
     for t in range(int(sizes.max(initial=0))):
         s = np.flatnonzero(sizes > t)
         c = starts[s] + t
-        out[s] ^= np.take(flat, dT[layout.cell_user[c]] * F + layout.cell_row[c, None], axis=0)
+        out[s] ^= np.take(flat, dT[groups.user[c]] * F + groups.row[c, None], axis=0)
     return out
 
 
-def _decode(layout: _Layout, cache: CacheContents, payloads: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _decode(
+    groups: SymbolGroups, pairs: tuple, cache: CacheContents, payloads: np.ndarray, d: np.ndarray
+) -> np.ndarray:
     """(K, F, B, W) files every user recovers from payloads (S, B, W).
 
-    Star rows are the user's own cached copy; any other row is its symbol's
+    Cached rows are the user's own copy; any other row is its symbol's
     payload XOR the group's other packets, each read from the receiver's
-    cache through the slot map.  A missing slot (-1) reads some other
-    cached packet, so callers must screen users with ``_blocked`` first.
+    cache through the slot map.  A missing slot (-1) leaves a star row
+    unset or reads some other cached packet, so callers must screen users
+    with ``_blocked`` first.
     """
     users, slots = cache.users, cache.slots
     K, N, Z, W = users.shape
@@ -208,17 +197,18 @@ def _decode(layout: _Layout, cache: CacheContents, payloads: np.ndarray, d: np.n
         return np.take(flat, dT[u] * Z + base[:, None], axis=0)
 
     out = np.empty((K * F, len(d), W), dtype=np.uint64)
-    out[layout.star_user * F + layout.star_row] = cached(
-        layout.star_user, layout.star_user, layout.star_row
-    )
-    got = payloads[layout.cell_sym - 1]
-    for c, o in layout.pairs:
-        got[c] ^= cached(layout.cell_user[c], layout.cell_user[o], layout.cell_row[o])
-    out[layout.cell_user * F + layout.cell_row] = got
+    k, j = np.nonzero(slots >= 0)
+    out[k * F + j] = cached(k, k, j)
+    got = payloads[groups.symbol - 1]
+    for c, o in pairs:
+        got[c] ^= cached(groups.user[c], groups.user[o], groups.row[o])
+    out[groups.user * F + groups.row] = got
     return out.reshape(K, F, len(d), W)
 
 
-def _blocked(layout: _Layout, slots: np.ndarray) -> dict[int, tuple[int, int, int]]:
+def _blocked(
+    pda: Pda, groups: SymbolGroups, pairs: tuple, slots: np.ndarray
+) -> dict[int, tuple[int, int, int]]:
     """Users that need a packet their cache has no slot for.
 
     Maps each such user to its first witness (row, user whose demand names
@@ -226,16 +216,14 @@ def _blocked(layout: _Layout, slots: np.ndarray) -> dict[int, tuple[int, int, in
     an own star row.
     """
     blocked: dict[int, tuple[int, int, int]] = {}
-    for c, o in layout.pairs:
-        recv, row = layout.cell_user[c], layout.cell_row[o]
+    for c, o in pairs:
+        recv, row = groups.user[c], groups.row[o]
         for i in np.flatnonzero(slots[recv, row] < 0).tolist():
             blocked.setdefault(
-                int(recv[i]),
-                (int(row[i]), int(layout.cell_user[o[i]]), int(layout.cell_sym[c[i]])),
+                int(recv[i]), (int(row[i]), int(groups.user[o[i]]), int(groups.symbol[c[i]]))
             )
-    for i in np.flatnonzero(slots[layout.star_user, layout.star_row] < 0).tolist():
-        k = int(layout.star_user[i])
-        blocked.setdefault(k, (int(layout.star_row[i]), k, 0))
+    for k, j in zip(*np.nonzero((pda.grid.T == STAR) & (slots < 0))):
+        blocked.setdefault(int(k), (int(j), int(k), 0))
     return blocked
 
 
@@ -268,11 +256,11 @@ def deliver(
     if library.F != pda.F:
         raise ValueError("library packet count does not match the PDA")
 
-    layout = _Layout(pda)
-    payloads = _payloads(layout, library.data, np.array([d], dtype=np.int64))[:, 0]
+    groups = symbol_groups(pda)
+    payloads = _payloads(groups, library.data, np.array([d], dtype=np.int64))[:, 0]
     wire = payloads.view(np.uint8)[:, : library.packet_len]
-    contributors = list(zip(layout.cell_user.tolist(), layout.cell_row.tolist()))
-    edges = layout.sym_edges.tolist()
+    contributors = list(zip(groups.user.tolist(), groups.row.tolist()))
+    edges = groups.edges.tolist()
     transmissions = tuple(
         Transmission(s, wire[s - 1].tobytes(), tuple(contributors[edges[s - 1] : edges[s]]))
         for s in range(1, len(wire) + 1)
@@ -308,8 +296,9 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
     if sorted(t.symbol for t in transcript.transmissions) != list(range(1, pda.S + 1)):
         raise ValueError(f"transcript must carry one transmission per symbol 1..S={pda.S}")
 
-    layout = _Layout(pda)
-    blocked = _blocked(layout, cache.slots)
+    groups = symbol_groups(pda)
+    pairs = _pairs(groups)
+    blocked = _blocked(pda, groups, pairs, cache.slots)
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
@@ -318,7 +307,7 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
     wire[np.array([t.symbol - 1 for t in txns], dtype=np.int64), 0, :L] = np.frombuffer(
         b"".join(t.payload for t in txns), dtype=np.uint8
     ).reshape(len(txns), L)
-    files = _decode(layout, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    files = _decode(groups, pairs, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
     files = files[:, :, 0].view(np.uint8)[..., :L]
     return tuple(files[k].tobytes() for k in range(pda.K))
 
@@ -389,8 +378,9 @@ def exhaustive_demand_check(
     """
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
-    layout = _Layout(pda)
-    blocked = _blocked(layout, cache.slots)
+    groups = symbol_groups(pda)
+    pairs = _pairs(groups)
+    blocked = _blocked(pda, groups, pairs, cache.slots)
     is_blocked = np.zeros(pda.K, dtype=bool)
     is_blocked[list(blocked)] = True
     nominal = Fraction(pda.S, pda.F)
@@ -404,7 +394,7 @@ def exhaustive_demand_check(
     checked = 0
     for d in chunks:
         checked += len(d)
-        payloads = _payloads(layout, library.data, d)
+        payloads = _payloads(groups, library.data, d)
         load = Fraction(len(payloads) * packet_len, pda.F * packet_len)
         max_load = max(max_load, load)
         if load != nominal:
@@ -415,7 +405,7 @@ def exhaustive_demand_check(
                 for v in map(tuple, d.tolist())
             ]
             continue
-        files = _decode(layout, cache, payloads, d)
+        files = _decode(groups, pairs, cache, payloads, d)
         expected = np.take(library.data.reshape(-1, W), d.T[:, None, :] * pda.F + rows, axis=0)
         wrong = (files != expected).any(axis=1).any(axis=-1)  # (K, B)
         for b, k in zip(*np.nonzero(wrong.T | is_blocked)):

@@ -173,6 +173,37 @@ class TestFailures:
         code, _, stderr = run(capsys, "simulate", ex4_file, *flags)
         assert code == 2 and flag in stderr
 
+    @pytest.mark.parametrize("command", ["verify-nhsdp", "build-pda", "phf"])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"v": 7}', "'blocks'"),
+            ('{"v": 7, "blocks": "1,2"}', "'blocks'"),
+            ('{"v": "7", "blocks": [[1, 6]]}', "'v'"),
+            ('{"v": 7, "g": [2], "blocks": [[1, 6]]}', "'g'"),
+            ("v = 7", "not JSON"),
+        ],
+        ids=["missing_blocks", "blocks_type", "v_type", "g_type", "not_json"],
+    )
+    def test_bad_packing_file_is_usage_error(self, tmp_path, capsys, command, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, _, stderr = run(capsys, command, bad)
+        assert code == 2 and str(bad) in stderr and field in stderr
+
+    def test_phf_reads_ntap_file(self, tmp_path, capsys):
+        ntap = tmp_path / "ntap.json"
+        ntap.write_text('{"v": 9, "elements": [1, 2]}')
+        code, stdout, _ = run(capsys, "phf", ntap)
+        assert code == 0 and "(3;18,9,3) PHF: valid" in stdout
+        ntap.write_text('{"v": 9, "elements": [1, "2"]}')
+        code, _, stderr = run(capsys, "phf", ntap)
+        assert code == 2 and "'elements'" in stderr
+
+    def test_group_target_not_a_multiple_is_usage_error(self, ex4_file, capsys):
+        code, _, stderr = run(capsys, "group", ex4_file, "--K", 6)
+        assert code == 2 and "--K" in stderr and "not a positive multiple" in stderr
+
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

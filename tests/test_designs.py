@@ -183,7 +183,7 @@ class TestPhf:
         with pytest.raises(ValueError):
             verify_phf(PhfArray(q=3, t=4, grid=[[0, 1, 2]]))
 
-    def test_pair_class_sweep_agrees_with_triple_sweep(self, monkeypatch):
+    def test_pair_class_sweep_agrees_with_triple_sweep(self):
         from nhsdp import PhfArray
 
         cases = [
@@ -194,9 +194,8 @@ class TestPhf:
             # third column of the violating triple is unconstrained.
             PhfArray(q=3, t=3, grid=[[0, 0, 1, 2], [1, 1, 0, 2], [2, 2, 1, 0]]),
         ]
-        expected = [verify_phf(phf).ok for phf in cases]
+        expected = [brute_phf_ok(phf.grid.tolist(), 3) for phf in cases]
         assert expected == [True, False, True, False]
-        monkeypatch.setattr(designs, "_FULL_CHECK_CAP", 0)
         assert [verify_phf(phf).ok for phf in cases] == expected
 
     @settings(max_examples=40, deadline=None)
@@ -210,11 +209,31 @@ class TestPhf:
         m, q = rng.randint(3, 8), rng.randint(2, 4)
         grid = [[rng.randrange(q) for _ in range(m)] for _ in range(3)]
         phf = PhfArray(q=q, t=3, grid=grid)
-        expected = brute_phf_ok(grid, 3)
-        assert verify_phf(phf).ok == expected
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(designs, "_FULL_CHECK_CAP", 0)
-            assert verify_phf(phf).ok == expected
+        assert verify_phf(phf).ok == brute_phf_ok(grid, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_witness_is_first_unseparated_subset(self, seed):
+        import random as _random
+
+        from nhsdp import PhfArray
+
+        rng = _random.Random(seed)
+        r, m, q, t = rng.randint(1, 4), rng.randint(4, 8), rng.randint(2, 4), rng.choice((2, 3, 4))
+        grid = [[rng.randrange(q) for _ in range(m)] for _ in range(r)]
+        first = next(
+            (
+                cols
+                for cols in itertools.combinations(range(m), t)
+                if not any(len({grid[j][c] for c in cols}) == t for j in range(r))
+            ),
+            None,
+        )
+        verdict = verify_phf(PhfArray(q=q, t=t, grid=grid))
+        assert verdict.ok == (first is None)
+        if first is not None:
+            assert verdict.info["columns"] == first
+            assert verdict.detail == f"no row separates columns {first}"
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=13).map(lambda k: 2 * k + 1))

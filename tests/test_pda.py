@@ -18,9 +18,10 @@ from nhsdp import (
     mn_pda,
     pda_from_nhsdp,
     pda_stats,
+    symbol_groups,
     verify_pda,
 )
-from conftest import naive_verify_pda
+from conftest import EX4_GRID, naive_verify_pda
 
 
 def make_pda(rows, Z=None, S=None):
@@ -28,6 +29,55 @@ def make_pda(rows, Z=None, S=None):
     if Z is None or S is None:
         return Pda.from_grid(grid)
     return Pda(grid, Z=Z, S=S)
+
+
+def first_c3_violation(pda):
+    """Reference witness: C3a, else C3b, at the first pair of equal-symbol
+    cells by (symbol, first cell, second cell), cells in row-major order."""
+    grid = pda.grid
+    cells = sorted(
+        (int(grid[j, k]), j, k) for j in range(pda.F) for k in range(pda.K) if grid[j, k] != STAR
+    )
+    pairs = [
+        (s, (j1, k1), (j2, k2))
+        for (s, j1, k1), (t, j2, k2) in itertools.combinations(cells, 2)
+        if s == t
+    ]
+    for s, (j1, k1), (j2, k2) in pairs:
+        if j1 == j2 or k1 == k2:
+            return "C3a", s, ((j1, k1), (j2, k2))
+    for s, (j1, k1), (j2, k2) in pairs:
+        if grid[j1, k2] != STAR or grid[j2, k1] != STAR:
+            return "C3b", s, ((j1, k1), (j2, k2))
+    return None
+
+
+def assert_matches_references(arr):
+    verdict = verify_pda(arr)
+    assert verdict.ok == naive_verify_pda(arr)
+    expected = first_c3_violation(arr)
+    if expected is None:
+        assert verdict.code in ("valid", "C1", "C2")
+    else:
+        assert (verdict.code, verdict.info["symbol"], verdict.info["cells"]) == expected
+
+
+class TestSymbolGroups:
+    def test_order_is_symbol_user_row(self, ex15_packing):
+        for arr in (pda_from_nhsdp(ex15_packing), make_pda(EX4_GRID, Z=2, S=4)):
+            groups = symbol_groups(arr)
+            listed = list(zip(groups.symbol.tolist(), groups.user.tolist(), groups.row.tolist()))
+            grid = arr.grid
+            assert listed == sorted(
+                (int(grid[j, k]), k, j) for j in range(arr.F) for k in range(arr.K) if grid[j, k]
+            )
+            sizes = np.bincount(grid.ravel(), minlength=arr.S + 1)[1:]
+            assert groups.edges.tolist() == [0, *np.cumsum(sizes).tolist()]
+
+    def test_empty_symbols_have_empty_groups(self):
+        groups = symbol_groups(make_pda([[STAR, 3], [3, STAR]], Z=1, S=4))
+        assert groups.edges.tolist() == [0, 0, 0, 2, 2]
+        assert groups.row.tolist() == [1, 0] and groups.user.tolist() == [0, 1]
 
 
 class TestVerify:
@@ -74,7 +124,47 @@ class TestVerify:
         F, K, S = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
         grid = rng.integers(0, S + 1, size=(F, K))
         arr = Pda(grid, Z=int((grid[:, 0] == STAR).sum()), S=S)
-        assert verify_pda(arr).ok == naive_verify_pda(arr)
+        assert_matches_references(arr)
+
+
+    def test_c3a_is_reported_before_c3b(self, ex4_pda):
+        grid = np.array(ex4_pda.grid)
+        grid[1, 1] = 3  # symbol 1 loses its cross star: C3b
+        grid[2, 0] = 4  # symbol 4 repeats in column 0: C3a, at a later symbol
+        verdict = verify_pda(make_pda(grid, Z=2, S=4))
+        assert verdict.code == "C3a" and verdict.info["symbol"] == 4
+        assert verdict.info["cells"] == ((2, 0), (3, 0))
+
+    def test_matches_references_on_dropped_columns(self, ex15_packing):
+        arr = pda_from_nhsdp(ex15_packing)
+        for keep in (range(14), range(1, 15), (0, 2, 3, 5, 7, 8, 11, 13), (4, 9)):
+            sub = drop_columns(arr, keep)
+            assert len(set(np.diff(symbol_groups(sub).edges).tolist())) > 1
+            assert_matches_references(sub)
+
+    def test_matches_references_on_small_conjugates(self, ex15_packing):
+        arr = pda_from_nhsdp(ex15_packing)
+        for base in (arr, drop_columns(arr, range(14))):
+            conj = conjugate_pda(base)
+            assert conj.F == base.S and conj.S == base.F
+            assert verify_pda(conj).ok
+            assert_matches_references(conj)
+            grid = np.array(conj.grid)
+            j, k = np.argwhere(grid == STAR)[0]
+            grid[j, k] = 1
+            assert_matches_references(Pda(grid, Z=conj.Z, S=conj.S))
+
+    def test_matches_references_on_single_cell_mutations(self, ex15_packing):
+        arr = pda_from_nhsdp(ex15_packing)
+        rng = np.random.default_rng(15)
+        codes = set()
+        for j, k in itertools.product(range(arr.F), range(arr.K)):
+            grid = np.array(arr.grid)
+            grid[j, k] = STAR if grid[j, k] else int(rng.integers(1, arr.S + 1))
+            mutated = Pda(grid, Z=arr.Z, S=arr.S)
+            assert_matches_references(mutated)
+            codes.add(verify_pda(mutated).code)
+        assert {"C3a", "C3b", "C1"} <= codes
 
 
 class TestLift:

@@ -6,7 +6,6 @@ from nhsdp import (
     OddResidueRing,
     binomial,
     gaussian_binomial,
-    gcd_lcm,
     integer_nth_root,
     is_prime_power,
 )
@@ -81,13 +80,6 @@ class TestCounting:
     def test_gaussian_symmetry(self, k, t, q):
         if t <= k:
             assert gaussian_binomial(k, t, q) == gaussian_binomial(k, k - t, q)
-
-    def test_gcd_lcm(self):
-        assert gcd_lcm(125, 16) == (1, 2000)
-        assert gcd_lcm(4, 2) == (2, 4)
-        assert gcd_lcm(12, 18) == (6, 36)
-        with pytest.raises(ValueError):
-            gcd_lcm(0, 3)
 
 
 class TestIntegerRoot:
