@@ -8,7 +8,6 @@ to ``--out`` paths, so designs flow between subcommands as files.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,13 +17,6 @@ from . import designs, packing, pda as pda_mod, schemes, serialize, simulate
 def _write(path: str | None, payload: str) -> None:
     if path:
         Path(path).write_text(payload)
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
 
 
 class _UsageError(Exception):
@@ -38,58 +30,23 @@ def _parse_m(text: str) -> tuple[int, ...]:
         raise _UsageError(f"--m expects comma-separated integers, got {text!r}")
 
 
-def _load_pda_file(path: str) -> pda_mod.Pda:
+def _load(path: str, parse):
+    """parse(text of the file at path); a bad file is a usage error naming it."""
     try:
-        return serialize.load_pda(_read(path))
-    except (ValueError, KeyError) as exc:
-        raise _UsageError(f"{path} is not a readable PDA file: {exc}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(map(_is_int, x))
-
-
-# What each field of a packing or NTAP file must hold.
-_FIELDS = {
-    "v": ("a positive integer", lambda x: _is_int(x) and x > 0),
-    "g": ("an integer", _is_int),
-    "blocks": (
-        "a list of integer lists",
-        lambda x: isinstance(x, list) and all(map(_is_int_list, x)),
-    ),
-    "elements": ("a list of integers", _is_int_list),
-}
-
-
-def _load_nhsdp_file(path: str, allow_ntap: bool = False) -> packing.Nhsdp | designs.NtapSet:
-    """A packing from JSON with "v", "blocks" and an optional "g".
-
-    With allow_ntap, a file with "elements" and no "blocks" is read as an
-    NTAP set instead.  Text that is not JSON, or a field that is missing or
-    of the wrong type, is a usage error naming the path and the field.
-    """
-    text = _read(path)
-    try:
-        doc = json.loads(text)
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:
-        raise _UsageError(f"{path} is not JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise _UsageError(f"{path} must hold a JSON object")
-    ntap = allow_ntap and "blocks" not in doc and "elements" in doc
-    for name in ("v", "elements" if ntap else "blocks", *(("g",) if "g" in doc else ())):
-        what, ok = _FIELDS[name]
-        if name not in doc:
-            raise _UsageError(f"{path} has no field {name!r}")
-        if not ok(doc[name]):
-            raise _UsageError(f"field {name!r} of {path} must be {what}")
-    try:
-        return serialize.ntap_from_json(text) if ntap else serialize.nhsdp_from_json(text)
-    except ValueError as exc:
-        raise _UsageError(f"{path} is not a readable packing file: {exc}")
+        raise _UsageError(f"{path}: {exc}")
+
+
+def _load_valid_pda(path: str) -> pda_mod.Pda:
+    """A PDA file that passes verify_pda; an invalid array exits 1."""
+    arr = _load(path, serialize.load_pda)
+    verdict = pda_mod.verify_pda(arr)
+    if not verdict.ok:
+        raise ValueError(f"{path} is not a valid PDA [{verdict.code}]: {verdict.detail}")
+    return arr
 
 
 def _emit_pda(pda: pda_mod.Pda, out: str | None, fmt: str) -> None:
@@ -110,7 +67,7 @@ def _cmd_construct_nhsdp(args) -> int:
 
 
 def _cmd_verify_nhsdp(args) -> int:
-    packing_obj = _load_nhsdp_file(args.file)
+    packing_obj = _load(args.file, serialize.nhsdp_from_json)
     verdict = packing_obj.verify()
     if verdict.ok:
         print(f"({packing_obj.v},{packing_obj.g},{packing_obj.b}) NHSDP: valid")
@@ -132,26 +89,13 @@ def _cmd_solve_params(args) -> int:
         f"v={args.v} n={args.n} m={','.join(str(x) for x in m)} "
         f"product={product} phi={params.phi}"
     )
-    if args.out:
-        _write(
-            args.out,
-            json.dumps(
-                {
-                    "v": args.v,
-                    "n": args.n,
-                    "solver": "exact" if args.exact else "closed_form",
-                    "m": list(m),
-                    "product": product,
-                    "phi": params.phi,
-                }
-            )
-            + "\n",
-        )
+    solver = "exact" if args.exact else "closed_form"
+    _write(args.out, serialize.params_to_json(args.v, args.n, solver, m, product, params.phi))
     return 0
 
 
 def _cmd_build_pda(args) -> int:
-    packing_obj = _load_nhsdp_file(args.file)
+    packing_obj = _load(args.file, serialize.nhsdp_from_json)
     arr = pda_mod.pda_from_nhsdp(packing_obj)
     K, F, Z, S = arr.params()
     print(f"built ({K},{F},{Z},{S}) PDA")
@@ -160,7 +104,7 @@ def _cmd_build_pda(args) -> int:
 
 
 def _cmd_verify_pda(args) -> int:
-    arr = _load_pda_file(args.file)
+    arr = _load(args.file, serialize.load_pda)
     verdict = pda_mod.verify_pda(arr)
     if verdict.ok:
         stats = pda_mod.pda_stats(arr)
@@ -172,7 +116,7 @@ def _cmd_verify_pda(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    arr = _load_pda_file(args.file)
+    arr = _load_valid_pda(args.file)
     conj = pda_mod.conjugate_pda(arr)
     K, F, Z, S = conj.params()
     print(f"conjugate is a ({K},{F},{Z},{S}) PDA")
@@ -181,7 +125,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    arr = _load_pda_file(args.file)
+    arr = _load_valid_pda(args.file)
     try:
         grouped = pda_mod.group_pda_divisible(arr, args.K)
     except ValueError as exc:  # a target that is not a multiple of K1
@@ -205,7 +149,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--N must be at least 1, got {args.N}")
     if args.packet_len < 1:
         raise _UsageError(f"--packet-len must be at least 1, got {args.packet_len}")
-    arr = _load_pda_file(args.file)
+    arr = _load_valid_pda(args.file)
     spec = args.demands
     if spec == "all" or spec.startswith("sample:"):
         if spec == "all":
@@ -262,9 +206,7 @@ def _cmd_ntap(args) -> int:
 
 
 def _cmd_phf(args) -> int:
-    ntap = _load_nhsdp_file(args.file, allow_ntap=True)
-    if isinstance(ntap, packing.Nhsdp):
-        ntap = designs.NtapSet.from_packing(ntap)
+    ntap = _load(args.file, serialize.ntap_from_json)
     phf = designs.phf_from_ntap(ntap)
     verdict = designs.verify_phf(phf)
     if not verdict.ok:
@@ -276,7 +218,10 @@ def _cmd_phf(args) -> int:
 
 
 def _cmd_ds_search(args) -> int:
-    result = packing.ds_search(args.q, max_q=args.max_q)
+    try:
+        result = packing.ds_search(args.q)
+    except ValueError as exc:  # q outside [2, DS_SEARCH_MAX_Q]
+        raise _UsageError(f"--q: {exc}")
     if result is None:
         v = args.q**2 + args.q + 1
         print(f"no ({v},{args.q + 1}) difference set: search space exhausted")
@@ -375,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("ds-search", _cmd_ds_search, help="search for a planar difference set")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-q", type=int, default=16)
     p.add_argument("--out")
 
     p = add("compare", _cmd_compare, help="tabulate scheme points near a user count")

@@ -342,7 +342,10 @@ def cdp_to_nhsdp(cdp: Cdp) -> Nhsdp:
     return Nhsdp(cdp.v, (tuple(sorted(cdp.elements)),))
 
 
-def ds_search(q: int, max_q: int = 16) -> Cdp | None:
+DS_SEARCH_MAX_Q = 16  # the search takes about a minute at q=11 and did not end at q=13
+
+
+def ds_search(q: int) -> Cdp | None:
     """Backtracking search for a (q^2 + q + 1, q + 1) difference set.
 
     The set is canonicalised to contain 0 and 1 and to be the
@@ -351,10 +354,8 @@ def ds_search(q: int, max_q: int = 16) -> Cdp | None:
     Returns None when the bounded search exhausts, which is the expected
     outcome for non-prime-power q.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if q > max_q:
-        raise ValueError(f"q={q} exceeds the search bound max_q={max_q}")
+    if not 2 <= q <= DS_SEARCH_MAX_Q:
+        raise ValueError(f"q must lie in [2, {DS_SEARCH_MAX_Q}], got {q}")
     v = q * q + q + 1
     k = q + 1
 

@@ -2,6 +2,7 @@
 
 Both PDA encodings round-trip bit-exactly; packing JSON stores every block
 sorted ascending with the blocks themselves ordered by smallest element.
+Every reader raises ValueError naming the field (or token) it rejects.
 """
 
 from __future__ import annotations
@@ -26,11 +27,57 @@ def nhsdp_to_json(packing: Nhsdp) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_list_of(ok):
+    return lambda x: isinstance(x, list) and all(map(ok, x))
+
+
+# What a JSON field must hold in every file format: (description, check).
+_FIELDS = {
+    "v": ("a positive integer", lambda x: _is_int(x) and x > 0),
+    "g": ("an integer", _is_int),
+    "blocks": ("a list of integer lists", _is_list_of(_is_list_of(_is_int))),
+    "elements": ("a list of integers", _is_list_of(_is_int)),
+    "grid": (
+        "a list of rows of integers or '*'",
+        _is_list_of(_is_list_of(lambda cell: _is_int(cell) or cell == "*")),
+    ),
+    **dict.fromkeys("FKZSrmqt", ("a non-negative integer", lambda x: _is_int(x) and x >= 0)),
+}
+
+
+def _doc(text: str, *fields: str) -> dict:
+    """The JSON object in text with the named fields; checks every field present."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("must hold a JSON object")
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"no field {name!r}")
+    for name, (what, ok) in _FIELDS.items():
+        if name in doc and not ok(doc[name]):
+            raise ValueError(f"field {name!r} must be {what}")
+    return doc
+
+
+def _int64_grid(rows: list, where: str) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:  # a huge cell, ragged rows, or a '*'
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def nhsdp_from_json(text: str) -> Nhsdp:
-    doc = json.loads(text)
-    packing = Nhsdp.from_blocks(int(doc["v"]), doc["blocks"])
-    if "g" in doc and packing.blocks and int(doc["g"]) != packing.g:
-        raise ValueError(f"declared g={doc['g']} but blocks have size {packing.g}")
+    doc = _doc(text, "v", "blocks")
+    packing = Nhsdp.from_blocks(doc["v"], doc["blocks"])
+    if "g" in doc and packing.blocks and doc["g"] != packing.g:
+        raise ValueError(f"field 'g' is {doc['g']} but blocks have size {packing.g}")
     return packing
 
 
@@ -50,8 +97,16 @@ def ntap_to_json(ntap: NtapSet) -> str:
 
 
 def ntap_from_json(text: str) -> NtapSet:
-    doc = json.loads(text)
-    return NtapSet.from_elements(int(doc["v"]), doc["elements"])
+    """An NTAP file, or a single-block packing file read as its one block."""
+    doc = _doc(text, "v")
+    if "elements" in doc and "blocks" not in doc:
+        return NtapSet.from_elements(doc["v"], doc["elements"])
+    return NtapSet.from_packing(nhsdp_from_json(text))
+
+
+def params_to_json(v: int, n: int, solver: str, m: Sequence[int], product: int, phi: int) -> str:
+    doc = {"v": v, "n": n, "solver": solver, "m": list(m), "product": product, "phi": phi}
+    return json.dumps(doc) + "\n"
 
 
 def pda_to_json(pda: Pda) -> str:
@@ -63,14 +118,14 @@ def pda_to_json(pda: Pda) -> str:
 
 
 def pda_from_json(text: str) -> Pda:
-    doc = json.loads(text)
-    grid = np.array(
-        [[STAR if cell == "*" else int(cell) for cell in row] for row in doc["grid"]],
-        dtype=np.int64,
+    doc = _doc(text, "F", "K", "Z", "S", "grid")
+    grid = _int64_grid(
+        [[STAR if cell == "*" else cell for cell in row] for row in doc["grid"]],
+        "field 'grid'",
     )
-    pda = Pda(grid, Z=int(doc["Z"]), S=int(doc["S"]))
-    if pda.F != int(doc["F"]) or pda.K != int(doc["K"]):
-        raise ValueError("declared shape does not match the grid")
+    pda = Pda(grid, Z=doc["Z"], S=doc["S"])
+    if (pda.F, pda.K) != (doc["F"], doc["K"]):
+        raise ValueError(f"fields 'F', 'K' do not match the {pda.F}x{pda.K} grid")
     return pda
 
 
@@ -89,12 +144,7 @@ def pda_from_text(text: str) -> Pda:
         if not line.strip():
             continue
         rows.append([STAR if tok == "*" else int(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("empty PDA text")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("ragged PDA text: rows have differing lengths")
-    return Pda.from_grid(np.array(rows, dtype=np.int64))
+    return Pda.from_grid(_int64_grid(rows, "PDA text"))
 
 
 def load_pda(text: str) -> Pda:
@@ -116,10 +166,10 @@ def phf_to_json(phf: PhfArray) -> str:
 
 
 def phf_from_json(text: str) -> PhfArray:
-    doc = json.loads(text)
-    phf = PhfArray(q=int(doc["q"]), t=int(doc["t"]), grid=np.array(doc["grid"]))
-    if phf.r != int(doc["r"]) or phf.m != int(doc["m"]):
-        raise ValueError("declared shape does not match the grid")
+    doc = _doc(text, "r", "m", "q", "t", "grid")
+    phf = PhfArray(doc["q"], doc["t"], _int64_grid(doc["grid"], "field 'grid'"))
+    if (phf.r, phf.m) != (doc["r"], doc["m"]):
+        raise ValueError(f"fields 'r', 'm' do not match the {phf.r}x{phf.m} grid")
     return phf
 
 

@@ -85,8 +85,14 @@ class TestPipelines:
         out = tmp_path / "mn.txt"
         code, stdout, _ = run(capsys, "mn-pda", "--K", 4, "--t", 2, "--out", out)
         assert code == 0 and "(4,6,3,4) PDA" in stdout
-        code, stdout, _ = run(capsys, "solve-params", "--v", 63, "--n", 2, "--exact")
+        params = tmp_path / "params.json"
+        code, stdout, _ = run(
+            capsys, "solve-params", "--v", 63, "--n", 2, "--exact", "--out", params
+        )
         assert code == 0 and "m=3,4" in stdout and "product=12" in stdout
+        assert params.read_text() == (
+            '{"v": 63, "n": 2, "solver": "exact", "m": [3, 4], "product": 12, "phi": 31}\n'
+        )
 
     def test_design_chain(self, tmp_path, capsys):
         ntap = tmp_path / "ntap.json"
@@ -199,6 +205,56 @@ class TestFailures:
         ntap.write_text('{"v": 9, "elements": [1, "2"]}')
         code, _, stderr = run(capsys, "phf", ntap)
         assert code == 2 and "'elements'" in stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [("verify-pda",), ("conjugate",), ("group", "--K", 8), ("simulate", "--N", 2)],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"F": 1, "K": 1, "Z": [0], "S": 1, "grid": [[1]]}', "'Z'"),
+            ('{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": 5}', "'grid'"),
+            ('{"F": 1, "K": 1, "Z": 0, "S": 1}', "'grid'"),
+            ('{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1.5]]}', "'grid'"),
+            ('{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [["1"]]}', "'grid'"),
+            ("* 1\nx *\n", "'x'"),
+        ],
+        ids=["Z_type", "grid_type", "missing_grid", "float_cell", "string_cell", "text_token"],
+    )
+    def test_bad_pda_file_is_usage_error(self, tmp_path, capsys, command, text, field):
+        bad = tmp_path / "bad.pda"
+        bad.write_text(text)
+        code, stdout, stderr = run(capsys, command[0], bad, *command[1:])
+        assert code == 2 and str(bad) in stderr and field in stderr
+        assert "valid" not in stdout
+
+    def test_phf_rejects_two_block_packing(self, tmp_path, capsys):
+        packing = tmp_path / "two.json"
+        packing.write_text('{"v": 7, "blocks": [[1, 6], [2, 5]]}')
+        code, _, stderr = run(capsys, "phf", packing)
+        assert code == 2 and str(packing) in stderr and "single-block" in stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [("conjugate",), ("group", "--K", 8), ("simulate", "--N", 2, "--demands", "0,1,0,1")],
+        ids=lambda c: c[0],
+    )
+    def test_invalid_pda_is_rejected_before_use(self, ex4_file, tmp_path, capsys, command):
+        lines = ex4_file.read_text().splitlines()
+        lines[1] = "1 3 2 *"  # the star at (1,1) becomes a symbol: C3b fails
+        mutated = tmp_path / "bad.txt"
+        mutated.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.txt"
+        code, stdout, stderr = run(capsys, command[0], mutated, *command[1:], "--out", out)
+        assert code == 1 and "[C3b]" in stderr and str(mutated) in stderr
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("q", [1, 17])
+    def test_ds_search_order_out_of_range_is_usage_error(self, capsys, q):
+        code, _, stderr = run(capsys, "ds-search", "--q", q)
+        assert code == 2 and "--q" in stderr
 
     def test_group_target_not_a_multiple_is_usage_error(self, ex4_file, capsys):
         code, _, stderr = run(capsys, "group", ex4_file, "--K", 6)

@@ -40,6 +40,64 @@ class TestPackingJson:
             serialize.nhsdp_from_json('{"v": 15, "g": 3, "blocks": [[1, 2]]}')
 
 
+class TestFieldChecks:
+    """Each reader raises ValueError naming the missing or wrong-typed field."""
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"v": 15, "blocks": [[1, 2.5]]}', "'blocks'"),
+            ('{"v": true, "blocks": [[1, 2]]}', "'v'"),
+            ('{"v": 15, "g": "2", "blocks": [[1, 2]]}', "'g'"),
+            ('{"v": 15, "g": 3, "blocks": [[1, 2]]}', "'g'"),
+            ("[15]", "JSON object"),
+        ],
+    )
+    def test_nhsdp(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            serialize.nhsdp_from_json(text)
+
+    def test_ntap(self):
+        with pytest.raises(ValueError, match="'elements'"):
+            serialize.ntap_from_json('{"v": 9, "elements": [1, null]}')
+        with pytest.raises(ValueError, match="'blocks'"):
+            serialize.ntap_from_json('{"v": 9}')
+        with pytest.raises(ValueError, match="single-block"):
+            serialize.ntap_from_json('{"v": 7, "blocks": [[1, 6], [2, 5]]}')
+
+    def test_ntap_reads_single_block_packing(self):
+        ntap = serialize.ntap_from_json('{"v": 7, "blocks": [[0, 1, 3]]}')
+        assert (ntap.v, ntap.elements) == (7, (0, 1, 3))
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"S": "4"}, "'S'"),
+            ({"F": -4}, "'F'"),
+            ({"grid": [["*", 1, "*", 4], [1, "*", 2]]}, "'grid'"),
+            ({"grid": [["*", 1, "*", 4.0]]}, "'grid'"),
+            ({"grid": [["*", 1, "*", 2**70]] * 4}, "'grid'"),
+        ],
+    )
+    def test_pda(self, ex4_pda, change, field):
+        doc = {**json.loads(serialize.pda_to_json(ex4_pda)), **change}
+        with pytest.raises(ValueError, match=field):
+            serialize.pda_from_json(json.dumps(doc))
+
+    def test_pda_text_names_the_token(self):
+        with pytest.raises(ValueError, match="'1.5'"):
+            serialize.pda_from_text("* 1\n\n1 1.5\n")
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [({"q": 9.0}, "'q'"), ({"grid": [[0, "*"]]}, "'grid'"), ({"m": 35}, "'m'")],
+    )
+    def test_phf(self, change, field):
+        doc = {**json.loads(serialize.phf_to_json(phf_from_ntap(ntap_construct(2)))), **change}
+        with pytest.raises(ValueError, match=field):
+            serialize.phf_from_json(json.dumps(doc))
+
+
 class TestPdaFormats:
     def test_text_round_trip_bit_exact(self, ex4_pda):
         text = serialize.pda_to_text(ex4_pda)
