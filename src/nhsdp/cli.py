@@ -8,6 +8,7 @@ to ``--out`` paths, so designs flow between subcommands as files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -77,13 +78,14 @@ def _cmd_verify_nhsdp(args) -> int:
 
 
 def _cmd_solve_params(args) -> int:
-    if args.exact:
-        m, product = packing.solve_problem1_exact(args.v, args.n)
-    else:
-        m = packing.choose_params_closed_form(args.v, args.n)
-        product = 1
-        for mi in m:
-            product *= mi
+    try:
+        if args.exact:
+            m, product = packing.solve_problem1_exact(args.v, args.n)
+        else:
+            m = packing.choose_params_closed_form(args.v, args.n)
+            product = math.prod(m)
+    except ValueError as exc:  # n < 1, or no admissible m for this v
+        raise _UsageError(f"{'--n' if args.n < 1 else '--v'}: {exc}")
     params = packing.block_params(m)
     print(
         f"v={args.v} n={args.n} m={','.join(str(x) for x in m)} "
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("solve-params", _cmd_solve_params, help="choose m for given v and n")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="exhaustive maximisation")
+    p.add_argument("--exact", action="store_true", help="exact maximisation of prod m_i")
     p.add_argument("--out")
 
     p = add("build-pda", _cmd_build_pda, help="lift a packing file to a PDA")

@@ -226,10 +226,10 @@ def choose_params_closed_form(v: int, n: int) -> tuple[int, ...]:
     The root is the exact integer n-th root, never a float.  Rejected when
     the floor is zero (v^{1/n} < 3), since every m_i must be positive.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if v < 3 or v % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {v}")
-    if n < 1:
-        raise ValueError("n must be positive")
     q0 = integer_nth_root(v, n)
     mi = (q0 - 1) // 2
     if mi < 1:
@@ -238,16 +238,28 @@ def choose_params_closed_form(v: int, n: int) -> tuple[int, ...]:
 
 
 def solve_problem1_exact(v: int, n: int) -> tuple[tuple[int, ...], int]:
-    """Maximise prod m_i subject to phi(m) <= (v - 1) / 2, by exhaustion.
+    """Maximise prod m_i subject to phi(m) <= (v - 1) / 2, exactly.
 
-    The constraint is equivalent to prod_i (1 + 2 m_i) <= v, which bounds the
-    search tree directly.  Ties break to the lexicographically smallest
-    sequence; the DFS visits sequences in lexicographic order and only
-    replaces the incumbent on a strictly larger product, which implements
-    that tie-break.
+    The constraint is equivalent to prod_i (1 + 2 m_i) <= v.  Objective and
+    constraint are both symmetric in m, so only non-decreasing sequences are
+    enumerated: a prefix of weight w = prod_j (1 + 2 m_j) is extended by m_i
+    only while w * (1 + 2 m_i)^(r + 1) <= v, where r counts the coordinates
+    after m_i, since each of them is at least m_i.  The last coordinate is
+    set in closed form to the largest feasible value, (v // w - 1) // 2,
+    which the bound on the prefix keeps at least as large as the coordinate
+    before it.  The product rises with the last coordinate, so no smaller
+    value can win or tie.
+
+    Ties break to the lexicographically smallest sequence.  Every
+    permutation of a maximiser is one, and the sorted permutation is the
+    smallest of them, so the smallest maximiser is sorted.  Sorted
+    sequences are visited in ascending order and the incumbent is replaced
+    only on a strictly larger product, which returns exactly that sequence.
+
+    prod_i (1 + 2 m_i) is odd, so an even v gives the answer for v - 1.
     """
-    if v < 3 or n < 1:
-        raise ValueError("require v >= 3 and n >= 1")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if 3**n > v:
         raise ValueError(
             f"no feasible m for (v={v}, n={n}): even m=(1,...,1) needs v >= {3**n}"
@@ -257,22 +269,23 @@ def solve_problem1_exact(v: int, n: int) -> tuple[tuple[int, ...], int]:
     best_prod = 0
     prefix: list[int] = []
 
-    def dfs(depth: int, weight: int, prod: int) -> None:
+    def dfs(lo: int, weight: int, prod: int) -> None:
         nonlocal best_seq, best_prod
-        if depth == n:
-            if prod > best_prod:
-                best_prod = prod
-                best_seq = tuple(prefix)
+        remaining = n - len(prefix) - 1
+        if remaining == 0:
+            last = (v // weight - 1) // 2
+            if prod * last > best_prod:
+                best_prod = prod * last
+                best_seq = (*prefix, last)
             return
-        remaining = n - depth - 1
-        mi = 1
-        while weight * (1 + 2 * mi) * 3**remaining <= v:
+        mi = lo
+        while weight * (1 + 2 * mi) ** (remaining + 1) <= v:
             prefix.append(mi)
-            dfs(depth + 1, weight * (1 + 2 * mi), prod * mi)
+            dfs(mi, weight * (1 + 2 * mi), prod * mi)
             prefix.pop()
             mi += 1
 
-    dfs(0, 1, 1)
+    dfs(1, 1, 1)
     assert best_prod >= 1
     return best_seq, best_prod
 

@@ -27,6 +27,10 @@ from .ringmath import binomial
 
 STAR = 0
 
+# The largest grid, in int64 cells (1 GiB), that the constructors in this
+# module (lift, conjugate, grouping, subset PDA) will allocate.
+MAX_CELLS = 2**27
+
 
 @dataclass(frozen=True, eq=False)
 class Pda:
@@ -91,8 +95,8 @@ class SymbolGroups(NamedTuple):
     edges: np.ndarray
 
 
-def symbol_groups(pda: Pda) -> SymbolGroups:
-    """Index the cells of each symbol with one scan and one sort.
+def _sorted_cells(pda: Pda) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, user, symbol) of the non-star cells, sorted by (symbol, user, row).
 
     The sort key is symbol * F*K + user * F + row, the cell's position in
     the transposed grid, which fits int64 while S * F * K < 2**63.
@@ -101,6 +105,12 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     cell = np.flatnonzero(gT)
     symbol, cell = np.divmod(np.sort(gT.ravel()[cell] * gT.size + cell), gT.size)
     user, row = np.divmod(cell, pda.F)
+    return row, user, symbol
+
+
+def symbol_groups(pda: Pda) -> SymbolGroups:
+    """Index the cells of each symbol with one scan and one sort."""
+    row, user, symbol = _sorted_cells(pda)
     edges = np.r_[0, np.cumsum(np.bincount(symbol, minlength=pda.S + 1)[1:])]
     return SymbolGroups(row, user, symbol, edges)
 
@@ -108,18 +118,20 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
 def verify_pda(pda: Pda) -> Verdict:
     """Exhaustively check C1, C2, C3a, and C3b.
 
-    Within each symbol group of ``symbol_groups``, cell i is compared with
-    cell i + t for t = 1, 2, ..., one offset at a time, so the cost is
-    O(F*K + sum_s occ(s)^2) time and O(F*K) memory for any group sizes.
-    C3a is reported before C3b; either witness is the first violating pair
-    by (symbol, cells in row-major order).
+    Within each symbol group of the cells sorted as in ``symbol_groups``,
+    cell i is compared with cell i + t for t = 1, 2, ..., one offset at a
+    time, so the cost is O(F*K + sum_s occ(s)^2) time and O(F*K) memory for
+    any group sizes.  Only the symbols present are indexed, so no work
+    follows the declared S.  C3a is reported before C3b; either witness is
+    the first violating pair by (symbol, cells in row-major order).
     """
-    groups = symbol_groups(pda)
+    row, user, symbol = _sorted_cells(pda)
     grid, K = pda.grid, pda.K
     star = (grid == STAR).ravel()
-    row, user = groups.row, groups.user
     first: dict[str, tuple[int, int, int]] = {}
-    after = groups.edges[groups.symbol] - np.arange(row.size) - 1  # later cells in its group
+    # The last cell of each symbol present, and the cells after each cell in its group.
+    last = np.flatnonzero(np.append(symbol[1:] != symbol[:-1], symbol.size > 0))
+    after = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(symbol.size)
     c, t = np.flatnonzero(after > 0), 1
     while c.size:
         o = c + t
@@ -130,7 +142,7 @@ def verify_pda(pda: Pda) -> Verdict:
             if bad.any():
                 a, b = rc[bad] * K + uc[bad], ro[bad] * K + uo[bad]
                 a, b = np.minimum(a, b), np.maximum(a, b)
-                sym = groups.symbol[c[bad]]
+                sym = symbol[c[bad]]
                 i = np.lexsort((b, a, sym))[0]
                 key = (int(sym[i]), int(a[i]), int(b[i]))
                 first[code] = min(first.get(code, key), key)
@@ -159,13 +171,18 @@ def verify_pda(pda: Pda) -> Verdict:
             f"column {k} has {int(star_counts[k])} stars, declared Z={pda.Z}",
             {"column": k, "stars": int(star_counts[k]), "Z": pda.Z},
         )
-    missing = (np.flatnonzero(np.diff(groups.edges) == 0) + 1).tolist()
+    present = symbol[last]
+    missing = pda.S - present.size
     if missing:
+        # The j-th absent symbol is j plus the number of present symbols
+        # below it; present[i] - (i + 1) counts the absent ones below present[i].
+        j = np.arange(1, min(missing, 16) + 1)
+        listed = (j + np.searchsorted(present - np.arange(1, present.size + 1), j)).tolist()
         return Verdict(
             False,
             "C2",
-            f"{len(missing)} of S={pda.S} symbols never occur, first missing {missing[0]}",
-            {"missing": missing[:16]},
+            f"{missing} of S={pda.S} symbols never occur, first missing {listed[0]}",
+            {"missing": listed},
         )
     K, F, Z, S = pda.params()
     return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", {"params": pda.params()})
@@ -178,7 +195,9 @@ def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
     (k - f) mod v lies in block i, and a star otherwise; pairs are encoded
     as symbols s = (i - 1) * v + c + 1 so that [1, b*v] stays contiguous.
     The input is re-verified, since the lift is only sound for true packings.
+    Requires v * v <= MAX_CELLS.
     """
+    _check_cells("lifted", nhsdp.v, nhsdp.v)
     verdict = verify_nhsdp(nhsdp.v, nhsdp.blocks)
     if not verdict.ok:
         raise ValueError(f"input is not a valid NHSDP: {verdict.detail}")
@@ -192,17 +211,26 @@ def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
     return Pda(grid, Z=v - nhsdp.b * nhsdp.g, S=nhsdp.b * v)
 
 
+def _check_cells(what: str, rows: int, cols: int) -> None:
+    if rows * cols > MAX_CELLS:
+        raise ValueError(
+            f"{what} array would be {rows} x {cols} = {rows * cols} cells, "
+            f"over the limit of MAX_CELLS = {MAX_CELLS}"
+        )
+
+
 def conjugate_pda(pda: Pda) -> Pda:
     """Swap the roles of rows and symbols: a (K, S, S-(F-Z), F) PDA.
 
     Cell (s, k) of the output holds the row index (plus one) at which symbol
     s + 1 appears in column k of the input, star if it does not appear.
     Requires 0 < Z < F and that every input row contains at least one symbol,
-    otherwise the output would miss a symbol.
+    otherwise the output would miss a symbol, and S * K <= MAX_CELLS.
     """
     F, K, Z, S = pda.F, pda.K, pda.Z, pda.S
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
+    _check_cells("conjugate", S, K)
     groups = symbol_groups(pda)
     empty = np.flatnonzero(np.bincount(groups.row, minlength=F) == 0)
     if empty.size:
@@ -218,10 +246,12 @@ def group_pda_divisible(pda: Pda, K: int) -> Pda:
     """Serve K = h * K1 users by tiling h copies with disjoint symbols.
 
     Copy j (0-based) renames symbol s to s + j * S, giving a valid
-    (K, F, Z, h*S) PDA.  Only the divisible case is constructive here.
+    (K, F, Z, h*S) PDA.  Only the divisible case is constructive here, and
+    only up to F * K <= MAX_CELLS.
     """
     if K % pda.K != 0 or K < pda.K:
         raise ValueError(f"target K={K} is not a positive multiple of K1={pda.K}")
+    _check_cells("grouped", pda.F, K)
     h = K // pda.K
     mask = pda.grid != STAR
     copies = [np.where(mask, pda.grid + j * pda.S, STAR) for j in range(h)]
@@ -238,11 +268,13 @@ def mn_pda(K: int, t: int) -> Pda:
 
     Rows are indexed by t-subsets of {0..K-1} in colex order; cell (T, k) is
     a star when k is in T, otherwise the colex rank of T + {k} among the
-    (t+1)-subsets.  Each symbol occurs exactly t + 1 times.
+    (t+1)-subsets.  Each symbol occurs exactly t + 1 times.  Requires
+    C(K,t) * K <= MAX_CELLS.
     """
     if not (1 <= t < K):
         raise ValueError(f"require 1 <= t < K, got t={t}, K={K}")
     F = binomial(K, t)
+    _check_cells("subset", F, K)
     grid = np.zeros((F, K), dtype=np.int64)
     for T in itertools.combinations(range(K), t):
         row = _colex_rank(T)

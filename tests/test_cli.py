@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhsdp import Pda
+from nhsdp import pda as pda_mod
 from nhsdp import serialize
 from nhsdp.cli import main
 from conftest import EX4_GRID
@@ -259,6 +260,39 @@ class TestFailures:
     def test_group_target_not_a_multiple_is_usage_error(self, ex4_file, capsys):
         code, _, stderr = run(capsys, "group", ex4_file, "--K", 6)
         assert code == 2 and "--K" in stderr and "not a positive multiple" in stderr
+
+    @pytest.mark.parametrize(
+        "flags, flag, message",
+        [
+            (("--v", 64, "--n", 2), "--v", "modulus must be odd"),
+            (("--v", 7, "--n", 2), "--v", "(v=7, n=2)"),
+            (("--v", 7, "--n", 2, "--exact"), "--v", "no feasible m for (v=7, n=2)"),
+            (("--v", 63, "--n", 0), "--n", "n must be positive"),
+            (("--v", 63, "--n", 0, "--exact"), "--n", "n must be positive"),
+        ],
+        ids=["even_v", "infeasible", "infeasible_exact", "zero_n", "zero_n_exact"],
+    )
+    def test_solve_params_bad_values_are_usage_errors(self, capsys, flags, flag, message):
+        code, stdout, stderr = run(capsys, "solve-params", *flags)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {flag}: ") and message in stderr
+
+    def test_verify_pda_huge_declared_s_is_c2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"F":1,"K":1,"Z":0,"S":1000000000000000000000000000000,"grid":[[1]]}')
+        code, stdout, _ = run(capsys, "verify-pda", path)
+        assert code == 1 and stdout.startswith("invalid PDA [C2]: ")
+        assert "first missing 2" in stdout
+
+    def test_outputs_over_cell_limit_are_refused(self, ex4_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 15)
+        out = tmp_path / "out.txt"
+        code, stdout, stderr = run(capsys, "conjugate", ex4_file, "--out", out)
+        assert code == 1 and "4 x 4 = 16 cells" in stderr and "MAX_CELLS = 15" in stderr
+        assert stdout == "" and not out.exists()
+        code, _, stderr = run(capsys, "group", ex4_file, "--K", 8, "--out", out)
+        assert code == 2 and stderr.startswith("error: --K: ") and "4 x 8 = 32 cells" in stderr
+        assert not out.exists()
 
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

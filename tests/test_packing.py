@@ -22,6 +22,29 @@ from nhsdp import (
 )
 from conftest import EX15_BLOCKS
 
+def reference_problem1(v, n):
+    """Every ordered m with prod (1 + 2 m_i) <= v, visited in lexicographic
+    order; the first largest product wins.  Reference for the exact solver."""
+    best_seq, best_prod = (), 0
+    prefix = []
+
+    def dfs(depth, weight, prod):
+        nonlocal best_seq, best_prod
+        if depth == n:
+            if prod > best_prod:
+                best_seq, best_prod = tuple(prefix), prod
+            return
+        mi = 1
+        while weight * (1 + 2 * mi) * 3 ** (n - depth - 1) <= v:
+            prefix.append(mi)
+            dfs(depth + 1, weight * (1 + 2 * mi), prod * mi)
+            prefix.pop()
+            mi += 1
+
+    dfs(0, 1, 1)
+    return best_seq, best_prod
+
+
 # Signed block lists of the worked v=125 construction, as published; the
 # constructor must reproduce them after mod-125 normalisation.
 EX125_SIGNED_BLOCKS = [
@@ -200,6 +223,36 @@ class TestParameterChoice:
     def test_exact_infeasible(self):
         with pytest.raises(ValueError):
             solve_problem1_exact(7, 2)
+
+    def test_exact_matches_reference_search(self):
+        for v in range(3, 1500, 2):
+            for n in range(1, 7):
+                if 3**n <= v:
+                    assert solve_problem1_exact(v, n) == reference_problem1(v, n), (v, n)
+
+    @pytest.mark.parametrize(
+        "v, n, expected",
+        [
+            (10**6, 4, ((14, 14, 14, 20), 54880)),
+            (3**12, 6, ((4,) * 6, 4096)),
+            (10**6, 6, ((3, 4, 4, 4, 6, 7), 8064)),
+            (10**6 + 1, 1, ((500000,), 500000)),
+        ],
+    )
+    def test_exact_large_goldens(self, v, n, expected):
+        assert solve_problem1_exact(v, n) == expected
+
+    def test_exact_even_modulus_answers_for_the_odd_one_below(self):
+        # prod (1 + 2 m_i) is odd, so it fits under an even v iff under v - 1.
+        for v in range(4, 400, 2):
+            for n in (1, 2, 3, 4):
+                if 3**n < v:
+                    assert solve_problem1_exact(v, n) == solve_problem1_exact(v - 1, n)
+
+    def test_both_solvers_reject_n_below_one(self):
+        for solve in (solve_problem1_exact, choose_params_closed_form):
+            with pytest.raises(ValueError, match="n must be positive, got 0"):
+                solve(63, 0)
 
 
 def brute_difference_classification(v: int, elements) -> str:

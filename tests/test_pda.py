@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhsdp import pda as pda_mod
 from nhsdp import (
     Nhsdp,
     Pda,
@@ -107,6 +108,17 @@ class TestVerify:
         assert verify_pda(make_pda(short, Z=2, S=4)).code == "C1"
         assert verify_pda(Pda(ex4_pda.grid, Z=2, S=5)).code == "C2"
 
+    def test_c2_counts_absent_symbols_without_sizing_by_s(self, ex4_pda):
+        huge = 10**30  # no array of this length can exist
+        verdict = verify_pda(Pda([[1]], Z=0, S=huge))
+        assert verdict.code == "C2"
+        assert verdict.detail == (
+            f"{huge - 1} of S={huge} symbols never occur, first missing 2"
+        )
+        assert verdict.info["missing"] == list(range(2, 18))
+        verdict = verify_pda(Pda(ex4_pda.grid * 2, Z=2, S=9))  # symbols 2, 4, 6, 8
+        assert verdict.code == "C2" and verdict.info["missing"] == [1, 3, 5, 7, 9]
+
     def test_all_star_degenerate(self):
         arr = make_pda(np.zeros((3, 5), dtype=np.int64), Z=3, S=0)
         assert verify_pda(arr).ok
@@ -192,6 +204,11 @@ class TestLift:
         assert pda_stats(arr).regular_g == 2
         assert naive_verify_pda(arr)
 
+    def test_rejects_output_over_cell_limit(self, ex15_packing, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 15 * 15 - 1)
+        with pytest.raises(ValueError, match=r"15 x 15 = 225 cells"):
+            pda_from_nhsdp(ex15_packing)
+
     def test_rejects_invalid_packing(self):
         with pytest.raises(ValueError):
             pda_from_nhsdp(Nhsdp.from_blocks(15, [(1, 2, 3)]))
@@ -247,6 +264,12 @@ class TestConjugate:
         with pytest.raises(ValueError, match="0 < Z < F"):
             conjugate_pda(arr)
 
+    def test_rejects_output_over_cell_limit(self):
+        arr = pda_from_nhsdp(construct_nhsdp(1331, (5, 5, 5)))
+        assert arr.S * arr.K > pda_mod.MAX_CELLS
+        with pytest.raises(ValueError, match=r"166375 x 1331 = 221445125 cells.*MAX_CELLS"):
+            conjugate_pda(arr)
+
 
 class TestGrouping:
     def test_doubling_smallest(self):
@@ -268,8 +291,20 @@ class TestGrouping:
         with pytest.raises(ValueError):
             group_pda_divisible(ex4_pda, 6)
 
+    def test_rejects_output_over_cell_limit(self, ex4_pda, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 4 * 12)
+        assert group_pda_divisible(ex4_pda, 12).params() == (12, 4, 2, 12)
+        with pytest.raises(ValueError, match=r"4 x 16 = 64 cells.*MAX_CELLS = 48"):
+            group_pda_divisible(ex4_pda, 16)
+
 
 class TestMnPda:
+    def test_rejects_output_over_cell_limit(self, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 6 * 4)
+        assert mn_pda(4, 2).params() == (4, 6, 3, 4)
+        with pytest.raises(ValueError, match=r"10 x 5 = 50 cells"):
+            mn_pda(5, 2)
+
     def test_small(self):
         arr = mn_pda(4, 2)
         assert arr.params() == (4, 6, 3, 4)
