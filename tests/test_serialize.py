@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,10 @@ from nhsdp import (
     FileLibrary,
     Nhsdp,
     apply_grouping_formula,
+    conjugate_pda,
+    construct_nhsdp,
     deliver,
+    drop_columns,
     evaluate_nhsdp_scheme,
     evaluate_scheme,
     ntap_construct,
@@ -140,6 +144,51 @@ class TestPdaFormats:
         doc["K"] = 5
         with pytest.raises(ValueError):
             serialize.pda_from_json(json.dumps(doc))
+
+
+def _lift(v, m):
+    return pda_from_nhsdp(construct_nhsdp(v, m))
+
+
+@pytest.fixture(scope="module")
+def golden_arrays():
+    a1331 = _lift(1331, (5, 5, 5))
+    return {
+        "a125": _lift(125, (2, 2, 2)),
+        "a1331": a1331,
+        "e1330": drop_columns(a1331, range(1330)),
+        "c343": conjugate_pda(_lift(343, (3, 3, 3))),
+    }
+
+
+class TestGoldens:
+    """The sha256 of each writer's output, pinned from the per-cell str writers."""
+
+    GOLDEN = {
+        ("a125", "text"): "5ccd31a32f4f2404e56309fca1e055adf3ac502ced3c1d6a549e2c4bbfe1252d",
+        ("a125", "json"): "aab77f2a15b76794a0ac577b5b7b98b8773f00754c384561becf9aae91b2e450",
+        ("a1331", "text"): "f7ba08030a8c79f179f6fefc0433bd17c75bbfd594686f7f970b35c7428d522a",
+        ("a1331", "json"): "240ffddb6f760aa925fd3b1c0bd2f6165596c6ad7ad6250009dda5b8be06f195",
+        ("e1330", "text"): "2d0ecc2dfb10cc12edd765e7f0bae4c6a851c76f717879beb1b65c054d4dd3fb",
+        ("e1330", "json"): "292bd12d02d6d1375f6fd4bcd233691dd52815e26280e546f7c26693e74bf8c3",
+        ("c343", "text"): "bf7df2307da7267b32421f9d91fb270a9c734422f87bb3d5b298a77eae11b513",
+        ("c343", "json"): "b681c797f3c3589b01219effed6193deec6938fdd85f4810ab129007a1d15f78",
+    }
+    PARAMS = {
+        "a125": (125, 125, 61, 1000),
+        "a1331": (1331, 1331, 331, 166375),
+        "e1330": (1330, 1331, 331, 166375),
+        "c343": (343, 9261, 9045, 343),
+    }
+
+    @pytest.mark.parametrize("name, fmt", list(GOLDEN), ids="-".join)
+    def test_writer_bytes(self, golden_arrays, name, fmt):
+        arr = golden_arrays[name]
+        assert arr.params() == self.PARAMS[name]
+        write = serialize.pda_to_text if fmt == "text" else serialize.pda_to_json
+        text = write(arr)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name, fmt]
+        assert serialize.load_pda(text).same_as(arr)
 
 
 class TestPhfAndTranscript:
