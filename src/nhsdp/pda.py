@@ -299,10 +299,11 @@ def drop_columns(pda: Pda, keep: Iterable[int]) -> Pda:
     if cols[0] < 0 or cols[-1] >= pda.K:
         raise ValueError(f"column index out of range for K={pda.K}")
     sub = pda.grid[:, cols]
-    old = np.unique(sub[sub != STAR])
-    remap = np.zeros(pda.S + 1, dtype=np.int64)
-    remap[old] = np.arange(1, old.size + 1)
-    return Pda(remap[sub], Z=pda.Z, S=int(old.size))
+    kept = sub != STAR
+    old, rank = np.unique(sub[kept], return_inverse=True)
+    out = np.zeros_like(sub)
+    out[kept] = rank + 1
+    return Pda(out, Z=pda.Z, S=int(old.size))
 
 
 @dataclass(frozen=True)
@@ -330,8 +331,8 @@ def pda_stats(pda: Pda) -> PdaStats:
     load = Fraction(S, F)
     gain = Fraction(K * (F - Z), S) if S else None
     regular: int | None = None
-    if S:
-        sizes = np.diff(symbol_groups(pda).edges)
+    if 0 < S <= np.count_nonzero(pda.grid):  # else some symbol is missing
+        sizes = np.bincount(pda.grid.ravel(), minlength=S + 1)[1:]
         if sizes[0] and (sizes == sizes[0]).all():
             regular = int(sizes[0])
     return PdaStats(K, F, Z, S, memory, load, gain, regular)

@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
+import re
+import sys
+from json.decoder import scanstring
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +60,10 @@ def _doc(text: str, *fields: str) -> dict:
         raise ValueError(f"not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("must hold a JSON object")
+    return _check_fields(doc, fields)
+
+
+def _check_fields(doc: dict, fields: Sequence[str]) -> dict:
     for name in fields:
         if name not in doc:
             raise ValueError(f"no field {name!r}")
@@ -109,20 +116,306 @@ def params_to_json(v: int, n: int, solver: str, m: Sequence[int], product: int, 
     return json.dumps(doc) + "\n"
 
 
+# -- the PDA cell codec ---------------------------------------------------------
+#
+# Both PDA encodings are rows of decimal cells and a star token; they differ
+# only in the bytes around the cells.  One writer and one reader serve both,
+# a chunk of rows at a time, so no step runs Python code per cell and the
+# working set beside the grid and the text stays bounded.
+
+# Byte classes of the reader.  A token is a maximal run of classes >= _DIGIT.
+_SPACE, _COMMA, _CLOSE, _ROW, _DIGIT, _SIGN, _OTHER = range(7)
+_CHUNK = 1 << 18  # characters read, or cells written, per chunk
+_INT64_MAX = np.uint64(2**63 - 1)
+_TEN = np.uint64(10)
+
+
+class _Dialect(NamedTuple):
+    star: bytes  # the star cell
+    sep: bytes  # between two cells of a row
+    row_end: bytes  # after the last cell of a row
+    classes: np.ndarray  # reader: byte value -> class
+    cut: str  # reader: chunks end just after this character
+    bracketed: bool  # reader: rows are JSON lists; else every non-blank line is a row
+    spaces: dict  # reader: str.translate table for non-ASCII whitespace
+
+
+def _classes(**groups: str) -> np.ndarray:
+    table = np.full(256, _OTHER, dtype=np.uint8)
+    table[ord("0") : ord("9") + 1] = _DIGIT
+    for name, chars in groups.items():
+        table[[ord(c) for c in chars]] = globals()[name]
+    return table
+
+
+# str.split() and str.splitlines() also split at these non-ASCII characters.
+_UNICODE_SPACES = {
+    c: "\n" if len(f"a{chr(c)}a".splitlines()) > 1 else " "
+    for c in range(0x80, 0x3001)
+    if chr(c).isspace()
+}
+
+_TEXT = _Dialect(
+    star=b"*",
+    sep=b" ",
+    row_end=b"\n",
+    classes=_classes(_SPACE=" \t\x1f", _ROW="\n\r\v\f\x1c\x1d\x1e"),
+    cut="\n",
+    bracketed=False,
+    spaces=_UNICODE_SPACES,
+)
+_JSON = _Dialect(
+    star=b'"*"',
+    sep=b",",
+    row_end=b"],[",
+    classes=_classes(_SPACE=" \t\n\r", _COMMA=",", _ROW="[", _CLOSE="]", _SIGN="-"),
+    cut="]",
+    bracketed=True,
+    spaces={},
+)
+
+
+def _write_rows(grid: np.ndarray, d: _Dialect) -> list[str]:
+    """Each row as its cells joined by d.sep and followed by d.row_end.
+
+    Per chunk of rows the cells' decimal digits go right-aligned into fixed
+    slots of a uint8 buffer by vectorised divmod, the star and the separators
+    into their slots, and one keep-mask compacts the buffer into the text.
+    """
+    F, K = grid.shape
+    star = np.frombuffer(d.star, dtype=np.uint8)
+    gap = max(len(d.sep), len(d.row_end))
+    tail = np.zeros((K, gap), dtype=np.uint8)
+    tail_keep = np.zeros((K, gap), dtype=bool)
+    for k, text in ((slice(0, K - 1), d.sep), (K - 1, d.row_end)):
+        tail[k, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        tail_keep[k, : len(text)] = True
+    pieces = []
+    step = max(1, _CHUNK // K)
+    for r in range(0, F, step):
+        cells = grid[r : r + step]
+        top = int(cells.max())
+        q = cells.astype(np.min_scalar_type(top))  # cells are >= 0; narrow division is faster
+        width = max(len(str(top)), star.size)
+        buf = np.empty(q.shape + (width + gap,), dtype=np.uint8)
+        keep = np.empty(buf.shape, dtype=bool)
+        for slot in range(width - 1, -1, -1):
+            keep[..., slot] = q > 0
+            div = q // 10
+            buf[..., slot] = (q - div * 10).astype(np.uint8)
+            q = div
+        buf[..., :width] += ord("0")
+        keep[..., width - 1] = True
+        is_star = cells == STAR
+        buf[..., width - star.size : width][is_star] = star
+        keep[..., width - star.size : width][is_star] = True
+        buf[..., width:] = tail
+        keep[..., width:] = tail_keep
+        pieces.append(buf[keep].tobytes().decode("ascii"))
+    return pieces
+
+
+class _Malformed(Exception):
+    """A token or a bracket the format does not allow; args[0] is the token."""
+
+
+def _tokens(buf: np.ndarray, cls: np.ndarray, d: _Dialect):
+    """Token bounds of one chunk, and the index of its first invalid token.
+
+    A valid token is the star, or ASCII digits: at most the interpreter's
+    int digit limit, and in JSON without a leading zero and with an optional
+    '-' in front.  Returns (start, end, digits, negative, first_bad).
+    """
+    edge = np.flatnonzero(np.diff(cls >= _DIGIT, prepend=False, append=False))
+    start, end = edge[::2], edge[1::2]
+    length = end - start
+    is_star = length == len(d.star)
+    for i, byte in enumerate(d.star):
+        is_star &= buf.take(start + i, mode="clip") == byte
+    negative = (cls.take(start, mode="clip") == _SIGN) & (length > 1)
+    digits = length - np.where(is_star, length, negative)
+    # The stars and signs hold every non-digit byte of a chunk without a bad token.
+    bad = np.zeros(start.size, dtype=bool)
+    if np.count_nonzero(cls > _DIGIT) != is_star.sum() * len(d.star) + negative.sum():
+        odd = np.add.reduceat(cls > _DIGIT, start, dtype=np.intp)
+        bad = odd != length - digits
+    if d.bracketed:  # JSON numbers have no leading zero
+        bad |= (digits > 1) & (buf.take(end - digits, mode="clip") == ord("0"))
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bad |= digits > limit
+    first_bad = int(np.argmax(bad)) if bad.any() else None
+    return start, end, digits, negative, first_bad
+
+
+def _values(buf: np.ndarray, end, digits, negative) -> tuple[np.ndarray, bool]:
+    """The int64 value of every token, built by digit position; and whether one overflows."""
+    width = min(int(digits.max(initial=0)), 19)  # 19 digits fit in uint64
+    value = np.zeros(end.size, dtype=np.uint64)
+    pos = end - width
+    for j in range(width):
+        digit = buf.take(pos, mode="clip") - np.uint8(ord("0"))
+        digit[digits < width - j] = 0
+        value *= _TEN
+        value += digit
+        pos += 1
+    over = value > _INT64_MAX + negative
+    long = np.flatnonzero(digits > 19)
+    if long.size:  # more than 19 digits fit only after leading zeros
+        nonzero = np.r_[0, np.cumsum(buf > ord("0"))]
+        over[long] |= nonzero[end[long] - 19] > nonzero[end[long] - digits[long]]
+    value = value.view(np.int64)
+    value[negative] = -value[negative]
+    return value, bool(over.any())
+
+
+def _check_brackets(cls: np.ndarray, start: np.ndarray, before: int) -> int:
+    """Check the JSON list syntax of a chunk of rows; returns its last item.
+
+    Items are the tokens (as _DIGIT) and the bytes ',', ']' and '['; a valid
+    sequence is rows '[' (cell (',' cell)*)? ']' joined by ','.  ``before``
+    is the last item of the previous chunk, or -1 at the start of the grid.
+    """
+    mark = (cls - np.uint8(_COMMA)) <= _ROW - _COMMA
+    mark[start] = True
+    item = np.r_[np.int8(before), np.minimum(cls[mark], _DIGIT).astype(np.int8)]
+    comma = np.flatnonzero(item[1:-1] == _COMMA) + 1
+    ok = _ITEM_PAIRS[item[:-1] + 1, item[1:]].all()
+    ok &= ((item[comma - 1] == _CLOSE) == (item[comma + 1] == _ROW)).all()
+    if not ok:
+        raise _Malformed(None)
+    return int(item[-1])
+
+
+# The item pairs of a valid JSON grid: from the start (-1) to '[', '[' to
+# a cell or ']', a cell to ',' or ']', ',' to a cell or '[', and ']' to ','.
+_ITEM_PAIRS = np.zeros((_DIGIT + 2, _DIGIT + 1), dtype=bool)
+for _a, _b in ((-1, _ROW), (_ROW, _DIGIT), (_ROW, _CLOSE), (_DIGIT, _COMMA),
+               (_DIGIT, _CLOSE), (_COMMA, _DIGIT), (_COMMA, _ROW), (_CLOSE, _COMMA)):
+    _ITEM_PAIRS[_a + 1, _b] = True
+
+# The two faults that show only once every token is read, worded as
+# np.array(rows, dtype=np.int64) words them for nested lists.
+_RAGGED = (
+    "setting an array element with a sequence. The requested array has an "
+    "inhomogeneous shape after 1 dimensions. The detected shape was ({},) + "
+    "inhomogeneous part."
+)
+_TOO_LARGE = "Python int too large to convert to C long"
+
+
+def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, str | None]:
+    """The int64 grid held by text[lo:hi], and a ragged or overflow fault, if any.
+
+    The text is read in chunks that end just after ``d.cut``.  Raises
+    _Malformed at the first token (in text order) the format does not allow.
+    """
+    blocks, rows, K, over, item = [], 0, None, False, -1
+    a = lo
+    while a < hi:
+        b = text.find(d.cut, min(a + _CHUNK, hi), hi)
+        b = hi if b < 0 else b + 1
+        chunk = text[a:b]
+        if chunk.isascii():
+            raw = chunk.encode("ascii")
+        else:
+            raw = chunk.translate(d.spaces).encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        cls = d.classes.take(buf)
+        start, end, digits, negative, bad = _tokens(buf, cls, d)
+        if bad is not None:
+            raise _Malformed(raw[start[bad] : end[bad]].decode("utf-8", "surrogatepass"))
+        if d.bracketed:
+            item = _check_brackets(cls, start, item)
+        counts = np.diff(np.r_[0, np.searchsorted(start, np.flatnonzero(cls == _ROW)), start.size])
+        counts = counts[1:] if d.bracketed else counts[counts > 0]
+        if counts.size and K is None:
+            K = int(counts[0])
+        rows += counts.size
+        if K is not None and (counts != K).any():
+            K = -1  # ragged: keep counting rows and checking tokens
+        if K is not None and K >= 0 and not over:
+            value, over = _values(buf, end, digits, negative)
+            blocks.append(value.reshape(counts.size, K))
+        a = b
+    if d.bracketed and item not in (-1, _CLOSE):
+        raise _Malformed(None)
+    if K == -1:
+        return np.empty(0, dtype=np.int64), _RAGGED.format(rows)
+    if over:
+        return np.empty(0, dtype=np.int64), _TOO_LARGE
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64), None
+
+
+# -- PDA files --------------------------------------------------------------------
+
+_PDA_FIELDS = ("F", "K", "Z", "S", "grid")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+# A grid list is '[]' or ends at its first ']]', since its rows hold no lists.
+_EMPTY_LIST = re.compile(r"\[[ \t\n\r]*\]")
+_LAST_ROW_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _pda_json_fields(text: str) -> tuple[dict, tuple[int, int] | None]:
+    """The top-level fields of a PDA JSON object, and the span of its grid list.
+
+    Every value but the grid list is decoded by json; the grid list is only
+    delimited, for the cell codec to read.  Raises ValueError where json would.
+    """
+    decode, space = json.JSONDecoder().raw_decode, lambda i: _JSON_SPACE.match(text, i).end()
+    doc, span = {}, None
+    i = space(0)
+    if not text.startswith("{", i):
+        raise ValueError("not a JSON object")
+    i = space(i + 1)
+    closed = text.startswith("}", i)
+    i += closed
+    while not closed:
+        if not text.startswith('"', i):
+            raise ValueError("expected a key")
+        key, i = scanstring(text, i + 1)
+        i = space(i)
+        if not text.startswith(":", i):
+            raise ValueError("expected ':'")
+        i = space(i + 1)
+        if key == "grid" and span:  # a repeated key: json checks the earlier value too
+            decode(text, span[0])
+            span = None
+        grid = key == "grid" and text.startswith("[", i) and (
+            _EMPTY_LIST.match(text, i) or _LAST_ROW_END.search(text, i)
+        )
+        if grid:
+            span, doc[key], i = (i, grid.end()), [], grid.end()
+        else:
+            doc[key], i = decode(text, i)
+        i = space(i)
+        if not text.startswith((",", "}"), i):
+            raise ValueError("expected ',' or '}'")
+        closed = text.startswith("}", i)
+        i = space(i + 1)
+    if space(i) != len(text):
+        raise ValueError("extra data")
+    return doc, span
+
+
 def pda_to_json(pda: Pda) -> str:
-    grid = [
-        ["*" if cell == STAR else int(cell) for cell in row] for row in pda.grid
-    ]
-    doc = {"F": pda.F, "K": pda.K, "Z": pda.Z, "S": pda.S, "grid": grid}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    head = json.dumps({"F": pda.F, "K": pda.K, "Z": pda.Z, "S": pda.S}, separators=(",", ":"))
+    rows = _write_rows(pda.grid, _JSON)
+    rows[-1] = rows[-1][:-2]  # the last row ends with ']', not '],['
+    return "".join([head[:-1], ',"grid":[[', *rows, "]}\n"])
 
 
 def pda_from_json(text: str) -> Pda:
-    doc = _doc(text, "F", "K", "Z", "S", "grid")
-    grid = _int64_grid(
-        [[STAR if cell == "*" else cell for cell in row] for row in doc["grid"]],
-        "field 'grid'",
-    )
+    """A PDA JSON object; cells are integers or "*" (not written with escapes)."""
+    try:
+        doc, span = _pda_json_fields(text)
+        grid, fault = _read_rows(text, span[0] + 1, span[1] - 1, _JSON) if span else (None, None)
+    except (ValueError, _Malformed):
+        _doc(text, *_PDA_FIELDS)  # raises json's message or names the field
+        raise ValueError("field 'grid' must write the star as \"*\", without escapes") from None
+    _check_fields(doc, _PDA_FIELDS)
+    if fault:
+        raise ValueError(f"field 'grid': {fault}")
     pda = Pda(grid, Z=doc["Z"], S=doc["S"])
     if (pda.F, pda.K) != (doc["F"], doc["K"]):
         raise ValueError(f"fields 'F', 'K' do not match the {pda.F}x{pda.K} grid")
@@ -131,20 +424,28 @@ def pda_from_json(text: str) -> Pda:
 
 def pda_to_text(pda: Pda) -> str:
     """One row per line, single-space separated, '*' for stars."""
-    lines = [
-        " ".join("*" if cell == STAR else str(int(cell)) for cell in row)
-        for row in pda.grid
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(_write_rows(pda.grid, _TEXT))
 
 
 def pda_from_text(text: str) -> Pda:
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([STAR if tok == "*" else int(tok) for tok in line.split()])
-    return Pda.from_grid(_int64_grid(rows, "PDA text"))
+    """Read PDA text: one row per non-blank line, cells split at whitespace.
+
+    A cell is '*' (the star) or ASCII decimal digits, leading zeros allowed,
+    up to 2**63 - 1.  Lines may end in '\\n', '\\r\\n' or any other break
+    str.splitlines() knows, and cells may be split by any whitespace
+    str.split() knows.  Unlike int(), a token with a sign, an underscore or a
+    non-ASCII digit is rejected, with a message naming it.
+    """
+    try:
+        grid, fault = _read_rows(text, 0, len(text), _TEXT)
+    except _Malformed as exc:
+        token = exc.args[0]
+    else:
+        if fault:
+            raise ValueError(f"PDA text: {fault}")
+        return Pda.from_grid(grid)
+    int(token)  # raises int's own message for a token it rejects
+    raise ValueError(f"PDA text: token {token!r} is not '*' or ASCII decimal digits")
 
 
 def load_pda(text: str) -> Pda:

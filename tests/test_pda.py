@@ -365,6 +365,16 @@ class TestDropColumns:
         with pytest.raises(ValueError):
             drop_columns(ex4_pda, ())
 
+    def test_huge_declared_s_needs_no_dense_remap(self):
+        sub = drop_columns(Pda([[1, 0]], Z=0, S=10**30), [0])
+        assert sub.params() == (1, 1, 0, 1) and sub.grid.tolist() == [[1]]
+
+    def test_ranks_keep_symbol_order(self):
+        big = 2**62
+        arr = Pda([[big, 5, 0], [0, big - 1, 7]], Z=0, S=big)
+        sub = drop_columns(arr, [0, 1])
+        assert sub.S == 3 and sub.grid.tolist() == [[3, 1], [0, 2]]
+
 
 class TestStats:
     def test_worked_values(self, ex15_packing, ex4_pda):
@@ -374,6 +384,28 @@ class TestStats:
         assert stats.regular_g == 4
         stats4 = pda_stats(ex4_pda)
         assert stats4.memory_ratio == Fraction(1, 2) and stats4.load == 1
+
+    def test_huge_declared_s_is_not_regular(self):
+        stats = pda_stats(Pda([[1]], Z=0, S=10**30))
+        assert stats.regular_g is None and stats.load == 10**30
+
+    def test_regularity_matches_symbol_group_sizes(self, ex15_packing):
+        def by_groups(arr):
+            sizes = np.diff(symbol_groups(arr).edges)
+            return int(sizes[0]) if arr.S and sizes[0] and (sizes == sizes[0]).all() else None
+
+        lifts = [pda_from_nhsdp(ex15_packing), pda_from_nhsdp(construct_nhsdp(125, (2, 2, 2)))]
+        arrays = [
+            *lifts,
+            *(drop_columns(arr, range(arr.K - 1)) for arr in lifts),
+            *(conjugate_pda(arr) for arr in lifts),
+            mn_pda(6, 2),
+            Pda([[1, 0], [0, 1]], Z=1, S=2),  # symbol 2 never occurs
+            Pda([[0]], Z=1, S=0),
+        ]
+        got = [pda_stats(arr).regular_g for arr in arrays]
+        assert got == [by_groups(arr) for arr in arrays]
+        assert got[:2] == [4, 8] and None in got
 
     def test_gain_identity(self, ex4_pda, ex15_packing):
         for arr in (ex4_pda, pda_from_nhsdp(ex15_packing), mn_pda(5, 2)):

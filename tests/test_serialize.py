@@ -1,11 +1,16 @@
 import hashlib
 import json
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from nhsdp import (
+    STAR,
     FileLibrary,
     Nhsdp,
+    Pda,
     apply_grouping_formula,
     conjugate_pda,
     construct_nhsdp,
@@ -189,6 +194,275 @@ class TestGoldens:
         text = write(arr)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name, fmt]
         assert serialize.load_pda(text).same_as(arr)
+
+
+def reference_pda_from_text(text):
+    """The per-cell reader the byte codec replaced: str.splitlines, str.split and int."""
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        rows.append([STAR if tok == "*" else int(tok) for tok in line.split()])
+    return Pda.from_grid(serialize._int64_grid(rows, "PDA text"))
+
+
+def reference_pda_from_json(text):
+    """The per-cell JSON reader the byte codec replaced: json.loads and np.array."""
+    doc = serialize._doc(text, "F", "K", "Z", "S", "grid")
+    grid = serialize._int64_grid(
+        [[STAR if cell == "*" else cell for cell in row] for row in doc["grid"]],
+        "field 'grid'",
+    )
+    pda = Pda(grid, Z=doc["Z"], S=doc["S"])
+    if (pda.F, pda.K) != (doc["F"], doc["K"]):
+        raise ValueError(f"fields 'F', 'K' do not match the {pda.F}x{pda.K} grid")
+    return pda
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_reads_like(read, reference, text):
+    got, want = outcome(read, text), outcome(reference, text)
+    if isinstance(want, str):
+        assert got == want, text[:200]
+    else:
+        assert isinstance(got, Pda) and got.same_as(want), text[:200]
+
+
+def random_grid(rng):
+    """A random int64 grid: stars, small and 2**63 - 1 sized symbols, 1 to 40 columns."""
+    F, K = (int(x) for x in rng.integers(1, [12, 40]))
+    top = int(rng.choice([9, 10**3, 10**6, 10**12, 2**63 - 1]))
+    grid = rng.integers(0, top, size=(F, K), dtype=np.int64, endpoint=True)
+    grid[rng.random((F, K)) < 0.3] = STAR
+    return grid
+
+
+def scramble(grid, rng, space, breaks):
+    """PDA text of grid with random separators, line breaks, blank lines and leading zeros."""
+    lines = []
+    for row in grid.tolist():
+        toks = ["*" if x == STAR else "0" * int(rng.integers(0, 3) == 0) + str(x) for x in row]
+        gaps = [space[i] for i in rng.integers(0, len(space), size=len(toks) + 1)]
+        lines.append(gaps[0] * int(rng.integers(0, 2)) + "".join(t + g for t, g in zip(toks, gaps[1:])))
+        if rng.random() < 0.2:
+            lines.append(gaps[0])
+    ends = [breaks[i] for i in rng.integers(0, len(breaks), size=len(lines))]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.7 else text.rstrip("\n\r")
+
+
+@pytest.fixture(params=[3, 64, None], ids=["chunk3", "chunk64", "chunk_default"])
+def chunk(request, monkeypatch):
+    """Run the codec with tiny chunks too, so rows, tokens and faults straddle chunk bounds."""
+    if request.param:
+        monkeypatch.setattr(serialize, "_CHUNK", request.param)
+
+
+class TestTextGrammar:
+    """pda_from_text reads what the per-cell reader read, and fails as it failed."""
+
+    def test_random_grids_round_trip(self, chunk):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            arr = Pda.from_grid(random_grid(rng))
+            text = serialize.pda_to_text(arr)
+            assert text == "".join(
+                " ".join("*" if x == STAR else str(x) for x in row) + "\n" for row in arr.grid.tolist()
+            )
+            assert serialize.pda_from_text(text).same_as(arr)
+            assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+
+    @pytest.mark.parametrize(
+        "space, breaks",
+        [
+            ([" "], ["\n"]),
+            ([" ", "  ", "\t", "\x1f"], ["\n", "\r\n", "\r"]),
+            ([" ", "\xa0", "　", " "], ["\v", "\f", "\x1c", "\x85", " ", "\n"]),
+        ],
+        ids=["plain", "ascii", "unicode"],
+    )
+    def test_scrambled_whitespace(self, chunk, space, breaks):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            text = scramble(random_grid(rng), rng, space, breaks)
+            assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "* 1\t*\t4\n1 * 2 *\n",
+            "* 1 * 4\r\n1 * 2 *\r\n",
+            "\n\n* 1 * 4\n   \n\t\n1 * 2 *\n\n",
+            "* 1 * 4   \n1 * 2 *  \t\n",
+            "* 1 * 4\n1 * 2 *",
+            "0 1\n007 0\n",
+            "*5 1\n",
+            "5* 1\n",
+            "** 1\n",
+            "* 1\n1 1.5\n",
+            "x\n",
+            "1 2\n3\n",
+            "1 2\n3 4 5\n6\n",
+            "1 2\n3\n4 x\n",
+            "1 2\n3 99999999999999999999\n",
+            "",
+            "\n \n\t\n",
+            "1\x002\n",
+            "1 é\n",
+            "1 \udc80\n",
+            "9223372036854775807 *\n",
+            "9223372036854775808 *\n",
+            "1000000000000000000 *\n",
+            "99999999999999999999 *\n",
+            "000000000000000000009223372036854775807 *\n",
+            "000000000000000000009223372036854775808 *\n",
+            "0000000000000000000000000000000000000001\n",
+            "1 " + "0" * 4300 + "7\n",
+            "1 " + "0" * 4301 + "\n",
+        ],
+    )
+    def test_adversarial_texts(self, chunk, text):
+        assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+
+    @pytest.mark.parametrize("token", ["+5", "-5", "1_0", "٣", "５", "-0"])
+    def test_signs_underscores_and_non_ascii_digits_are_rejected(self, token):
+        int(token)  # int() would take every one of them
+        message = f"PDA text: token {token!r} is not '*' or ASCII decimal digits"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.pda_from_text(f"* 1\n1 {token}\n")
+
+
+class TestJsonGrammar:
+    """pda_from_json reads what json.loads and np.array read, and fails with their message."""
+
+    def test_random_grids_round_trip(self, chunk):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            arr = Pda.from_grid(random_grid(rng))
+            text = serialize.pda_to_json(arr)
+            grid = [["*" if x == STAR else x for x in row] for row in arr.grid.tolist()]
+            doc = {"F": arr.F, "K": arr.K, "Z": arr.Z, "S": arr.S, "grid": grid}
+            assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+            assert serialize.pda_from_json(text).same_as(arr)
+            for spaced in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(dict(reversed(doc.items())))):
+                assert_reads_like(serialize.pda_from_json, reference_pda_from_json, spaced)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            '[["*",1,"*",4],[1,"*",2,"*"]]',
+            ' [ [ "*" , 1 ,"*",4 ] ,\n\t[1,"*",2,"*"]\r\n] ',
+            "[]",
+            "[ ]",
+            "[[]]",
+            "[[],[]]",
+            "[[1],[]]",
+            "[[],[1]]",
+            "[[1,2],[3]]",
+            "[[1],[2],[3,4]]",
+            "[[01]]",
+            "[[-1]]",
+            "[[-0]]",
+            "[[-]]",
+            "[[1.5]]",
+            "[[1e3]]",
+            '[["1"]]',
+            '[["**"]]',
+            '[["*"*"]]',
+            "[[true]]",
+            "[[null]]",
+            "[[1 2]]",
+            "[[1,,2]]",
+            "[[1,2,]]",
+            "[[1],2]",
+            "[[1],2,[3]]",
+            "[[1,[2],3]]",
+            "[1,[2]]",
+            "[[1,[2]]]",
+            "[[[1]]]",
+            "[[1]],[[2]]",
+            "[[1]]]",
+            "[[1]",
+            "[[1],,[2]]",
+            "[,[1]]",
+            "[[1]][[2]]",
+            "[[9223372036854775807]]",
+            "[[9223372036854775808]]",
+            "[[-9223372036854775808]]",
+            "[[-9223372036854775809]]",
+            "[[1,99999999999999999999],[1]]",
+            "[[" + "1" * 4301 + "]]",
+            "5",
+            '"grid"',
+            "null",
+            "[1,2]",
+            '[["]]"]]',
+        ],
+    )
+    def test_adversarial_grids(self, chunk, grid):
+        text = '{"F": 2, "K": 4, "Z": 2, "S": 4, "grid": ' + grid + "}"
+        assert_reads_like(serialize.pda_from_json, reference_pda_from_json, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "{}",
+            "[]",
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]]',
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]]} x',
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]],}',
+            '{"F": 1 "K": 1, "Z": 0, "S": 1, "grid": [[1]]}',
+            '{"grid": [[1]], "F": 1, "K": 1, "Z": 0, "S": 1}',
+            '{"grid": [[1.5.5]], "grid": [[1]], "F": 1, "K": 1, "Z": 0, "S": 1}',
+            '{"grid": [[7]], "grid": [[1]], "F": 1, "K": 1, "Z": 0, "S": 1}',
+            '{"grid": [[1]], "grid": 5, "F": 1, "K": 1, "Z": 0, "S": 1}',
+            '{"gr\\u0069d": [[1]], "F": 1, "K": 1, "Z": 0, "S": 1}',
+            '{"F": 1, "K": 1, "Z": 0, "S": "1", "grid": [[1]]}',
+            '{"F": 1, "K": 1, "Z": 0, "S": "1", "grid": [[1.5]]}',
+            '{"F": 1, "K": 1, "S": 1, "grid": [[1.5]]}',
+            '{"F": 1, "K": 1, "Z": 0, "S": "1", "grid": [[99999999999999999999]]}',
+            '{"F": 2, "K": 1, "Z": 0, "S": 1, "grid": [[1]]}',
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]], "x": NaN}',
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]], "note": "]]"}',
+            '﻿{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]]}',
+            '{"F": 1, "K": 1, "Z": 0, "S": 1, "grid": [[1]], "\\"grid": [[2]]}',
+        ],
+    )
+    def test_adversarial_documents(self, chunk, text):
+        assert_reads_like(serialize.pda_from_json, reference_pda_from_json, text)
+
+    def test_escaped_star_is_rejected(self):
+        text = '{"F": 1, "K": 2, "Z": 1, "S": 1, "grid": [["\\u002a", 1]]}'
+        assert reference_pda_from_json(text).grid.tolist() == [[STAR, 1]]
+        with pytest.raises(ValueError, match="field 'grid' must write the star as"):
+            serialize.pda_from_json(text)
+
+
+class TestCodecMemory:
+    """tracemalloc peaks of the codec on the v=1331 lift, its input already built."""
+
+    def peak(self, call, arg):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call(arg)
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_reader_and_writer_peaks(self, golden_arrays):
+        arr = golden_arrays["a1331"]
+        text = serialize.pda_to_text(arr)
+        assert self.peak(serialize.pda_from_text, text) <= 72  # MiB, the per-cell reader's peak
+        assert self.peak(serialize.pda_to_text, arr) <= 40  # MiB; the per-cell writer took 27
 
 
 class TestPhfAndTranscript:
