@@ -140,11 +140,11 @@ class _Dialect(NamedTuple):
     spaces: dict  # reader: str.translate table for non-ASCII whitespace
 
 
-def _classes(**groups: str) -> np.ndarray:
+def _classes(groups: dict[int, str]) -> np.ndarray:
     table = np.full(256, _OTHER, dtype=np.uint8)
     table[ord("0") : ord("9") + 1] = _DIGIT
-    for name, chars in groups.items():
-        table[[ord(c) for c in chars]] = globals()[name]
+    for cls, chars in groups.items():
+        table[[ord(c) for c in chars]] = cls
     return table
 
 
@@ -159,7 +159,7 @@ _TEXT = _Dialect(
     star=b"*",
     sep=b" ",
     row_end=b"\n",
-    classes=_classes(_SPACE=" \t\x1f", _ROW="\n\r\v\f\x1c\x1d\x1e"),
+    classes=_classes({_SPACE: " \t\x1f", _ROW: "\n\r\v\f\x1c\x1d\x1e"}),
     cut="\n",
     bracketed=False,
     spaces=_UNICODE_SPACES,
@@ -168,7 +168,7 @@ _JSON = _Dialect(
     star=b'"*"',
     sep=b",",
     row_end=b"],[",
-    classes=_classes(_SPACE=" \t\n\r", _COMMA=",", _ROW="[", _CLOSE="]", _SIGN="-"),
+    classes=_classes({_SPACE: " \t\n\r", _COMMA: ",", _ROW: "[", _CLOSE: "]", _SIGN: "-"}),
     cut="]",
     bracketed=True,
     spaces={},
@@ -241,7 +241,7 @@ def _tokens(buf: np.ndarray, cls: np.ndarray, d: _Dialect):
         bad = odd != length - digits
     if d.bracketed:  # JSON numbers have no leading zero
         bad |= (digits > 1) & (buf.take(end - digits, mode="clip") == ord("0"))
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
     if limit:
         bad |= digits > limit
     first_bad = int(np.argmax(bad)) if bad.any() else None
@@ -310,7 +310,7 @@ def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, st
     The text is read in chunks that end just after ``d.cut``.  Raises
     _Malformed at the first token (in text order) the format does not allow.
     """
-    blocks, rows, K, over, item = [], 0, None, False, -1
+    blocks, rows, K, ragged, over, item = [], 0, None, False, False, -1
     a = lo
     while a < hi:
         b = text.find(d.cut, min(a + _CHUNK, hi), hi)
@@ -332,15 +332,14 @@ def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, st
         if counts.size and K is None:
             K = int(counts[0])
         rows += counts.size
-        if K is not None and (counts != K).any():
-            K = -1  # ragged: keep counting rows and checking tokens
-        if K is not None and K >= 0 and not over:
+        ragged |= bool((counts != K).any())  # then only count rows and check tokens
+        if counts.size and not (ragged or over):
             value, over = _values(buf, end, digits, negative)
             blocks.append(value.reshape(counts.size, K))
         a = b
     if d.bracketed and item not in (-1, _CLOSE):
         raise _Malformed(None)
-    if K == -1:
+    if ragged:
         return np.empty(0, dtype=np.int64), _RAGGED.format(rows)
     if over:
         return np.empty(0, dtype=np.int64), _TOO_LARGE
