@@ -179,7 +179,7 @@ def _write_rows(grid: np.ndarray, d: _Dialect) -> list[str]:
     """Each row as its cells joined by d.sep and followed by d.row_end.
 
     Per chunk of rows the cells' decimal digits go right-aligned into fixed
-    slots of a uint8 buffer by vectorised divmod, the star and the separators
+    slots of a uint8 buffer by vectorised division, the star and the separators
     into their slots, and one keep-mask compacts the buffer into the text.
     """
     F, K = grid.shape
