@@ -31,6 +31,14 @@ def _parse_m(text: str) -> tuple[int, ...]:
         raise _UsageError(f"--m expects comma-separated integers, got {text!r}")
 
 
+def _flagged(flag: str, call, *args, **kwargs):
+    """call(*args, **kwargs); a value it rejects is a usage error naming flag."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"{flag}: {exc}")
+
+
 def _load(path: str, parse):
     """parse(text of the file at path); a bad file is a usage error naming it."""
     try:
@@ -57,7 +65,8 @@ def _emit_pda(pda: pda_mod.Pda, out: str | None, fmt: str) -> None:
 
 
 def _cmd_construct_nhsdp(args) -> int:
-    packing_obj = packing.construct_nhsdp(args.v, _parse_m(args.m))
+    m = _parse_m(args.m)
+    packing_obj = _flagged("--m" if min(m) < 1 else "--v", packing.construct_nhsdp, args.v, m)
     verdict = packing_obj.verify()
     if not verdict.ok:
         print(f"construction failed verification: {verdict.detail}", file=sys.stderr)
@@ -78,14 +87,12 @@ def _cmd_verify_nhsdp(args) -> int:
 
 
 def _cmd_solve_params(args) -> int:
-    try:
-        if args.exact:
-            m, product = packing.solve_problem1_exact(args.v, args.n)
-        else:
-            m = packing.choose_params_closed_form(args.v, args.n)
-            product = math.prod(m)
-    except ValueError as exc:  # n < 1, or no admissible m for this v
-        raise _UsageError(f"{'--n' if args.n < 1 else '--v'}: {exc}")
+    flag = "--n" if args.n < 1 else "--v"  # else no admissible m for this v
+    if args.exact:
+        m, product = _flagged(flag, packing.solve_problem1_exact, args.v, args.n)
+    else:
+        m = _flagged(flag, packing.choose_params_closed_form, args.v, args.n)
+        product = math.prod(m)
     params = packing.block_params(m)
     print(
         f"v={args.v} n={args.n} m={','.join(str(x) for x in m)} "
@@ -128,10 +135,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_group(args) -> int:
     arr = _load_valid_pda(args.file)
-    try:
-        grouped = pda_mod.group_pda_divisible(arr, args.K)
-    except ValueError as exc:  # a target that is not a multiple of K1
-        raise _UsageError(f"--K: {exc}")
+    grouped = _flagged("--K", pda_mod.group_pda_divisible, arr, args.K)
     K, F, Z, S = grouped.params()
     print(f"grouped to a ({K},{F},{Z},{S}) PDA")
     _emit_pda(grouped, args.out, args.format)
@@ -139,7 +143,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_mn_pda(args) -> int:
-    arr = pda_mod.mn_pda(args.K, args.t)
+    arr = _flagged("--K" if 1 <= args.t < args.K else "--t", pda_mod.mn_pda, args.K, args.t)
     K, F, Z, S = arr.params()
     print(f"built ({K},{F},{Z},{S}) PDA")
     _emit_pda(arr, args.out, args.format)
@@ -201,7 +205,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ntap(args) -> int:
-    ntap = designs.ntap_construct(args.n)
+    ntap = _flagged("--n", designs.ntap_construct, args.n)
     print(f"NTAP set of size {ntap.size} in Z_{ntap.v}")
     _write(args.out, serialize.ntap_to_json(ntap))
     return 0
@@ -220,10 +224,7 @@ def _cmd_phf(args) -> int:
 
 
 def _cmd_ds_search(args) -> int:
-    try:
-        result = packing.ds_search(args.q)
-    except ValueError as exc:  # q outside [2, DS_SEARCH_MAX_Q]
-        raise _UsageError(f"--q: {exc}")
+    result = _flagged("--q", packing.ds_search, args.q)
     if result is None:
         v = args.q**2 + args.q + 1
         print(f"no ({v},{args.q + 1}) difference set: search space exhausted")
@@ -239,7 +240,7 @@ def _cmd_ds_search(args) -> int:
 
 def _cmd_compare(args) -> int:
     names = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
-    points = schemes.tradeoff_sweep(args.K, names, slack=args.slack)
+    points = _flagged("--schemes", schemes.tradeoff_sweep, args.K, names, slack=args.slack)
     print(f"{len(points)} scheme points within |K - {args.K}| <= {args.slack}")
     if args.format == "json":
         _write(args.out, serialize.scheme_points_to_json(points))

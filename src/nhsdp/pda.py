@@ -85,34 +85,36 @@ class Pda:
 class SymbolGroups(NamedTuple):
     """The non-star cells of a PDA, sorted by (symbol, user, row).
 
-    Symbol s owns cells ``edges[s-1]:edges[s]``, so ``np.diff(edges)``
-    counts the occurrences of every symbol in [1, S].
+    Only the P symbols present have a group: group g owns cells
+    ``start[g]:start[g+1]``, all of symbol ``symbol[start[g]]``, and
+    ``start[P]`` is the number of non-star cells.
     """
 
     row: np.ndarray
     user: np.ndarray
     symbol: np.ndarray
-    edges: np.ndarray
-
-
-def _sorted_cells(pda: Pda) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, user, symbol) of the non-star cells, sorted by (symbol, user, row).
-
-    The sort key is symbol * F*K + user * F + row, the cell's position in
-    the transposed grid, which fits int64 while S * F * K < 2**63.
-    """
-    gT = np.ascontiguousarray(pda.grid.T)
-    cell = np.flatnonzero(gT)
-    symbol, cell = np.divmod(np.sort(gT.ravel()[cell] * gT.size + cell), gT.size)
-    user, row = np.divmod(cell, pda.F)
-    return row, user, symbol
+    start: np.ndarray
 
 
 def symbol_groups(pda: Pda) -> SymbolGroups:
-    """Index the cells of each symbol with one scan and one sort."""
-    row, user, symbol = _sorted_cells(pda)
-    edges = np.r_[0, np.cumsum(np.bincount(symbol, minlength=pda.S + 1)[1:])]
-    return SymbolGroups(row, user, symbol, edges)
+    """Index the cells of each symbol present with one scan and one sort.
+
+    The sort key is symbol * F*K plus the cell's position in the transposed
+    grid.  When the largest symbol would push the key past int64, the sort
+    runs on each symbol's rank among those present and maps back after.
+    """
+    gT = np.ascontiguousarray(pda.grid.T)
+    cell = np.flatnonzero(gT)
+    symbol = gT.ravel()[cell]
+    rank = (int(symbol.max(initial=0)) + 1) * gT.size > 2**63
+    if rank:
+        present, symbol = np.unique(symbol, return_inverse=True)
+    symbol, cell = np.divmod(np.sort(symbol * gT.size + cell), gT.size)
+    if rank:
+        symbol = present[symbol]
+    user, row = np.divmod(cell, pda.F)
+    start = np.append(np.flatnonzero(np.diff(symbol, prepend=0)), symbol.size)
+    return SymbolGroups(row, user, symbol, start)
 
 
 def verify_pda(pda: Pda) -> Verdict:
@@ -125,13 +127,12 @@ def verify_pda(pda: Pda) -> Verdict:
     follows the declared S.  C3a is reported before C3b; either witness is
     the first violating pair by (symbol, cells in row-major order).
     """
-    row, user, symbol = _sorted_cells(pda)
+    row, user, symbol, start = symbol_groups(pda)
     grid, K = pda.grid, pda.K
     star = (grid == STAR).ravel()
     first: dict[str, tuple[int, int, int]] = {}
-    # The last cell of each symbol present, and the cells after each cell in its group.
-    last = np.flatnonzero(np.append(symbol[1:] != symbol[:-1], symbol.size > 0))
-    after = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(symbol.size)
+    # The cells after each cell in its group.
+    after = np.repeat(start[1:] - 1, np.diff(start)) - np.arange(symbol.size)
     c, t = np.flatnonzero(after > 0), 1
     while c.size:
         o = c + t
@@ -171,7 +172,7 @@ def verify_pda(pda: Pda) -> Verdict:
             f"column {k} has {int(star_counts[k])} stars, declared Z={pda.Z}",
             {"column": k, "stars": int(star_counts[k]), "Z": pda.Z},
         )
-    present = symbol[last]
+    present = symbol[start[:-1]]
     missing = pda.S - present.size
     if missing:
         # The j-th absent symbol is j plus the number of present symbols
@@ -298,12 +299,10 @@ def drop_columns(pda: Pda, keep: Iterable[int]) -> Pda:
         raise ValueError("keep must name at least one column")
     if cols[0] < 0 or cols[-1] >= pda.K:
         raise ValueError(f"column index out of range for K={pda.K}")
-    sub = pda.grid[:, cols]
-    kept = sub != STAR
-    old, rank = np.unique(sub[kept], return_inverse=True)
-    out = np.zeros_like(sub)
-    out[kept] = rank + 1
-    return Pda(out, Z=pda.Z, S=int(old.size))
+    groups = symbol_groups(Pda(pda.grid[:, cols], Z=pda.Z, S=pda.S))
+    out = np.zeros((pda.F, len(cols)), dtype=np.int64)
+    out[groups.row, groups.user] = np.repeat(np.arange(1, groups.start.size), np.diff(groups.start))
+    return Pda(out, Z=pda.Z, S=groups.start.size - 1)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,8 @@ def _pairs(groups: SymbolGroups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Ordered (receiver cell, other cell) pairs per offset t >= 1 within a
     symbol group: each cell of a group larger than t, and the cell t places
     after it, cyclically.  Cells index ``groups``."""
-    first = groups.edges[groups.symbol - 1]
-    size = groups.edges[groups.symbol] - first
+    sizes = np.diff(groups.start)
+    first, size = np.repeat(groups.start[:-1], sizes), np.repeat(sizes, sizes)
     pairs = []
     for t in range(1, int(size.max(initial=0))):
         c = np.flatnonzero(size > t)
@@ -162,17 +162,17 @@ def _pairs(groups: SymbolGroups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 # over the same gathers would make one inner-loop call per (group, demand,
 # word), which dominates when groups hold a few cells.
 
-def _payloads(groups: SymbolGroups, data: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _payloads(groups: SymbolGroups, S: int, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
-    XOR of the demanded packets of its cells (zero for an empty symbol)."""
+    XOR of the demanded packets of its cells (zero for an absent symbol)."""
     N, F, W = data.shape
     flat, dT = data.reshape(-1, W), d.T
-    starts, sizes = groups.edges[:-1], np.diff(groups.edges)
-    out = np.zeros((len(sizes), len(d), W), dtype=np.uint64)
+    starts, sizes = groups.start[:-1], np.diff(groups.start)
+    out = np.zeros((S, len(d), W), dtype=np.uint64)
     for t in range(int(sizes.max(initial=0))):
-        s = np.flatnonzero(sizes > t)
-        c = starts[s] + t
-        out[s] ^= np.take(flat, dT[groups.user[c]] * F + groups.row[c, None], axis=0)
+        c = starts[sizes > t] + t
+        packets = dT[groups.user[c]] * F + groups.row[c, None]
+        out[groups.symbol[c] - 1] ^= np.take(flat, packets, axis=0)
     return out
 
 
@@ -257,13 +257,13 @@ def deliver(
         raise ValueError("library packet count does not match the PDA")
 
     groups = symbol_groups(pda)
-    payloads = _payloads(groups, library.data, np.array([d], dtype=np.int64))[:, 0]
+    payloads = _payloads(groups, pda.S, library.data, np.array([d], dtype=np.int64))[:, 0]
     wire = payloads.view(np.uint8)[:, : library.packet_len]
     contributors = list(zip(groups.user.tolist(), groups.row.tolist()))
-    edges = groups.edges.tolist()
+    start, symbol = groups.start.tolist(), groups.symbol.tolist()
+    cells = {symbol[a]: tuple(contributors[a:b]) for a, b in zip(start, start[1:])}
     transmissions = tuple(
-        Transmission(s, wire[s - 1].tobytes(), tuple(contributors[edges[s - 1] : edges[s]]))
-        for s in range(1, len(wire) + 1)
+        Transmission(s, wire[s - 1].tobytes(), cells.get(s, ())) for s in range(1, len(wire) + 1)
     )
     return DeliveryTranscript(
         demands=d,
@@ -394,7 +394,7 @@ def exhaustive_demand_check(
     checked = 0
     for d in chunks:
         checked += len(d)
-        payloads = _payloads(groups, library.data, d)
+        payloads = _payloads(groups, pda.S, library.data, d)
         load = Fraction(len(payloads) * packet_len, pda.F * packet_len)
         max_load = max(max_load, load)
         if load != nominal:

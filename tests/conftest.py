@@ -39,7 +39,7 @@ def naive_verify_pda(pda: Pda) -> bool:
         if sum(1 for j in range(F) if grid[j, k] == STAR) != pda.Z:
             return False
     seen = set(int(s) for s in grid.ravel() if s != STAR)
-    if seen != set(range(1, pda.S + 1)):
+    if len(seen) != pda.S or not all(1 <= s <= pda.S for s in seen):
         return False
     cells = [(j, k) for j in range(F) for k in range(K) if grid[j, k] != STAR]
     for (j1, k1), (j2, k2) in itertools.combinations(cells, 2):

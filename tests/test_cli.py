@@ -157,7 +157,7 @@ class TestFailures:
 
     def test_infeasible_construction_reports_error(self, capsys):
         code, _, stderr = run(capsys, "construct-nhsdp", "--v", 9, "--m", "2,2,2")
-        assert code == 1 and "admissible minimum" in stderr
+        assert code == 2 and stderr.startswith("error: --v: ") and "admissible minimum" in stderr
 
     def test_simulate_all_over_budget_is_usage_error(self, ex4_file, capsys):
         code, _, stderr = run(
@@ -275,6 +275,25 @@ class TestFailures:
     def test_solve_params_bad_values_are_usage_errors(self, capsys, flags, flag, message):
         code, stdout, stderr = run(capsys, "solve-params", *flags)
         assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {flag}: ") and message in stderr
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (("mn-pda", "--K", 5, "--t", 0), "--t", "require 1 <= t < K, got t=0, K=5"),
+            (("mn-pda", "--K", 2000, "--t", 3), "--K", "over the limit of MAX_CELLS"),
+            (("construct-nhsdp", "--v", 8, "--m", "1"), "--v", "modulus must be odd"),
+            (("construct-nhsdp", "--v", 9, "--m", "0"), "--m", "positive integers"),
+            (("construct-nhsdp", "--v", 9, "--m", "2,2,2"), "--v", "admissible minimum 125"),
+            (("ntap", "--n", 0), "--n", "n must be positive"),
+            (("compare", "--schemes", "BOGUS", "--K", 100), "--schemes", "'BOGUS'"),
+        ],
+        ids=["mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "scheme"],
+    )
+    def test_rejected_flag_values_are_usage_errors(self, tmp_path, capsys, argv, flag, message):
+        out = tmp_path / "out"
+        code, stdout, stderr = run(capsys, *argv, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
         assert stderr.startswith(f"error: {flag}: ") and message in stderr
 
     def test_verify_pda_huge_declared_s_is_c2(self, tmp_path, capsys):

@@ -72,13 +72,38 @@ class TestSymbolGroups:
             assert listed == sorted(
                 (int(grid[j, k]), k, j) for j in range(arr.F) for k in range(arr.K) if grid[j, k]
             )
-            sizes = np.bincount(grid.ravel(), minlength=arr.S + 1)[1:]
-            assert groups.edges.tolist() == [0, *np.cumsum(sizes).tolist()]
+            present, sizes = np.unique(grid[grid != STAR], return_counts=True)
+            assert groups.symbol[groups.start[:-1]].tolist() == present.tolist()
+            assert groups.start.tolist() == [0, *np.cumsum(sizes).tolist()]
 
-    def test_empty_symbols_have_empty_groups(self):
+    def test_absent_symbols_have_no_group(self):  # symbol 3 has one; 1, 2 and 4 have none
         groups = symbol_groups(make_pda([[STAR, 3], [3, STAR]], Z=1, S=4))
-        assert groups.edges.tolist() == [0, 0, 0, 2, 2]
+        assert groups.start.tolist() == [0, 2]
+        assert groups.symbol.tolist() == [3, 3]
         assert groups.row.tolist() == [1, 0] and groups.user.tolist() == [0, 1]
+        groups = symbol_groups(make_pda([[STAR, STAR]], Z=1, S=0))
+        assert groups.start.tolist() == [0] and groups.symbol.size == 0
+
+    @pytest.mark.parametrize("S", [2**40, 10**30])
+    def test_huge_declared_s_is_not_allocated(self, S):
+        top = min(S, 2**40)
+        groups = symbol_groups(Pda([[top, STAR], [STAR, top]], Z=1, S=S))
+        assert groups.start.tolist() == [0, 2] and groups.symbol.tolist() == [top, top]
+        assert groups.row.tolist() == [0, 1] and groups.user.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "top, ranked", [(5, False), (2**61 - 1, False), (2**61, True), (2**63 - 1, True)]
+    )
+    def test_ranks_only_past_the_int64_key(self, monkeypatch, top, ranked):
+        # On a 2 x 2 grid the key symbol * 4 + cell fits int64 while (top + 1) * 4 <= 2**63.
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+        groups = symbol_groups(Pda([[top, top - 1], [top - 2, top]], Z=0, S=top))
+        assert bool(calls) == ranked
+        assert groups.symbol.tolist() == [top - 2, top - 1, top, top]
+        assert groups.user.tolist() == [0, 1, 0, 1] and groups.row.tolist() == [1, 0, 0, 1]
+        assert groups.start.tolist() == [0, 1, 2, 4]
 
 
 class TestVerify:
@@ -119,6 +144,26 @@ class TestVerify:
         verdict = verify_pda(Pda(ex4_pda.grid * 2, Z=2, S=9))  # symbols 2, 4, 6, 8
         assert verdict.code == "C2" and verdict.info["missing"] == [1, 3, 5, 7, 9]
 
+    def test_symbols_near_int64_limit(self):
+        big = 2**62
+        verdict = verify_pda(Pda([[big, 1], [1, big]], Z=0, S=big))
+        assert verdict.code == "C3b"
+        assert verdict.info == {"symbol": 1, "cells": ((0, 1), (1, 0))}
+        verdict = verify_pda(Pda([[big, STAR], [STAR, big]], Z=1, S=big))
+        assert verdict.code == "C2" and verdict.info["missing"] == list(range(1, 17))
+        assert verdict.detail == f"{big - 1} of S={big} symbols never occur, first missing 1"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_matches_references_on_symbols_near_int64_limit(self, seed):
+        rng = np.random.default_rng(seed)
+        F, K, S = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        values = [1, 2, 3, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 2, 2**63 - 1]
+        table = np.array([STAR, *rng.choice(values, size=S, replace=False).tolist()])
+        grid = table[rng.integers(0, S + 1, size=(F, K))]
+        arr = Pda(grid, Z=int((grid[:, 0] == STAR).sum()), S=int(table.max()))
+        assert_matches_references(arr)
+
     def test_all_star_degenerate(self):
         arr = make_pda(np.zeros((3, 5), dtype=np.int64), Z=3, S=0)
         assert verify_pda(arr).ok
@@ -151,7 +196,7 @@ class TestVerify:
         arr = pda_from_nhsdp(ex15_packing)
         for keep in (range(14), range(1, 15), (0, 2, 3, 5, 7, 8, 11, 13), (4, 9)):
             sub = drop_columns(arr, keep)
-            assert len(set(np.diff(symbol_groups(sub).edges).tolist())) > 1
+            assert len(set(np.diff(symbol_groups(sub).start).tolist())) > 1
             assert_matches_references(sub)
 
     def test_matches_references_on_small_conjugates(self, ex15_packing):
@@ -390,9 +435,9 @@ class TestStats:
         assert stats.regular_g is None and stats.load == 10**30
 
     def test_regularity_matches_symbol_group_sizes(self, ex15_packing):
-        def by_groups(arr):
-            sizes = np.diff(symbol_groups(arr).edges)
-            return int(sizes[0]) if arr.S and sizes[0] and (sizes == sizes[0]).all() else None
+        def by_groups(arr):  # regular: all S symbols present, in groups of one size
+            sizes = np.diff(symbol_groups(arr).start)
+            return int(sizes[0]) if arr.S == sizes.size > 0 and (sizes == sizes[0]).all() else None
 
         lifts = [pda_from_nhsdp(ex15_packing), pda_from_nhsdp(construct_nhsdp(125, (2, 2, 2)))]
         arrays = [

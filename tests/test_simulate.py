@@ -114,6 +114,23 @@ class TestDelivery:
         assert transcript.bytes_on_wire == 0
         assert decode(arr, cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
 
+    def test_absent_symbols_get_zero_payloads(self):
+        arr = Pda([[0, 3], [3, 0]], Z=1, S=4)  # symbols 1, 2 and 4 never occur
+        library = FileLibrary.random(2, 2, packet_len=5, seed=1)
+        cache = place(arr, library)
+        transcript = deliver(arr, library, cache, (0, 1))
+        assert [t.symbol for t in transcript.transmissions] == [1, 2, 3, 4]
+        assert transcript.bytes_on_wire == 4 * 5
+        for t in transcript.transmissions[:2] + transcript.transmissions[3:]:
+            assert t.payload == bytes(5) and t.contributors == ()
+        third = transcript.transmissions[2]
+        assert third.contributors == ((0, 1), (1, 0))
+        assert third.payload == xor_bytes(library.packet_bytes(0, 1), library.packet_bytes(1, 0))
+        assert decode(arr, cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
+        report = exhaustive_demand_check(arr, N=2)
+        assert report.ok and report.exhaustive and report.checked == 4
+        assert report.max_measured_load == report.nominal_load == 2
+
     def test_fifteen_user_load(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=3)
         cache = place(ex15_pda, library)
@@ -297,9 +314,9 @@ class TestDemandSweep:
         seen = []
         real = simulate._payloads
 
-        def record(layout, data, d):
-            seen.extend(map(tuple, d.tolist()))
-            return real(layout, data, d)
+        def record(*args):
+            seen.extend(map(tuple, args[-1].tolist()))  # the demand vectors
+            return real(*args)
 
         monkeypatch.setattr(simulate, "_payloads", record)
         exhaustive_demand_check(ex4_pda, N=4, demand_budget=5, seed=11)
