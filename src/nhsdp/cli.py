@@ -213,7 +213,7 @@ def _cmd_ntap(args) -> int:
 
 def _cmd_phf(args) -> int:
     ntap = _load(args.file, serialize.ntap_from_json)
-    phf = designs.phf_from_ntap(ntap)
+    phf = _flagged(args.file, designs.phf_from_ntap, ntap)
     verdict = designs.verify_phf(phf)
     if not verdict.ok:
         print(f"constructed array failed verification: {verdict.detail}", file=sys.stderr)
@@ -240,7 +240,8 @@ def _cmd_ds_search(args) -> int:
 
 def _cmd_compare(args) -> int:
     names = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
-    points = _flagged("--schemes", schemes.tradeoff_sweep, args.K, names, slack=args.slack)
+    flag = "--K" if args.K < 1 else "--slack" if args.slack < 0 else "--schemes"
+    points = _flagged(flag, schemes.tradeoff_sweep, args.K, names, slack=args.slack)
     print(f"{len(points)} scheme points within |K - {args.K}| <= {args.slack}")
     if args.format == "json":
         _write(args.out, serialize.scheme_points_to_json(points))

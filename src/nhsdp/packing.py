@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ringmath import OddResidueRing, integer_nth_root
+from .ringmath import OddResidueRing, integer_nth_root, is_prime_power
 
 
 @dataclass(frozen=True)
@@ -364,11 +364,18 @@ def ds_search(q: int) -> Cdp | None:
     The set is canonicalised to contain 0 and 1 and to be the
     lexicographically least such representative (every difference set has a
     translate containing {0, 1}, since the difference 1 is represented).
-    Returns None when the bounded search exhausts, which is the expected
-    outcome for non-prime-power q.
+    Returns None when the bounded search exhausts, which is the outcome for
+    q = 6.  Other non-prime-power q (10, 12, 14, 15) are refused: their
+    search does not end in practice, and by theorem there is no set to find.
     """
     if not 2 <= q <= DS_SEARCH_MAX_Q:
         raise ValueError(f"q must lie in [2, {DS_SEARCH_MAX_Q}], got {q}")
+    if q > 6 and not is_prime_power(q):
+        raise ValueError(
+            f"q={q} is not a prime power, and no planar difference set of "
+            "non-prime-power order below 2,000,000 exists (a theorem: D. M. Gordon, "
+            "Electron. J. Combin. 1 (1994) R6)"
+        )
     v = q * q + q + 1
     k = q + 1
 

@@ -462,8 +462,13 @@ def tradeoff_sweep(
 
     Each scheme's grid (given, or a built-in default) is evaluated; points
     whose user count differs from K by more than ``slack`` are dropped, as
-    are parameter combinations violating the scheme's constraints.
+    are parameter combinations violating the scheme's constraints.  K must
+    be at least 1 and slack non-negative.
     """
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack}")
     grids = dict(param_grids or {})
     points: list[SchemePoint] = []
     for scheme in schemes:

@@ -286,15 +286,57 @@ class TestFailures:
             (("construct-nhsdp", "--v", 9, "--m", "0"), "--m", "positive integers"),
             (("construct-nhsdp", "--v", 9, "--m", "2,2,2"), "--v", "admissible minimum 125"),
             (("ntap", "--n", 0), "--n", "n must be positive"),
+            (("ntap", "--n", 40), "--n", "2^40 elements is over the limit of MAX_CELLS"),
             (("compare", "--schemes", "BOGUS", "--K", 100), "--schemes", "'BOGUS'"),
+            (("compare", "--schemes", "MN", "--K", 0), "--K", "K must be at least 1, got 0"),
+            (
+                ("compare", "--schemes", "MN", "--K", 1000, "--slack", -1),
+                "--slack",
+                "slack must be non-negative, got -1",
+            ),
+            (("ds-search", "--q", 10), "--q", "q=10 is not a prime power"),
+            (("ds-search", "--q", 12), "--q", "D. M. Gordon, Electron. J. Combin. 1 (1994) R6"),
+            (("ds-search", "--q", 14), "--q", "below 2,000,000"),
+            (("ds-search", "--q", 15), "--q", "q=15 is not a prime power"),
         ],
-        ids=["mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "scheme"],
+        ids=[
+            "mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "ntap_cells",
+            "scheme", "compare_K", "compare_slack", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
+        ],
     )
     def test_rejected_flag_values_are_usage_errors(self, tmp_path, capsys, argv, flag, message):
         out = tmp_path / "out"
         code, stdout, stderr = run(capsys, *argv, "--out", out)
         assert code == 2 and stdout == "" and not out.exists()
         assert stderr.startswith(f"error: {flag}: ") and message in stderr
+
+    def test_design_sizes_over_cell_limit_are_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 15)
+        out = tmp_path / "out.json"
+        code, stdout, stderr = run(capsys, "ntap", "--n", 4, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr.startswith("error: --n: ") and "MAX_CELLS = 15" in stderr
+        ntap = tmp_path / "ntap.json"
+        ntap.write_text('{"v": 9, "elements": [1, 2]}')
+        code, stdout, stderr = run(capsys, "phf", ntap, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr.startswith(f"error: {ntap}: ") and "3 x 18 = 54 cells" in stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"v": 7, "elements": [0, 1, 2]}', "input is not an NTAP set: 2*1 = 0 + 2 (mod 7)"),
+            ('{"v": 8, "elements": [1, 2]}', "the shift construction needs an odd modulus"),
+        ],
+        ids=["progression", "even_modulus"],
+    )
+    def test_phf_input_that_is_no_ntap_set_is_usage_error(self, tmp_path, capsys, text, message):
+        ntap = tmp_path / "ntap.json"
+        ntap.write_text(text)
+        out = tmp_path / "phf.json"
+        code, stdout, stderr = run(capsys, "phf", ntap, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"error: {ntap}: {message}\n"
 
     def test_verify_pda_huge_declared_s_is_c2(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

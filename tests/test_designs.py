@@ -1,13 +1,17 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhsdp import (
     NtapSet,
+    PhfArray,
+    Verdict,
     cdp_to_nhsdp,
     ds_search,
     ntap_bound_report,
@@ -20,6 +24,7 @@ from nhsdp import (
     verify_phf,
 )
 from nhsdp import designs
+from nhsdp import pda as pda_mod
 
 
 def brute_has_progression(v, elements) -> bool:
@@ -42,6 +47,57 @@ def brute_phf_ok(grid, t) -> bool:
     return True
 
 
+def reference_verify_phf(phf) -> Verdict:
+    """Reference for the strength-3 branch of verify_phf: the pair-class sweep.
+
+    An unseparated triple has a pair colliding in row 0, and its third
+    column collides with that pair in every row where the pair itself
+    separates.  One Python pass per row-0 colliding pair, r set
+    intersections each; the witness is the least sorted triple found.
+    """
+    r, m = phf.r, phf.m
+    cols = [tuple(int(v) for v in phf.grid[:, c]) for c in range(m)]
+
+    def separated(subset):
+        return any(len({cols[c][j] for c in subset}) == len(subset) for j in range(r))
+
+    buckets: list[dict[int, list[int]]] = []
+    for j in range(r):
+        bucket: dict[int, list[int]] = {}
+        for c in range(m):
+            bucket.setdefault(cols[c][j], []).append(c)
+        buckets.append(bucket)
+    first = None
+    for group in buckets[0].values():
+        for a, b in itertools.combinations(group, 2):
+            candidates = None  # None: unconstrained so far
+            for j in range(1, r):
+                if cols[a][j] == cols[b][j]:
+                    continue
+                row_hits = set(buckets[j].get(cols[a][j], ()))
+                row_hits.update(buckets[j].get(cols[b][j], ()))
+                candidates = row_hits if candidates is None else candidates & row_hits
+                if not candidates:
+                    break
+            for c in range(m) if candidates is None else sorted(candidates):
+                if c != a and c != b and not separated((a, b, c)):
+                    triple = tuple(sorted((a, b, c)))
+                    first = triple if first is None else min(first, triple)
+                    break
+    if first is not None:
+        return Verdict(
+            False, "unseparated", f"no row separates columns {first}", {"columns": first}
+        )
+    return Verdict(True, "valid", f"(3;{m},{phf.q},3) PHF")
+
+
+def assert_same_verdict(phf):
+    got, want = verify_phf(phf), reference_verify_phf(phf)
+    assert (got.ok, got.code, got.detail, got.info) == (want.ok, want.code, want.detail, want.info)
+    for column in got.info.get("columns", ()):
+        assert type(column) is int
+
+
 class TestNtapConstruct:
     def test_smallest(self):
         assert ntap_construct(1).elements == (1, 2)
@@ -54,6 +110,25 @@ class TestNtapConstruct:
             ntap = ntap_construct(n)
             assert ntap.v == 3**n
             assert ntap.size == 2**n
+
+    def test_doubling_matches_signed_sums(self):
+        for n in range(1, 9):
+            sums = {
+                sum(s * 3**i for i, s in enumerate(signs)) % 3**n
+                for signs in itertools.product((-1, 1), repeat=n)
+            }
+            elements = ntap_construct(n).elements
+            assert elements == tuple(sorted(sums))
+            assert all(type(x) is int for x in elements)
+
+    def test_size_over_cell_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 15)
+        assert ntap_construct(3).size == 8
+        with pytest.raises(ValueError, match=r"2\^4 elements is over the limit of MAX_CELLS = 15"):
+            ntap_construct(4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            ntap_construct(40)
 
     def test_progression_free_up_to_n4_by_oracle(self):
         for n in range(1, 5):
@@ -148,6 +223,14 @@ class TestPhf:
         phf = phf_from_ntap(ntap_construct(3))
         assert (phf.m, phf.q) == (216, 27)
         assert verify_phf(phf).ok
+
+    def test_shift_array_over_cell_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 3 * 2 * 9 - 1)
+        with pytest.raises(ValueError, match="3 x 18 = 54 cells"):
+            phf_columns_from_elements(9, (1, 2))
+        with pytest.raises(ValueError, match="MAX_CELLS = 53"):
+            phf_from_ntap(NtapSet.from_elements(9, (1, 2)))
+        assert phf_columns_from_elements(9, (1,)).m == 9
 
     def test_rejects_even_modulus(self):
         with pytest.raises(ValueError):
@@ -247,6 +330,57 @@ class TestPhf:
                 break
         phf = phf_from_ntap(NtapSet.from_elements(v, elements))
         assert verify_phf(phf).ok
+
+
+class TestPhfJoin:
+    """verify_phf at t=3 against the pair-class sweep, the triple oracle and
+    its own size bounds."""
+
+    def test_agrees_with_reference_on_random_grids(self):
+        rng = np.random.default_rng(20240607)
+        for _ in range(20_000):
+            r, m, q = rng.integers(1, 5), rng.integers(3, 13), rng.integers(2, 6)
+            assert_same_verdict(PhfArray(q=int(q), t=3, grid=rng.integers(0, q, size=(r, m))))
+
+    @pytest.mark.parametrize(
+        "phf",
+        [
+            PhfArray(q=4, t=3, grid=np.full((3, 7), 3)),
+            PhfArray(q=9, t=3, grid=np.tile(np.arange(9), (3, 2))),
+            PhfArray(q=5, t=3, grid=[[0, 1, 1, 2, 3, 3, 4]]),
+            PhfArray(q=5, t=3, grid=[[0, 1, 2, 3, 4]]),
+            PhfArray(q=3, t=3, grid=[[0, 0, 1], [1, 1, 1]]),
+            PhfArray(q=3, t=3, grid=[[0, 1, 2], [0, 0, 0]]),
+            PhfArray(q=2, t=3, grid=[[0, 0, 0], [0, 1, 0], [1, 0, 0]]),
+            phf_columns_from_elements(7, (0, 1, 2)),
+            phf_columns_from_elements(9, (1, 2, 4)),
+            phf_from_ntap(ntap_construct(2)),
+        ],
+        ids=[
+            "all_equal", "duplicated_columns", "single_row_collisions",
+            "single_row_distinct", "m3_unseparated", "m3_separated", "m3_binary",
+            "progression_7", "shift_9", "ternary_n2",
+        ],
+    )
+    def test_agrees_with_reference_on_degenerate_grids(self, phf):
+        assert_same_verdict(phf)
+        assert verify_phf(phf).ok == brute_phf_ok(phf.grid.tolist(), 3)
+
+    def test_n6_shift_family_is_valid(self):
+        verdict = verify_phf(phf_from_ntap(ntap_construct(6)))
+        assert verdict.ok and verdict.detail == "(3;46656,729,3) PHF"
+
+    def test_working_set_is_bounded_by_the_chunk(self):
+        # 3 x 4000 constant grid: C(4000, 2), about 8 M, row-0 pairs.
+        phf = PhfArray(q=1, t=3, grid=np.zeros((3, 4000), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            verdict = verify_phf(phf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.info == {"columns": (0, 1, 2)}
+        assert peak < 16 * 2**20
 
 
 class TestColumnComparison:
