@@ -105,7 +105,10 @@ def _cmd_solve_params(args) -> int:
 
 def _cmd_build_pda(args) -> int:
     packing_obj = _load(args.file, serialize.nhsdp_from_json)
-    arr = pda_mod.pda_from_nhsdp(packing_obj)
+    verdict = _flagged(args.file, packing_obj.verify)
+    if not verdict.ok:
+        raise ValueError(f"{args.file} is not a valid NHSDP [{verdict.code}]: {verdict.detail}")
+    arr = _flagged(args.file, pda_mod.pda_from_nhsdp, packing_obj)
     K, F, Z, S = arr.params()
     print(f"built ({K},{F},{Z},{S}) PDA")
     _emit_pda(arr, args.out, args.format)
@@ -126,7 +129,7 @@ def _cmd_verify_pda(args) -> int:
 
 def _cmd_conjugate(args) -> int:
     arr = _load_valid_pda(args.file)
-    conj = pda_mod.conjugate_pda(arr)
+    conj = _flagged(args.file, pda_mod.conjugate_pda, arr)
     K, F, Z, S = conj.params()
     print(f"conjugate is a ({K},{F},{Z},{S}) PDA")
     _emit_pda(conj, args.out, args.format)

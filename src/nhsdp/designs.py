@@ -243,7 +243,7 @@ def verify_phf(phf: PhfArray) -> Verdict:
         widths.append(len(values))
     groups: dict[tuple[int, ...], tuple[np.ndarray, list[np.ndarray]]] = {}
     first: tuple[int, ...] | None = None
-    for a, b in _colliding_pairs(ranks[0], PHF_CHUNK):
+    for a, b in _colliding_pairs(ranks[0]):
         # Sort the pairs by their separating rows, then join run by run.
         differ = ranks[:, a] != ranks[:, b]
         order = np.lexsort(differ)
@@ -268,10 +268,10 @@ def verify_phf(phf: PhfArray) -> Verdict:
     return Verdict(True, "valid", f"(3;{m},{phf.q},3) PHF")
 
 
-def _colliding_pairs(row: np.ndarray, chunk: int):
+def _colliding_pairs(row: np.ndarray):
     """Yield (a, b) index arrays, a < b, of every column pair equal in row.
 
-    Pairs are listed bucket by bucket and yielded about ``chunk`` at a time
+    Pairs are listed bucket by bucket and yielded about PHF_CHUNK at a time
     (more only when one column alone has more partners).
     """
     m = len(row)
@@ -286,7 +286,7 @@ def _colliding_pairs(row: np.ndarray, chunk: int):
     del partners
     p0 = 0
     while p0 < m:
-        p1 = max(p0 + 1, int(np.searchsorted(upto, upto[p0] + chunk, side="right")) - 1)
+        p1 = max(p0 + 1, int(np.searchsorted(upto, upto[p0] + PHF_CHUNK, side="right")) - 1)
         counts = np.diff(upto[p0 : p1 + 1])
         total = int(upto[p1] - upto[p0])
         if total:

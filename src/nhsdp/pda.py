@@ -95,6 +95,18 @@ class SymbolGroups(NamedTuple):
     symbol: np.ndarray
     start: np.ndarray
 
+    def pairs(self):
+        """Yield (c, o) index arrays, one per offset t = 1, 2, ...: the cells
+        c and o = c + t of every group that holds both.  Each unordered pair
+        of a group's cells comes exactly once, with c < o."""
+        # The number of cells after each cell in its group.
+        after = np.repeat(self.start[1:] - 1, np.diff(self.start)) - np.arange(self.symbol.size)
+        c, t = np.flatnonzero(after > 0), 1
+        while c.size:
+            yield c, c + t
+            t += 1
+            c = c[after[c] >= t]
+
 
 def symbol_groups(pda: Pda) -> SymbolGroups:
     """Index the cells of each symbol present with one scan and one sort.
@@ -120,22 +132,19 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
 def verify_pda(pda: Pda) -> Verdict:
     """Exhaustively check C1, C2, C3a, and C3b.
 
-    Within each symbol group of the cells sorted as in ``symbol_groups``,
-    cell i is compared with cell i + t for t = 1, 2, ..., one offset at a
-    time, so the cost is O(F*K + sum_s occ(s)^2) time and O(F*K) memory for
-    any group sizes.  Only the symbols present are indexed, so no work
-    follows the declared S.  C3a is reported before C3b; either witness is
-    the first violating pair by (symbol, cells in row-major order).
+    Each pair of cells in a symbol group is compared once, one offset at a
+    time as ``SymbolGroups.pairs`` lists them, so the cost is
+    O(F*K + sum_s occ(s)^2) time and O(F*K) memory for any group sizes.
+    Only the symbols present are indexed, so no work follows the declared
+    S.  C3a is reported before C3b; either witness is the first violating
+    pair by (symbol, cells in row-major order).
     """
-    row, user, symbol, start = symbol_groups(pda)
+    groups = symbol_groups(pda)
+    row, user, symbol, start = groups
     grid, K = pda.grid, pda.K
     star = (grid == STAR).ravel()
     first: dict[str, tuple[int, int, int]] = {}
-    # The cells after each cell in its group.
-    after = np.repeat(start[1:] - 1, np.diff(start)) - np.arange(symbol.size)
-    c, t = np.flatnonzero(after > 0), 1
-    while c.size:
-        o = c + t
+    for c, o in groups.pairs():
         rc, ro, uc, uo = row[c], row[o], user[c], user[o]
         clash = (rc == ro) | (uc == uo)
         cross = ~(star[rc * K + uo] & star[ro * K + uc])
@@ -147,8 +156,6 @@ def verify_pda(pda: Pda) -> Verdict:
                 i = np.lexsort((b, a, sym))[0]
                 key = (int(sym[i]), int(a[i]), int(b[i]))
                 first[code] = min(first.get(code, key), key)
-        t += 1
-        c = c[after[c] >= t]
     for code in ("C3a", "C3b"):
         if code in first:
             s, a, b = first[code]

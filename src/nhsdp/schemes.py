@@ -452,30 +452,21 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
         raise ValueError(f"no default parameter grid for scheme {scheme!r}")
 
 
-def tradeoff_sweep(
-    K: int,
-    schemes: Sequence[str],
-    param_grids: Mapping[str, Iterable[Mapping]] | None = None,
-    slack: int = 8,
-) -> list[SchemePoint]:
+def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[SchemePoint]:
     """Enumerate scheme points near a target user count, sorted by memory.
 
-    Each scheme's grid (given, or a built-in default) is evaluated; points
-    whose user count differs from K by more than ``slack`` are dropped, as
-    are parameter combinations violating the scheme's constraints.  K must
-    be at least 1 and slack non-negative.
+    Each scheme's built-in parameter grid is evaluated; points whose user
+    count differs from K by more than ``slack`` are dropped, as are
+    parameter combinations violating the scheme's constraints.  K must be
+    at least 1 and slack non-negative.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
-    grids = dict(param_grids or {})
     points: list[SchemePoint] = []
     for scheme in schemes:
-        grid = grids.get(scheme)
-        if grid is None:
-            grid = _default_grid(scheme, K, slack)
-        for params in grid:
+        for params in _default_grid(scheme, K, slack):
             try:
                 point = evaluate_scheme(scheme, params)
             except (SchemeConstraintError, ValueError):

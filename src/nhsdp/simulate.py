@@ -144,19 +144,6 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     return CacheContents(users, slots)
 
 
-def _pairs(groups: SymbolGroups) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Ordered (receiver cell, other cell) pairs per offset t >= 1 within a
-    symbol group: each cell of a group larger than t, and the cell t places
-    after it, cyclically.  Cells index ``groups``."""
-    sizes = np.diff(groups.start)
-    first, size = np.repeat(groups.start[:-1], sizes), np.repeat(sizes, sizes)
-    pairs = []
-    for t in range(1, int(size.max(initial=0))):
-        c = np.flatnonzero(size > t)
-        pairs.append((c, first[c] + (c - first[c] + t) % size[c]))
-    return tuple(pairs)
-
-
 # The kernels loop over the offset within a symbol group, so each numpy call
 # moves whole (B, W) blocks for every group at once.  np.bitwise_xor.reduceat
 # over the same gathers would make one inner-loop call per (group, demand,
@@ -177,51 +164,59 @@ def _payloads(groups: SymbolGroups, S: int, data: np.ndarray, d: np.ndarray) -> 
 
 
 def _decode(
-    groups: SymbolGroups, pairs: tuple, cache: CacheContents, payloads: np.ndarray, d: np.ndarray
+    groups: SymbolGroups, cache: CacheContents, payloads: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
     """(K, F, B, W) files every user recovers from payloads (S, B, W).
 
     Cached rows are the user's own copy; any other row is its symbol's
     payload XOR the group's other packets, each read from the receiver's
-    cache through the slot map.  A missing slot (-1) leaves a star row
-    unset or reads some other cached packet, so callers must screen users
-    with ``_blocked`` first.
+    cache through the slot map.  Each pair of ``groups.pairs()``, the pairs
+    that ``verify_pda`` checks for C3b, cancels in both directions.  A
+    missing slot (-1) leaves a star row unset or reads some other cached
+    packet, so callers must screen users with ``_blocked`` first.
     """
     users, slots = cache.users, cache.slots
     K, N, Z, W = users.shape
     F = slots.shape[1]
-    flat, dT = users.reshape(-1, W), d.T
+    flat, dZ = users.reshape(-1, W), d.T * Z
 
     def cached(k, u, j):  # user k's copy of row j of the file user u demands
         base = k * (N * Z) + slots[k, j]
-        return np.take(flat, dT[u] * Z + base[:, None], axis=0)
+        return np.take(flat, dZ[u] + base[:, None], axis=0)
 
     out = np.empty((K * F, len(d), W), dtype=np.uint64)
     k, j = np.nonzero(slots >= 0)
     out[k * F + j] = cached(k, k, j)
+    user, row = groups.user, groups.row
     got = payloads[groups.symbol - 1]
-    for c, o in pairs:
-        got[c] ^= cached(groups.user[c], groups.user[o], groups.row[o])
-    out[groups.user * F + groups.row] = got
+    for c, o in groups.pairs():
+        uc, uo = user[c], user[o]
+        got[c] ^= cached(uc, uo, row[o])
+        got[o] ^= cached(uo, uc, row[c])
+    out[user * F + row] = got
     return out.reshape(K, F, len(d), W)
 
 
 def _blocked(
-    pda: Pda, groups: SymbolGroups, pairs: tuple, slots: np.ndarray
+    pda: Pda, groups: SymbolGroups, slots: np.ndarray
 ) -> dict[int, tuple[int, int, int]]:
     """Users that need a packet their cache has no slot for.
 
-    Maps each such user to its first witness (row, user whose demand names
-    the file, symbol), interferers before its own star rows; symbol 0 marks
-    an own star row.
+    Maps each such user to a witness (row, user whose demand names the
+    file, symbol): its least blocked (receiver cell, other cell) pair, so
+    its lowest symbol, and only else its first own star row, marked by
+    symbol 0.
     """
-    blocked: dict[int, tuple[int, int, int]] = {}
-    for c, o in pairs:
-        recv, row = groups.user[c], groups.row[o]
-        for i in np.flatnonzero(slots[recv, row] < 0).tolist():
-            blocked.setdefault(
-                int(recv[i]), (int(row[i]), int(groups.user[o[i]]), int(groups.symbol[c[i]]))
-            )
+    least: dict[int, tuple[int, int]] = {}
+    for c, o in groups.pairs():
+        for a, b in ((c, o), (o, c)):
+            for i in np.flatnonzero(slots[groups.user[a], groups.row[b]] < 0).tolist():
+                k, pair = int(groups.user[a[i]]), (int(a[i]), int(b[i]))
+                least[k] = min(least.get(k, pair), pair)
+    blocked = {
+        k: (int(groups.row[o]), int(groups.user[o]), int(groups.symbol[c]))
+        for k, (c, o) in least.items()
+    }
     for k, j in zip(*np.nonzero((pda.grid.T == STAR) & (slots < 0))):
         blocked.setdefault(int(k), (int(j), int(k), 0))
     return blocked
@@ -297,8 +292,7 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
         raise ValueError(f"transcript must carry one transmission per symbol 1..S={pda.S}")
 
     groups = symbol_groups(pda)
-    pairs = _pairs(groups)
-    blocked = _blocked(pda, groups, pairs, cache.slots)
+    blocked = _blocked(pda, groups, cache.slots)
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
@@ -307,7 +301,7 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
     wire[np.array([t.symbol - 1 for t in txns], dtype=np.int64), 0, :L] = np.frombuffer(
         b"".join(t.payload for t in txns), dtype=np.uint8
     ).reshape(len(txns), L)
-    files = _decode(groups, pairs, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    files = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
     files = files[:, :, 0].view(np.uint8)[..., :L]
     return tuple(files[k].tobytes() for k in range(pda.K))
 
@@ -379,8 +373,7 @@ def exhaustive_demand_check(
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
     groups = symbol_groups(pda)
-    pairs = _pairs(groups)
-    blocked = _blocked(pda, groups, pairs, cache.slots)
+    blocked = _blocked(pda, groups, cache.slots)
     is_blocked = np.zeros(pda.K, dtype=bool)
     is_blocked[list(blocked)] = True
     nominal = Fraction(pda.S, pda.F)
@@ -405,7 +398,7 @@ def exhaustive_demand_check(
                 for v in map(tuple, d.tolist())
             ]
             continue
-        files = _decode(groups, pairs, cache, payloads, d)
+        files = _decode(groups, cache, payloads, d)
         expected = np.take(library.data.reshape(-1, W), d.T[:, None, :] * pda.F + rows, axis=0)
         wrong = (files != expected).any(axis=1).any(axis=-1)  # (K, B)
         for b, k in zip(*np.nonzero(wrong.T | is_blocked)):

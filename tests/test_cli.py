@@ -349,11 +349,52 @@ class TestFailures:
         monkeypatch.setattr(pda_mod, "MAX_CELLS", 15)
         out = tmp_path / "out.txt"
         code, stdout, stderr = run(capsys, "conjugate", ex4_file, "--out", out)
-        assert code == 1 and "4 x 4 = 16 cells" in stderr and "MAX_CELLS = 15" in stderr
+        assert code == 2 and "4 x 4 = 16 cells" in stderr and "MAX_CELLS = 15" in stderr
         assert stdout == "" and not out.exists()
         code, _, stderr = run(capsys, "group", ex4_file, "--K", 8, "--out", out)
         assert code == 2 and stderr.startswith("error: --K: ") and "4 x 8 = 32 cells" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 *\n* 1\n* *\n", "row 2 is all stars; compact rows before conjugating"),
+            ("* *\n* *\n", "conjugate needs 0 < Z < F, got Z=2, F=2"),
+        ],
+        ids=["all_star_row", "z_equals_f"],
+    )
+    def test_conjugate_refusals_are_usage_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "valid.txt"
+        path.write_text(text)
+        assert run(capsys, "verify-pda", path)[0] == 0
+        out = tmp_path / "out.txt"
+        code, stdout, stderr = run(capsys, "conjugate", path, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"error: {path}: {message}\n"
+
+    def test_build_pda_invalid_packing_names_the_file(self, tmp_path, capsys):
+        packing = tmp_path / "overlap.json"
+        packing.write_text('{"v": 15, "blocks": [[1, 2, 13, 14], [1, 4, 10, 11]]}')
+        out = tmp_path / "out.txt"
+        code, stdout, stderr = run(capsys, "build-pda", packing, "--out", out)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr == (
+            f"error: {packing} is not a valid NHSDP [disjoint]: "
+            "element 1 appears in blocks 0 and 1\n"
+        )
+
+    def test_build_pda_refusals_are_usage_errors(self, tmp_path, capsys, monkeypatch):
+        packing = tmp_path / "p.json"
+        assert run(capsys, "construct-nhsdp", "--v", 15, "--m", 2, "--out", packing)[0] == 0
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 224)
+        out = tmp_path / "out.txt"
+        code, stdout, stderr = run(capsys, "build-pda", packing, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr.startswith(f"error: {packing}: ") and "15 x 15 = 225 cells" in stderr
+        packing.write_text('{"v": 16, "blocks": [[1, 15]]}')
+        code, stdout, stderr = run(capsys, "build-pda", packing, "--out", out)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr == f"error: {packing}: NHSDP modulus must be odd and >= 3, got 16\n"
 
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

@@ -22,7 +22,7 @@ from nhsdp import (
     symbol_groups,
     verify_pda,
 )
-from conftest import EX4_GRID, naive_verify_pda
+from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda
 
 
 def make_pda(rows, Z=None, S=None):
@@ -104,6 +104,28 @@ class TestSymbolGroups:
         assert groups.symbol.tolist() == [top - 2, top - 1, top, top]
         assert groups.user.tolist() == [0, 1, 0, 1] and groups.row.tolist() == [1, 0, 0, 1]
         assert groups.start.tolist() == [0, 1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "arr, sizes",
+        [
+            (drop_columns(pda_from_nhsdp(Nhsdp.from_blocks(15, EX15_BLOCKS)), range(14)), {3, 4}),
+            (make_pda([[1, 4, STAR], [4, STAR, 2], [STAR, 3, 4]], Z=1, S=4), {1, 3}),
+            (make_pda([[STAR, STAR]], Z=1, S=0), set()),
+        ],
+        ids=["dropped_column", "singletons", "all_star"],
+    )
+    def test_pairs_list_each_pair_of_a_group_once(self, arr, sizes):
+        groups = symbol_groups(arr)
+        assert set(np.diff(groups.start).tolist()) == sizes
+        walked = []
+        for c, o in groups.pairs():
+            assert (c < o).all() and (groups.symbol[c] == groups.symbol[o]).all()
+            walked += zip(c.tolist(), o.tolist())
+        bounds = groups.start.tolist()
+        expected = [
+            pair for a, b in zip(bounds, bounds[1:]) for pair in itertools.combinations(range(a, b), 2)
+        ]
+        assert len(walked) == len(set(walked)) and sorted(walked) == expected
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nhsdp import (
+    STAR,
     FileLibrary,
     Pda,
     UnrecoverablePacketError,
@@ -21,6 +22,7 @@ from nhsdp import (
     place,
     serialize,
     simulate,
+    symbol_groups,
 )
 from nhsdp.packing import Nhsdp
 
@@ -53,6 +55,25 @@ def corrupt_place(monkeypatch, corrupt):
         return cache
 
     monkeypatch.setattr(simulate, "place", place_then_corrupt)
+
+
+def reference_blocked(pda, slots):
+    """Per user, the witness of its lowest symbol with another cell, in
+    (user, row) order, on a row the user has no slot for; else its first
+    star row with no slot, as (row, user, 0)."""
+    grid, out = pda.grid, {}
+    for k in range(pda.K):
+        for s in sorted(int(x) for x in grid[:, k] if x):
+            others = sorted((int(u), int(r)) for r, u in zip(*np.nonzero(grid == s)) if u != k)
+            missing = [(r, u, s) for u, r in others if slots[k, r] < 0]
+            if missing:
+                out[k] = missing[0]
+                break
+        else:
+            rows = [j for j in range(pda.F) if grid[j, k] == STAR and slots[k, j] < 0]
+            if rows:
+                out[k] = (rows[0], k, 0)
+    return out
 
 
 class TestPlacement:
@@ -223,6 +244,19 @@ class TestDecode:
             match=r"^user 0 lacks interfering packet \(1, 0\) needed for symbol 1$",
         ):
             decode(ex4_pda, cache, transcript)
+
+    @pytest.mark.parametrize("name", ["ex4", "ex15", "irregular", "mn"])
+    def test_blocked_witness_is_lowest_symbol(self, request, name):
+        arr = mn_pda(5, 2) if name == "mn" else request.getfixturevalue(f"{name}_pda")
+        base = place(arr, FileLibrary.random(2, arr.F, seed=1)).slots
+        groups = symbol_groups(arr)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            slots = base.copy()
+            k, j = np.nonzero(slots >= 0)
+            clear = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
+            slots[k[clear], j[clear]] = -1
+            assert simulate._blocked(arr, groups, slots) == reference_blocked(arr, slots)
 
     def test_rejects_bad_user(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
