@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import designs, packing, pda as pda_mod, schemes, serialize, simulate
 
 
-def _write(path: str | None, payload: str) -> None:
+def _write(path: str | None, payload) -> None:
+    """Write payload, or payload(path) for a writer that reads the name, to path if given."""
     if path:
-        Path(path).write_text(payload)
+        Path(path).write_text(payload(path) if callable(payload) else payload)
 
 
 class _UsageError(Exception):
@@ -58,10 +60,11 @@ def _load_valid_pda(path: str) -> pda_mod.Pda:
     return arr
 
 
-def _emit_pda(pda: pda_mod.Pda, out: str | None, fmt: str) -> None:
-    if out:
-        payload = serialize.pda_to_json(pda) if fmt == "json" else serialize.pda_to_text(pda)
-        _write(out, payload)
+def _report_pda(what: str, arr: pda_mod.Pda, out: str | None) -> int:
+    K, F, Z, S = arr.params()
+    print(f"{what} ({K},{F},{Z},{S}) PDA")
+    _write(out, partial(serialize.pda_for_path, arr))
+    return 0
 
 
 def _cmd_construct_nhsdp(args) -> int:
@@ -78,7 +81,7 @@ def _cmd_construct_nhsdp(args) -> int:
 
 def _cmd_verify_nhsdp(args) -> int:
     packing_obj = _load(args.file, serialize.nhsdp_from_json)
-    verdict = packing_obj.verify()
+    verdict = _flagged(args.file, packing_obj.verify)
     if verdict.ok:
         print(f"({packing_obj.v},{packing_obj.g},{packing_obj.b}) NHSDP: valid")
         return 0
@@ -109,10 +112,7 @@ def _cmd_build_pda(args) -> int:
     if not verdict.ok:
         raise ValueError(f"{args.file} is not a valid NHSDP [{verdict.code}]: {verdict.detail}")
     arr = _flagged(args.file, pda_mod.pda_from_nhsdp, packing_obj)
-    K, F, Z, S = arr.params()
-    print(f"built ({K},{F},{Z},{S}) PDA")
-    _emit_pda(arr, args.out, args.format)
-    return 0
+    return _report_pda("built", arr, args.out)
 
 
 def _cmd_verify_pda(args) -> int:
@@ -130,27 +130,18 @@ def _cmd_verify_pda(args) -> int:
 def _cmd_conjugate(args) -> int:
     arr = _load_valid_pda(args.file)
     conj = _flagged(args.file, pda_mod.conjugate_pda, arr)
-    K, F, Z, S = conj.params()
-    print(f"conjugate is a ({K},{F},{Z},{S}) PDA")
-    _emit_pda(conj, args.out, args.format)
-    return 0
+    return _report_pda("conjugate is a", conj, args.out)
 
 
 def _cmd_group(args) -> int:
     arr = _load_valid_pda(args.file)
     grouped = _flagged("--K", pda_mod.group_pda_divisible, arr, args.K)
-    K, F, Z, S = grouped.params()
-    print(f"grouped to a ({K},{F},{Z},{S}) PDA")
-    _emit_pda(grouped, args.out, args.format)
-    return 0
+    return _report_pda("grouped to a", grouped, args.out)
 
 
 def _cmd_mn_pda(args) -> int:
     arr = _flagged("--K" if 1 <= args.t < args.K else "--t", pda_mod.mn_pda, args.K, args.t)
-    K, F, Z, S = arr.params()
-    print(f"built ({K},{F},{Z},{S}) PDA")
-    _emit_pda(arr, args.out, args.format)
-    return 0
+    return _report_pda("built", arr, args.out)
 
 
 def _cmd_simulate(args) -> int:
@@ -159,29 +150,27 @@ def _cmd_simulate(args) -> int:
     if args.packet_len < 1:
         raise _UsageError(f"--packet-len must be at least 1, got {args.packet_len}")
     arr = _load_valid_pda(args.file)
+    sizes = "--N, --packet-len"  # they size the file library and the caches
     spec = args.demands
     if spec == "all" or spec.startswith("sample:"):
         if spec == "all":
-            budget = args.max_demands
+            budget = simulate.DEFAULT_DEMAND_BUDGET
             total = args.N**arr.K
             if total > budget:
                 raise _UsageError(
-                    f"--demands all would sweep {total} vectors; "
-                    f"use sample:COUNT or raise --max-demands"
+                    f"--demands all would sweep {total} vectors, over {budget}; use sample:COUNT"
                 )
         else:
             try:
                 budget = int(spec.split(":", 1)[1])
             except ValueError:
                 raise _UsageError(f"bad sample count in {spec!r}")
-        report = simulate.exhaustive_demand_check(
-            arr, args.N, args.packet_len, demand_budget=budget, seed=args.seed
+        report = _flagged(
+            "--demands" if budget < 0 else sizes, simulate.exhaustive_demand_check,
+            arr, args.N, args.packet_len, demand_budget=budget, seed=args.seed,
         )
-        load = report.nominal_load
-        print(
-            f"{report.checked}/{report.total_demands} demands decoded, "
-            f"load = {load.numerator / load.denominator:g}"
-        )
+        load = float(report.nominal_load)
+        print(f"{report.checked}/{report.total_demands} demands decoded, load = {load:g}")
         if report.failures:
             for demand, user, reason in report.failures[:10]:
                 print(f"failure d={demand} user={user}: {reason}", file=sys.stderr)
@@ -196,8 +185,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--demands lists {len(demand)} files, {args.file} has K={arr.K} users")
     if any(not (0 <= x < args.N) for x in demand):
         raise _UsageError(f"--demands entries must be file indices in [0, {args.N}) for --N {args.N}")
-    library = simulate.FileLibrary.random(args.N, arr.F, args.packet_len, args.seed)
-    cache = simulate.place(arr, library)
+    library = _flagged(sizes, simulate.FileLibrary.random, args.N, arr.F, args.packet_len, args.seed)
+    cache = _flagged(sizes, simulate.place, arr, library)
     transcript = simulate.deliver(arr, library, cache, demand)
     files = simulate.decode(arr, cache, transcript)
     bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
@@ -242,14 +231,11 @@ def _cmd_ds_search(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    names = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
+    names = [tok.strip() for tok in args.schemes.split(",")]
     flag = "--K" if args.K < 1 else "--slack" if args.slack < 0 else "--schemes"
     points = _flagged(flag, schemes.tradeoff_sweep, args.K, names, slack=args.slack)
     print(f"{len(points)} scheme points within |K - {args.K}| <= {args.slack}")
-    if args.format == "json":
-        _write(args.out, serialize.scheme_points_to_json(points))
-    else:
-        _write(args.out, serialize.scheme_points_to_csv(points))
+    _write(args.out, partial(serialize.scheme_points_for_path, points))
     return 0
 
 
@@ -279,30 +265,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="exact maximisation of prod m_i")
     p.add_argument("--out")
 
+    pda_out = "PDA file: JSON if the name ends in .json, else text"
     p = add("build-pda", _cmd_build_pda, help="lift a packing file to a PDA")
     p.add_argument("file")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help=pda_out)
 
     p = add("verify-pda", _cmd_verify_pda, help="verify a PDA file (text or JSON)")
     p.add_argument("file")
 
     p = add("conjugate", _cmd_conjugate, help="conjugate a PDA file")
     p.add_argument("file")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help=pda_out)
 
     p = add("group", _cmd_group, help="replicate a PDA to a multiple of its users")
     p.add_argument("file")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help=pda_out)
 
     p = add("mn-pda", _cmd_mn_pda, help="build the t-subset PDA")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help=pda_out)
 
     p = add("simulate", _cmd_simulate, help="run placement/delivery/decoding")
     p.add_argument("file")
@@ -313,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="all | sample:COUNT | comma-separated 0-based file indices",
     )
-    p.add_argument("--max-demands", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="transcript/report JSON path")
 
@@ -333,8 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", required=True, help="comma-separated scheme names")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--slack", type=int, default=8)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", help="table file: JSON if the name ends in .json, else CSV")
 
     return parser
 

@@ -1,8 +1,9 @@
-"""File formats: JSON for designs, text or JSON for PDAs, CSV for tables.
+"""File formats: JSON for designs, text or JSON for PDAs, CSV or JSON for tables.
 
 Both PDA encodings round-trip bit-exactly; packing JSON stores every block
 sorted ascending with the blocks themselves ordered by smallest element.
 Every reader raises ValueError naming the field (or token) it rejects.
+load_pda picks its reader by content, the *_for_path writers by file name.
 """
 
 from __future__ import annotations
@@ -454,6 +455,11 @@ def load_pda(text: str) -> Pda:
     return pda_from_text(text)
 
 
+def pda_for_path(pda: Pda, path: str) -> str:
+    """The PDA as a file at path holds it: JSON for a .json name (any case), else text."""
+    return pda_to_json(pda) if str(path).lower().endswith(".json") else pda_to_text(pda)
+
+
 def phf_to_json(phf: PhfArray) -> str:
     doc = {
         "r": phf.r,
@@ -516,3 +522,10 @@ def scheme_points_to_csv(points: Sequence[SchemePoint]) -> str:
 
 def scheme_points_to_json(points: Sequence[SchemePoint]) -> str:
     return json.dumps([point.as_row() for point in points], indent=2) + "\n"
+
+
+def scheme_points_for_path(points: Sequence[SchemePoint], path: str) -> str:
+    """The table as a file at path holds it: JSON for a .json name (any case), else CSV."""
+    if str(path).lower().endswith(".json"):
+        return scheme_points_to_json(points)
+    return scheme_points_to_csv(points)

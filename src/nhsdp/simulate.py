@@ -21,9 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pda import STAR, Pda, SymbolGroups, symbol_groups
+from .pda import STAR, Pda, SymbolGroups, _check_cells, symbol_groups
 
 DEFAULT_PACKET_LEN = 16
+DEFAULT_DEMAND_BUDGET = 1_000_000
 
 # Words (uint64) per batched working array in a demand sweep; a chunk of
 # demand vectors is sized so that each of its arrays stays near 2 MiB.
@@ -79,7 +80,8 @@ class FileLibrary:
     def random(
         cls, N: int, F: int, packet_len: int = DEFAULT_PACKET_LEN, seed: int = 0
     ) -> "FileLibrary":
-        """Deterministic pseudo-random contents from a 64-bit seed."""
+        """Deterministic pseudo-random contents from a 64-bit seed; N*F*W <= MAX_CELLS words."""
+        _check_cells("file library", N, F * _words(packet_len))
         rng = random.Random(seed)
         bits = 8 * packet_len
         raw = b"".join(
@@ -130,7 +132,7 @@ class DeliveryTranscript:
 
 
 def place(pda: Pda, library: FileLibrary) -> CacheContents:
-    """Run the placement phase: star cells decide what each user caches."""
+    """Placement: star cells decide what each user caches; K*N*Zmax*W <= MAX_CELLS words."""
     if library.F != pda.F:
         raise ValueError(
             f"library has {library.F} packets per file, PDA needs {pda.F}"
@@ -139,6 +141,7 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
     ks, js = np.nonzero(star)
     zmax = max(1, int(star.sum(axis=1).max()))
+    _check_cells("cache", pda.K * library.N, zmax * library.data.shape[2])
     users = np.zeros((pda.K, library.N, zmax, library.data.shape[2]), dtype=np.uint64)
     users[ks, :, slots[ks, js]] = library.data[:, js].swapaxes(0, 1)
     return CacheContents(users, slots)
@@ -359,7 +362,7 @@ def exhaustive_demand_check(
     pda: Pda,
     N: int,
     packet_len: int = DEFAULT_PACKET_LEN,
-    demand_budget: int = 1_000_000,
+    demand_budget: int = DEFAULT_DEMAND_BUDGET,
     seed: int = 0,
 ) -> DemandCheckReport:
     """Run place/deliver/decode over all N^K demands (or a seeded sample).
@@ -370,6 +373,8 @@ def exhaustive_demand_check(
     sample plus the all-equal and (when N >= K) all-distinct corners is used.
     Demand vectors run in chunks through the same kernels as deliver/decode.
     """
+    if demand_budget < 0:
+        raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
     groups = symbol_groups(pda)

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from nhsdp import Pda
+from nhsdp import (
+    Pda,
+    conjugate_pda,
+    construct_nhsdp,
+    group_pda_divisible,
+    mn_pda,
+    pda_from_nhsdp,
+    tradeoff_sweep,
+)
 from nhsdp import pda as pda_mod
 from nhsdp import serialize
 from nhsdp.cli import main
@@ -51,6 +59,10 @@ class TestPipelines:
         assert code == 0
         assert "256/256 demands decoded, load = 1" in stdout
 
+    def test_simulate_sample_of_every_demand_is_exhaustive(self, ex4_file, capsys):
+        code, stdout, _ = run(capsys, "simulate", ex4_file, "--N", 4, "--demands", "sample:256")
+        assert code == 0 and "256/256 demands decoded, load = 1" in stdout
+
     def test_simulate_explicit_demand_writes_transcript(self, ex4_file, tmp_path, capsys):
         out = tmp_path / "transcript.json"
         code, stdout, _ = run(
@@ -76,7 +88,7 @@ class TestPipelines:
         packing = tmp_path / "p.json"
         as_json = tmp_path / "arr.json"
         assert run(capsys, "construct-nhsdp", "--v", 15, "--m", "2", "--out", packing)[0] == 0
-        code, _, _ = run(capsys, "build-pda", packing, "--out", as_json, "--format", "json")
+        code, _, _ = run(capsys, "build-pda", packing, "--out", as_json)
         assert code == 0
         doc = json.loads(as_json.read_text())
         assert (doc["F"], doc["K"], doc["Z"], doc["S"]) == (15, 15, 11, 30)
@@ -128,6 +140,72 @@ class TestPipelines:
         assert any(line.startswith("MN,") for line in lines[1:])
 
 
+def _pda_command(name, tmp_path, ex4_file):
+    """(argv, the array it builds) for one PDA-writing subcommand."""
+    ex4 = serialize.load_pda(ex4_file.read_text())
+    if name == "build-pda":
+        packing = construct_nhsdp(15, (2,))
+        path = tmp_path / "p15.json"
+        path.write_text(serialize.nhsdp_to_json(packing))
+        return ("build-pda", path), pda_from_nhsdp(packing)
+    if name == "conjugate":
+        return ("conjugate", ex4_file), conjugate_pda(ex4)
+    if name == "group":
+        return ("group", ex4_file, "--K", 8), group_pda_divisible(ex4, 8)
+    return ("mn-pda", "--K", 5, "--t", 2), mn_pda(5, 2)
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("command", ["build-pda", "conjugate", "group", "mn-pda"])
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("out.json", serialize.pda_to_json),
+            ("OUT.JSON", serialize.pda_to_json),
+            ("out.txt", serialize.pda_to_text),
+            ("out.json.txt", serialize.pda_to_text),
+        ],
+        ids=["json", "JSON", "txt", "json_txt"],
+    )
+    def test_out_name_picks_the_pda_format(self, ex4_file, tmp_path, capsys, command, name, write):
+        argv, expected = _pda_command(command, tmp_path, ex4_file)
+        out = tmp_path / name
+        assert run(capsys, *argv, "--out", out)[0] == 0
+        assert out.read_bytes() == write(expected).encode()
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            ("t.json", serialize.scheme_points_to_json),
+            ("T.JSON", serialize.scheme_points_to_json),
+            ("t.csv", serialize.scheme_points_to_csv),
+        ],
+        ids=["json", "JSON", "csv"],
+    )
+    def test_out_name_picks_the_table_format(self, tmp_path, capsys, name, write):
+        out = tmp_path / name
+        argv = ("compare", "--schemes", "NHSDP,MN", "--K", 25, "--slack", 0, "--out", out)
+        assert run(capsys, *argv)[0] == 0
+        expected = tradeoff_sweep(25, ["NHSDP", "MN"], slack=0)
+        assert expected and out.read_bytes() == write(expected).encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build-pda", "p.json", "--format", "json"),
+            ("conjugate", "a.txt", "--format", "text"),
+            ("group", "a.txt", "--K", 8, "--format", "json"),
+            ("mn-pda", "--K", 4, "--t", 2, "--format", "json"),
+            ("compare", "--schemes", "MN", "--K", 10, "--format", "json"),
+            ("simulate", "a.txt", "--N", 2, "--max-demands", 10),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_flags_are_rejected(self, capsys, argv):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments: --" in stderr
+
+
 class TestFailures:
     def test_verify_pda_flipped_star_is_c3b(self, ex4_file, tmp_path, capsys):
         lines = ex4_file.read_text().splitlines()
@@ -160,10 +238,7 @@ class TestFailures:
         assert code == 2 and stderr.startswith("error: --v: ") and "admissible minimum" in stderr
 
     def test_simulate_all_over_budget_is_usage_error(self, ex4_file, capsys):
-        code, _, stderr = run(
-            capsys, "simulate", ex4_file, "--N", 4, "--demands", "all",
-            "--max-demands", 10,
-        )
+        code, _, stderr = run(capsys, "simulate", ex4_file, "--N", 32, "--demands", "all")
         assert code == 2 and "sample:COUNT" in stderr
 
     @pytest.mark.parametrize(
@@ -173,8 +248,9 @@ class TestFailures:
             (("--N", 2, "--demands", "0,1,2,1"), "--demands"),
             (("--N", 0), "--N"),
             (("--N", 2, "--packet-len", 0), "--packet-len"),
+            (("--N", 2, "--demands", "sample:-5"), "--demands"),
         ],
-        ids=["demand_length", "demand_index", "zero_files", "zero_packet_len"],
+        ids=["demand_length", "demand_index", "zero_files", "zero_packet_len", "negative_sample"],
     )
     def test_simulate_bad_values_are_usage_errors(self, ex4_file, capsys, flags, flag):
         code, _, stderr = run(capsys, "simulate", ex4_file, *flags)
@@ -288,6 +364,7 @@ class TestFailures:
             (("ntap", "--n", 0), "--n", "n must be positive"),
             (("ntap", "--n", 40), "--n", "2^40 elements is over the limit of MAX_CELLS"),
             (("compare", "--schemes", "BOGUS", "--K", 100), "--schemes", "'BOGUS'"),
+            (("compare", "--schemes", ",", "--K", 15), "--schemes", "scheme ''"),
             (("compare", "--schemes", "MN", "--K", 0), "--K", "K must be at least 1, got 0"),
             (
                 ("compare", "--schemes", "MN", "--K", 1000, "--slack", -1),
@@ -301,7 +378,7 @@ class TestFailures:
         ],
         ids=[
             "mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "ntap_cells",
-            "scheme", "compare_K", "compare_slack", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
+            "scheme", "no_scheme", "compare_K", "compare_slack", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
         ],
     )
     def test_rejected_flag_values_are_usage_errors(self, tmp_path, capsys, argv, flag, message):
@@ -392,9 +469,28 @@ class TestFailures:
         assert code == 2 and stdout == "" and not out.exists()
         assert stderr.startswith(f"error: {packing}: ") and "15 x 15 = 225 cells" in stderr
         packing.write_text('{"v": 16, "blocks": [[1, 15]]}')
-        code, stdout, stderr = run(capsys, "build-pda", packing, "--out", out)
-        assert code == 2 and stdout == "" and not out.exists()
-        assert stderr == f"error: {packing}: NHSDP modulus must be odd and >= 3, got 16\n"
+        for argv in (("build-pda", packing, "--out", out), ("verify-nhsdp", packing)):
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 2 and stdout == "" and not out.exists()
+            assert stderr == f"error: {packing}: NHSDP modulus must be odd and >= 3, got 16\n"
+
+    @pytest.mark.parametrize(
+        "demands", ["all", "sample:3", "0,1,2,3"], ids=["all", "sample", "one_demand"]
+    )
+    def test_simulate_sizes_over_cell_limit_are_refused(
+        self, ex4_file, tmp_path, capsys, monkeypatch, demands
+    ):
+        out = tmp_path / "transcript.json"
+        argv = ("simulate", ex4_file, "--N", 4, "--demands", demands, "--out", out)
+        # ex4 at N=4, packet_len=16: a 4 x 4 x 2-word library, caches of 4 x 4 x 2 x 2 words.
+        for limit, message in ((31, "file library array would be 4 x 8 = 32 cells"),
+                               (63, "cache array would be 16 x 4 = 64 cells")):
+            monkeypatch.setattr(pda_mod, "MAX_CELLS", limit)
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 2 and stdout == "" and not out.exists()
+            assert stderr.startswith("error: --N, --packet-len: ") and message in stderr
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 64)
+        assert run(capsys, *argv)[0] == 0
 
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

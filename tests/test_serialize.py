@@ -140,6 +140,15 @@ class TestPdaFormats:
         assert serialize.load_pda(serialize.pda_to_json(ex4_pda)).same_as(ex4_pda)
         assert serialize.load_pda(serialize.pda_to_text(ex4_pda)).same_as(ex4_pda)
 
+    @pytest.mark.parametrize(
+        "path, json_out",
+        [("a.json", True), ("dir/A.Json", True), ("a.txt", False), ("a.json.txt", False),
+         ("json", False), ("a", False)],
+    )
+    def test_path_picks_the_writer(self, ex4_pda, path, json_out):
+        write = serialize.pda_to_json if json_out else serialize.pda_to_text
+        assert serialize.pda_for_path(ex4_pda, path) == write(ex4_pda)
+
     def test_ragged_text_rejected(self):
         with pytest.raises(ValueError):
             serialize.pda_from_text("* 1\n2\n")
@@ -502,6 +511,14 @@ class TestTables:
         )
         assert lines[1].startswith("NHSDP,v=125;n=3;m=2|2|2")
         assert ",61,125,8,1,125,8,1" in lines[1]
+
+    @pytest.mark.parametrize(
+        "path, json_out", [("t.json", True), ("T.JSON", True), ("t.csv", False), ("t", False)]
+    )
+    def test_path_picks_the_writer(self, path, json_out):
+        points = [evaluate_nhsdp_scheme(125, 3)]
+        write = serialize.scheme_points_to_json if json_out else serialize.scheme_points_to_csv
+        assert serialize.scheme_points_for_path(points, path) == write(points)
 
     def test_json_mirror(self):
         grouped = apply_grouping_formula(evaluate_scheme("MN", {"K": 10, "t": 5}), 125)

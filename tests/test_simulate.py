@@ -24,6 +24,7 @@ from nhsdp import (
     simulate,
     symbol_groups,
 )
+from nhsdp import pda as pda_mod
 from nhsdp.packing import Nhsdp
 
 
@@ -110,6 +111,18 @@ class TestPlacement:
     def test_packet_count_mismatch(self, ex4_pda):
         with pytest.raises(ValueError):
             place(ex4_pda, FileLibrary.random(2, 5, seed=0))
+
+    def test_sizes_over_cell_limit_are_refused(self, ex4_pda, monkeypatch):
+        # N=3 files of F=4 packets of 3 words; caches of K=4 users x 3 files x Z=2 x 3 words.
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 3 * 4 * 3 - 1)
+        with pytest.raises(ValueError, match=r"file library array would be 3 x 12 = 36 cells.*= 35"):
+            FileLibrary.random(3, 4, packet_len=17)
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 36)
+        library = FileLibrary.random(3, 4, packet_len=17)
+        with pytest.raises(ValueError, match=r"cache array would be 12 x 6 = 72 cells.*= 36"):
+            place(ex4_pda, library)
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 72)
+        assert place(ex4_pda, library).users.size == 72
 
 
 class TestDelivery:
@@ -287,6 +300,10 @@ class TestDemandSweep:
         report = exhaustive_demand_check(arr, N=3)
         assert report.checked == 27 and report.ok
         assert report.nominal_load == 1
+
+    def test_negative_budget_is_refused(self, ex4_pda):
+        with pytest.raises(ValueError, match="demand budget must be non-negative, got -5"):
+            exhaustive_demand_check(ex4_pda, N=4, demand_budget=-5)
 
     def test_sampled_when_over_budget(self, ex4_pda):
         report = exhaustive_demand_check(ex4_pda, N=4, demand_budget=50)
