@@ -17,9 +17,14 @@ from . import designs, packing, pda as pda_mod, schemes, serialize, simulate
 
 
 def _write(path: str | None, payload) -> None:
-    """Write payload, or payload(path) for a writer that reads the name, to path if given."""
+    """Write payload, or payload(path) for a writer that reads the name, to path if given;
+    a path that cannot be written is a usage error naming it."""
     if path:
-        Path(path).write_text(payload(path) if callable(payload) else payload)
+        text = payload(path) if callable(payload) else payload
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc}")
 
 
 class _UsageError(Exception):
@@ -185,8 +190,9 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--demands lists {len(demand)} files, {args.file} has K={arr.K} users")
     if any(not (0 <= x < args.N) for x in demand):
         raise _UsageError(f"--demands entries must be file indices in [0, {args.N}) for --N {args.N}")
-    library = _flagged(sizes, simulate.FileLibrary.random, args.N, arr.F, args.packet_len, args.seed)
-    cache = _flagged(sizes, simulate.place, arr, library)
+    _flagged(sizes, simulate._check_sizes, arr, args.N, args.packet_len)
+    library = simulate.FileLibrary.random(args.N, arr.F, args.packet_len, args.seed)
+    cache = simulate.place(arr, library)
     transcript = simulate.deliver(arr, library, cache, demand)
     files = simulate.decode(arr, cache, transcript)
     bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]

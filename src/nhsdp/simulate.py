@@ -131,17 +131,25 @@ class DeliveryTranscript:
     seed: int | None
 
 
+def _check_sizes(pda: Pda, N: int, packet_len: int) -> int:
+    """Zmax, once the library and then the caches for N files fit MAX_CELLS words."""
+    W = _words(packet_len)
+    _check_cells("file library", N, pda.F * W)
+    zmax = max(1, int((pda.grid == STAR).sum(axis=0).max()))
+    _check_cells("cache", pda.K * N, zmax * W)
+    return zmax
+
+
 def place(pda: Pda, library: FileLibrary) -> CacheContents:
     """Placement: star cells decide what each user caches; K*N*Zmax*W <= MAX_CELLS words."""
     if library.F != pda.F:
         raise ValueError(
             f"library has {library.F} packets per file, PDA needs {pda.F}"
         )
+    zmax = _check_sizes(pda, library.N, library.packet_len)
     star = (pda.grid == STAR).T  # (K, F)
     slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
     ks, js = np.nonzero(star)
-    zmax = max(1, int(star.sum(axis=1).max()))
-    _check_cells("cache", pda.K * library.N, zmax * library.data.shape[2])
     users = np.zeros((pda.K, library.N, zmax, library.data.shape[2]), dtype=np.uint64)
     users[ks, :, slots[ks, js]] = library.data[:, js].swapaxes(0, 1)
     return CacheContents(users, slots)
@@ -168,61 +176,54 @@ def _payloads(groups: SymbolGroups, S: int, data: np.ndarray, d: np.ndarray) -> 
 
 def _decode(
     groups: SymbolGroups, cache: CacheContents, payloads: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """(K, F, B, W) files every user recovers from payloads (S, B, W).
+) -> tuple[np.ndarray, dict[int, tuple[int, int, int]]]:
+    """(K, F, B, W) files every user recovers from payloads (S, B, W), and
+    the users blocked by a packet their cache has no slot for.
 
     Cached rows are the user's own copy; any other row is its symbol's
     payload XOR the group's other packets, each read from the receiver's
-    cache through the slot map.  Each pair of ``groups.pairs()``, the pairs
-    that ``verify_pda`` checks for C3b, cancels in both directions.  A
-    missing slot (-1) leaves a star row unset or reads some other cached
-    packet, so callers must screen users with ``_blocked`` first.
+    cache through the slot map; a read with no slot blocks the receiver.
+    Each pair of ``groups.pairs()`` (the C3b pairs of ``verify_pda``)
+    cancels in both directions.  A blocked user's witness (row, user whose
+    demand names the file, symbol) is its least blocked (receiver cell,
+    other cell) pair, else its first row neither cached nor in a cell, with
+    symbol 0.
     """
     users, slots = cache.users, cache.slots
     K, N, Z, W = users.shape
     F = slots.shape[1]
     flat, dZ = users.reshape(-1, W), d.T * Z
 
-    def cached(k, u, j):  # user k's copy of row j of the file user u demands
-        base = k * (N * Z) + slots[k, j]
-        return np.take(flat, dZ[u] + base[:, None], axis=0)
+    def cached(k, u, slot):  # user k's copy, in slot, of the file user u demands
+        return np.take(flat, dZ[u] + (k * (N * Z) + slot)[:, None], axis=0)
 
     out = np.empty((K * F, len(d), W), dtype=np.uint64)
     k, j = np.nonzero(slots >= 0)
-    out[k * F + j] = cached(k, k, j)
-    user, row = groups.user, groups.row
-    got = payloads[groups.symbol - 1]
+    out[k * F + j] = cached(k, k, slots[k, j])
+    user, row, symbol = groups.user, groups.row, groups.symbol
+    got = payloads[symbol - 1]
+    lost = []  # (receiver cells, other cells) with no slot
     for c, o in groups.pairs():
         uc, uo = user[c], user[o]
-        got[c] ^= cached(uc, uo, row[o])
-        got[o] ^= cached(uo, uc, row[c])
+        sc, so = slots[uc, row[o]], slots[uo, row[c]]
+        got[c] ^= cached(uc, uo, sc)
+        got[o] ^= cached(uo, uc, so)
+        if min(sc.min(), so.min()) < 0:
+            lost += [(c[sc < 0], o[sc < 0]), (o[so < 0], c[so < 0])]
     out[user * F + row] = got
-    return out.reshape(K, F, len(d), W)
-
-
-def _blocked(
-    pda: Pda, groups: SymbolGroups, slots: np.ndarray
-) -> dict[int, tuple[int, int, int]]:
-    """Users that need a packet their cache has no slot for.
-
-    Maps each such user to a witness (row, user whose demand names the
-    file, symbol): its least blocked (receiver cell, other cell) pair, so
-    its lowest symbol, and only else its first own star row, marked by
-    symbol 0.
-    """
-    least: dict[int, tuple[int, int]] = {}
-    for c, o in groups.pairs():
-        for a, b in ((c, o), (o, c)):
-            for i in np.flatnonzero(slots[groups.user[a], groups.row[b]] < 0).tolist():
-                k, pair = int(groups.user[a[i]]), (int(a[i]), int(b[i]))
-                least[k] = min(least.get(k, pair), pair)
-    blocked = {
-        k: (int(groups.row[o]), int(groups.user[o]), int(groups.symbol[c]))
-        for k, (c, o) in least.items()
-    }
-    for k, j in zip(*np.nonzero((pda.grid.T == STAR) & (slots < 0))):
-        blocked.setdefault(int(k), (int(j), int(k), 0))
-    return blocked
+    blocked = {}
+    if lost:
+        a, b = map(np.concatenate, zip(*lost))
+        order = np.lexsort((b, a))
+        for i in order[np.unique(user[a[order]], return_index=True)[1]]:
+            blocked[int(user[a[i]])] = (int(row[b[i]]), int(user[b[i]]), int(symbol[a[i]]))
+    unset = slots < 0
+    unset[user, row] = False
+    if unset.any():
+        ks, js = np.nonzero(unset)
+        for i in np.unique(ks, return_index=True)[1]:
+            blocked.setdefault(int(ks[i]), (int(js[i]), int(ks[i]), 0))
+    return out.reshape(K, F, len(d), W), blocked
 
 
 def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
@@ -295,16 +296,15 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
         raise ValueError(f"transcript must carry one transmission per symbol 1..S={pda.S}")
 
     groups = symbol_groups(pda)
-    blocked = _blocked(pda, groups, cache.slots)
-    if blocked:
-        k = min(blocked)
-        raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
     txns = transcript.transmissions
     wire = np.zeros((pda.S, 1, 8 * W), dtype=np.uint8)
     wire[np.array([t.symbol - 1 for t in txns], dtype=np.int64), 0, :L] = np.frombuffer(
         b"".join(t.payload for t in txns), dtype=np.uint8
     ).reshape(len(txns), L)
-    files = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    files, blocked = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    if blocked:
+        k = min(blocked)
+        raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
     files = files[:, :, 0].view(np.uint8)[..., :L]
     return tuple(files[k].tobytes() for k in range(pda.K))
 
@@ -375,12 +375,10 @@ def exhaustive_demand_check(
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
+    _check_sizes(pda, N, packet_len)
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
     groups = symbol_groups(pda)
-    blocked = _blocked(pda, groups, cache.slots)
-    is_blocked = np.zeros(pda.K, dtype=bool)
-    is_blocked[list(blocked)] = True
     nominal = Fraction(pda.S, pda.F)
     W = library.data.shape[2]
     rows = np.arange(pda.F)[:, None]
@@ -403,10 +401,11 @@ def exhaustive_demand_check(
                 for v in map(tuple, d.tolist())
             ]
             continue
-        files = _decode(groups, cache, payloads, d)
+        files, blocked = _decode(groups, cache, payloads, d)
         expected = np.take(library.data.reshape(-1, W), d.T[:, None, :] * pda.F + rows, axis=0)
         wrong = (files != expected).any(axis=1).any(axis=-1)  # (K, B)
-        for b, k in zip(*np.nonzero(wrong.T | is_blocked)):
+        wrong[list(blocked)] = True
+        for b, k in zip(*np.nonzero(wrong.T)):
             v, k = tuple(d[b].tolist()), int(k)
             reason = (
                 _unrecoverable(k, blocked[k], v)

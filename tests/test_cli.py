@@ -13,7 +13,7 @@ from nhsdp import (
     tradeoff_sweep,
 )
 from nhsdp import pda as pda_mod
-from nhsdp import serialize
+from nhsdp import serialize, simulate
 from nhsdp.cli import main
 from conftest import EX4_GRID
 
@@ -482,6 +482,11 @@ class TestFailures:
     ):
         out = tmp_path / "transcript.json"
         argv = ("simulate", ex4_file, "--N", 4, "--demands", demands, "--out", out)
+        built = []
+        real = simulate.FileLibrary.random
+        monkeypatch.setattr(
+            simulate.FileLibrary, "random", staticmethod(lambda *a: built.append(a) or real(*a))
+        )
         # ex4 at N=4, packet_len=16: a 4 x 4 x 2-word library, caches of 4 x 4 x 2 x 2 words.
         for limit, message in ((31, "file library array would be 4 x 8 = 32 cells"),
                                (63, "cache array would be 16 x 4 = 64 cells")):
@@ -489,8 +494,26 @@ class TestFailures:
             code, stdout, stderr = run(capsys, *argv)
             assert code == 2 and stdout == "" and not out.exists()
             assert stderr.startswith("error: --N, --packet-len: ") and message in stderr
+        assert built == []  # refused before the library is built
         monkeypatch.setattr(pda_mod, "MAX_CELLS", 64)
-        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv)[0] == 0 and len(built) == 1
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", ["construct-nhsdp", "build-pda", "compare", "simulate"])
+    def test_unwritable_out_is_usage_error(self, ex4_file, tmp_path, capsys, command, target):
+        packing = tmp_path / "p.json"
+        assert run(capsys, "construct-nhsdp", "--v", 15, "--m", 2, "--out", packing)[0] == 0
+        argv = {
+            "construct-nhsdp": ("construct-nhsdp", "--v", 15, "--m", 2),
+            "build-pda": ("build-pda", packing),
+            "compare": ("compare", "--schemes", "MN", "--K", 8),
+            "simulate": ("simulate", ex4_file, "--N", 4, "--demands", "0,1,2,3"),
+        }[command]
+        out = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+        code, _, stderr = run(capsys, *argv, "--out", out)
+        assert code == 2 and stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in stderr and stderr.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_determinism(self, tmp_path, capsys):
         first = tmp_path / "a.csv"

@@ -58,6 +58,14 @@ def corrupt_place(monkeypatch, corrupt):
     monkeypatch.setattr(simulate, "place", place_then_corrupt)
 
 
+def blocked_reason(k, witness, d):
+    """The failure reason a sweep gives for user k with this witness."""
+    row, u, symbol = witness
+    if symbol:
+        return f"user {k} lacks interfering packet ({d[u]}, {row}) needed for symbol {symbol}"
+    return f"user {k} should have cached packet ({d[k]}, {row})"
+
+
 def reference_blocked(pda, slots):
     """Per user, the witness of its lowest symbol with another cell, in
     (user, row) order, on a row the user has no slot for; else its first
@@ -123,6 +131,22 @@ class TestPlacement:
             place(ex4_pda, library)
         monkeypatch.setattr(pda_mod, "MAX_CELLS", 72)
         assert place(ex4_pda, library).users.size == 72
+
+    def test_refused_sweep_builds_no_library(self, ex4_pda, monkeypatch):
+        built = []
+        real = FileLibrary.random
+        monkeypatch.setattr(
+            FileLibrary, "random", staticmethod(lambda *a: built.append(a) or real(*a))
+        )
+        # ex4 at N=4, packet_len=16: a 4 x 8-word library, caches of 16 x 4 words.
+        for limit, message in ((31, "file library array would be 4 x 8 = 32"),
+                               (63, "cache array would be 16 x 4 = 64")):
+            monkeypatch.setattr(pda_mod, "MAX_CELLS", limit)
+            with pytest.raises(ValueError, match=message):
+                exhaustive_demand_check(ex4_pda, N=4)
+        assert built == []
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 64)
+        assert exhaustive_demand_check(ex4_pda, N=4).ok and len(built) == 1
 
 
 class TestDelivery:
@@ -261,15 +285,33 @@ class TestDecode:
     @pytest.mark.parametrize("name", ["ex4", "ex15", "irregular", "mn"])
     def test_blocked_witness_is_lowest_symbol(self, request, name):
         arr = mn_pda(5, 2) if name == "mn" else request.getfixturevalue(f"{name}_pda")
-        base = place(arr, FileLibrary.random(2, arr.F, seed=1)).slots
+        library = FileLibrary.random(2, arr.F, seed=1)
+        cache = place(arr, library)
         groups = symbol_groups(arr)
+        d = np.zeros((1, arr.K), dtype=np.int64)
+        payloads = simulate._payloads(groups, arr.S, library.data, d)
         rng = np.random.default_rng(7)
         for _ in range(40):
-            slots = base.copy()
+            slots = cache.slots.copy()
             k, j = np.nonzero(slots >= 0)
             clear = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
             slots[k[clear], j[clear]] = -1
-            assert simulate._blocked(arr, groups, slots) == reference_blocked(arr, slots)
+            cleared = dataclasses.replace(cache, slots=slots)
+            _, blocked = simulate._decode(groups, cleared, payloads, d)
+            assert blocked == reference_blocked(arr, slots)
+
+    def test_uncached_star_rows_witness_the_first(self):
+        # Users 1 and 2 are blocked; decode names the lower one and its first row.
+        arr = Pda(np.zeros((3, 3), dtype=np.int64), Z=3, S=0)
+        library = FileLibrary.random(2, 3, seed=1)
+        cache = place(arr, library)
+        transcript = deliver(arr, library, cache, (0, 1, 0))
+        cache.slots[1, 1:] = -1
+        cache.slots[2, 0] = -1
+        with pytest.raises(
+            UnrecoverablePacketError, match=r"^user 1 should have cached packet \(1, 1\)$"
+        ):
+            decode(arr, cache, transcript)
 
     def test_rejects_bad_user(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
@@ -350,6 +392,49 @@ class TestDemandSweep:
         d, _, reason = report.failures[7]
         assert d == (0, 0, 1, 3)
         assert reason == "user 0 lacks interfering packet (0, 0) needed for symbol 1"
+
+    @pytest.mark.parametrize("name", ["irregular", "mn"])
+    def test_sweep_witnesses_on_larger_groups(self, request, monkeypatch, name):
+        # Groups of 3 and 4 cells (irregular) and of 3 (mn_pda(5, 2)).
+        arr = mn_pda(5, 2) if name == "mn" else request.getfixturevalue(f"{name}_pda")
+        rng = np.random.default_rng(11)
+        cleared = []
+
+        def clear(cache):
+            k, j = np.nonzero(cache.slots >= 0)
+            pick = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
+            cache.slots[k[pick], j[pick]] = -1
+            cleared.append(cache.slots.copy())
+
+        corrupt_place(monkeypatch, clear)
+        for _ in range(20):
+            report = exhaustive_demand_check(arr, N=2, demand_budget=40)
+            want = reference_blocked(arr, cleared[-1])
+            assert want and report.loads_all_equal
+            assert len(report.failures) == report.checked * len(want)
+            for d, k, reason in report.failures:
+                assert reason == blocked_reason(k, want[k], d)
+
+    def test_pairs_walked_once_per_decode_and_chunk(self, ex15_pda, monkeypatch):
+        walks, chunks = [], []
+        real_pairs, real_payloads = pda_mod.SymbolGroups.pairs, simulate._payloads
+
+        def pairs(groups):
+            walks.append(1)
+            yield from real_pairs(groups)
+
+        monkeypatch.setattr(pda_mod.SymbolGroups, "pairs", pairs)
+        monkeypatch.setattr(simulate, "_payloads", lambda *a: chunks.append(1) or real_payloads(*a))
+        library = FileLibrary.random(2, ex15_pda.F, seed=4)
+        cache = place(ex15_pda, library)
+        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
+        assert decode(ex15_pda, cache, transcript) == (library.file_bytes(1),) * 15
+        assert len(walks) == 1
+        walks.clear()
+        chunks.clear()
+        report = exhaustive_demand_check(ex15_pda, N=2, demand_budget=600)
+        assert report.ok and report.checked == 601 and len(chunks) == 3  # 256 + 256 + 89
+        assert len(walks) == 3
 
     def test_short_broadcast_fails_the_load(self, ex15_pda, monkeypatch):
         real = simulate._payloads
