@@ -150,14 +150,19 @@ def _cmd_mn_pda(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    spec = args.demands
+    sweep = spec == "all" or spec.startswith("sample:")
+    if sweep and args.out:
+        raise _UsageError(
+            f"--out: a transcript is written for one demand vector only, not for {spec}"
+        )
     if args.N < 1:
         raise _UsageError(f"--N must be at least 1, got {args.N}")
     if args.packet_len < 1:
         raise _UsageError(f"--packet-len must be at least 1, got {args.packet_len}")
     arr = _load_valid_pda(args.file)
     sizes = "--N, --packet-len"  # they size the file library and the caches
-    spec = args.demands
-    if spec == "all" or spec.startswith("sample:"):
+    if sweep:
         if spec == "all":
             budget = simulate.DEFAULT_DEMAND_BUDGET
             total = args.N**arr.K
@@ -303,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="all | sample:COUNT | comma-separated 0-based file indices",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="transcript/report JSON path")
+    p.add_argument("--out", help="transcript JSON path (one demand vector only)")
 
     p = add("ntap", _cmd_ntap, help="build the 2^n-element progression-free set")
     p.add_argument("--n", type=int, required=True)
@@ -313,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
 
-    p = add("ds-search", _cmd_ds_search, help="search for a planar difference set")
+    p = add("ds-search", _cmd_ds_search, help="build or search for a planar difference set")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
 

@@ -14,10 +14,11 @@ packings (CDPs), which embed as single-block NHSDPs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ringmath import OddResidueRing, integer_nth_root, is_prime_power
+from .ringmath import OddResidueRing, integer_nth_root, prime_factors, prime_power_parts
 
 
 @dataclass(frozen=True)
@@ -355,27 +356,130 @@ def cdp_to_nhsdp(cdp: Cdp) -> Nhsdp:
     return Nhsdp(cdp.v, (tuple(sorted(cdp.elements)),))
 
 
-DS_SEARCH_MAX_Q = 16  # the search takes about a minute at q=11 and did not end at q=13
+DS_SEARCH_MAX_Q = 16  # Singer's construction takes milliseconds at every prime power up to here
 
 
 def ds_search(q: int) -> Cdp | None:
-    """Backtracking search for a (q^2 + q + 1, q + 1) difference set.
+    """A (q^2 + q + 1, q + 1) planar difference set, canonicalised.
 
-    The set is canonicalised to contain 0 and 1 and to be the
-    lexicographically least such representative (every difference set has a
-    translate containing {0, 1}, since the difference 1 is represented).
-    Returns None when the bounded search exhausts, which is the outcome for
-    q = 6.  Other non-prime-power q (10, 12, 14, 15) are refused: their
-    search does not end in practice, and by theorem there is no set to find.
+    The set contains 0 and 1 (every difference set has such a translate,
+    since the difference 1 is represented).  For a prime power q it is built
+    by Singer's construction and returned as the lexicographically least set
+    containing {0, 1} in its Singer orbit: its images t * D + s for every
+    multiplier t prime to v and every translate s.  Backtracking finds the
+    same set as the least planar difference set containing {0, 1} for every
+    prime power q <= 11; for q = 13 and 16 no backtracking reference exists,
+    as the search does not end in practice.
+
+    q = 6 is searched by backtracking, which exhausts and returns None.
+    Other non-prime-power q (10, 12, 14, 15) are refused: their search does
+    not end in practice, and by theorem there is no set to find.
     """
     if not 2 <= q <= DS_SEARCH_MAX_Q:
         raise ValueError(f"q must lie in [2, {DS_SEARCH_MAX_Q}], got {q}")
-    if q > 6 and not is_prime_power(q):
-        raise ValueError(
-            f"q={q} is not a prime power, and no planar difference set of "
-            "non-prime-power order below 2,000,000 exists (a theorem: D. M. Gordon, "
-            "Electron. J. Combin. 1 (1994) R6)"
-        )
+    parts = prime_power_parts(q)
+    if parts is None:
+        if q > 6:
+            raise ValueError(
+                f"q={q} is not a prime power, and no planar difference set of "
+                "non-prime-power order below 2,000,000 exists (a theorem: D. M. Gordon, "
+                "Electron. J. Combin. 1 (1994) R6)"
+            )
+        return _ds_backtrack(q)
+    v = q * q + q + 1
+    return Cdp.from_elements(v, _least_in_orbit(v, _singer_set(q, *parts)))
+
+
+def _singer_set(q: int, p: int, e: int) -> list[int]:
+    """Singer's planar difference set {i mod v : Tr(alpha^i) = 0}, v = q^2 + q + 1.
+
+    GF(q^3) is GF(p)[x] modulo the first monic degree-3e polynomial, in
+    ascending order of its coefficients read as base-p digits, in which
+    alpha = x has order p^(3e) - 1.  Tr(y) = y + y^q + y^(q^2) maps GF(q^3)
+    onto GF(q) and is GF(p)-linear, so it is tabulated on the basis x^j.
+    alpha^v lies in GF(q)*, so whether Tr(alpha^i) vanishes depends only on
+    i mod v (J. Singer, Trans. Amer. Math. Soc. 43 (1938) 377-385).
+    """
+    n = 3 * e
+    order = p**n - 1
+    exponents = [order // r for r in prime_factors(order)]
+    one = [1] + [0] * (n - 1)
+    x = [0, 1] + [0] * (n - 2)
+    for code in range(p**n + 1, 2 * p**n):
+        # x^n = -(c_0 + c_1 x + ... + c_{n-1} x^{n-1}) for the base-p digits c_j of code
+        red = [-(code // p**j) % p for j in range(n)]
+        if red[0] and _gf_pow(x, order, red, p) == one and all(
+            _gf_pow(x, k, red, p) != one for k in exponents
+        ):
+            break
+    trace = []
+    basis = one
+    for _ in range(n):
+        terms = (basis, _gf_pow(basis, q, red, p), _gf_pow(basis, q * q, red, p))
+        trace.append([sum(col) % p for col in zip(*terms)])
+        basis = _gf_mul(basis, x, red, p)
+    out = []
+    power = one
+    for i in range(q * q + q + 1):
+        if all(sum(c * t[k] for c, t in zip(power, trace)) % p == 0 for k in range(n)):
+            out.append(i)
+        power = _gf_mul(power, x, red, p)
+    return out
+
+
+def _gf_mul(a: list[int], b: list[int], red: list[int], p: int) -> list[int]:
+    """a * b in GF(p)[x] / (x^n - red(x)), coefficients listed from x^0."""
+    n = len(red)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * n - 2, n - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j, rj in enumerate(red):
+                prod[d - n + j] += c * rj
+    return [c % p for c in prod[:n]]
+
+
+def _gf_pow(a: list[int], k: int, red: list[int], p: int) -> list[int]:
+    """a^k in GF(p)[x] / (x^n - red(x)) by square-and-multiply, for k >= 1."""
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else _gf_mul(result, a, red, p)
+        k >>= 1
+        if not k:
+            return result
+        a = _gf_mul(a, a, red, p)
+
+
+def _least_in_orbit(v: int, elements: Iterable[int]) -> tuple[int, ...]:
+    """The lexicographically least t * D + s containing {0, 1}, over gcd(t, v) = 1.
+
+    D must be a difference set: each t * D then represents the difference 1
+    exactly once, by a pair (a, a + 1), and s = -a is its one translate that
+    contains {0, 1}.
+    """
+    best = None
+    for t in range(1, v):
+        if math.gcd(t, v) != 1:
+            continue
+        scaled = {t * d % v for d in elements}
+        a = next(a for a in scaled if (a + 1) % v in scaled)
+        image = tuple(sorted((x - a) % v for x in scaled))
+        if best is None or image < best:
+            best = image
+    return best
+
+
+def _ds_backtrack(q: int) -> Cdp | None:
+    """Backtracking search for the least (q^2 + q + 1, q + 1) difference set containing {0, 1}.
+
+    Elements are tried in ascending order, so the first set found is the
+    lexicographically least one.  Returns None when the search exhausts.
+    """
     v = q * q + q + 1
     k = q + 1
 

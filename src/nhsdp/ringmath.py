@@ -86,15 +86,37 @@ def integer_nth_root(v: int, n: int) -> int:
     return lo
 
 
-def is_prime_power(q: int) -> bool:
-    """True when q = p^e for some prime p and e >= 1."""
+def prime_power_parts(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p and e >= 1, or None if q is no prime power."""
     if q < 2:
-        return False
+        return None
     for e in range(1, q.bit_length()):
         p = integer_nth_root(q, e)
         if p**e == q and _is_prime(p):
-            return True
-    return False
+            return p, e
+    return None
+
+
+def is_prime_power(q: int) -> bool:
+    """True when q = p^e for some prime p and e >= 1."""
+    return prime_power_parts(q) is not None
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"prime_factors requires n >= 1, got {n}")
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def _is_prime(p: int) -> bool:

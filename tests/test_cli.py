@@ -11,6 +11,7 @@ from nhsdp import (
     mn_pda,
     pda_from_nhsdp,
     tradeoff_sweep,
+    verify_cdp,
 )
 from nhsdp import pda as pda_mod
 from nhsdp import serialize, simulate
@@ -127,6 +128,15 @@ class TestPipelines:
         assert code == 0 and "(13,4) DS" in stdout and "0,1,3,9" in stdout
         code, stdout, _ = run(capsys, "ds-search", "--q", 6)
         assert code == 0 and "search space exhausted" in stdout
+
+    @pytest.mark.parametrize("q", [13, 16])
+    def test_ds_search_beyond_backtracking(self, tmp_path, capsys, q):
+        out = tmp_path / f"ds{q}.json"
+        code, stdout, _ = run(capsys, "ds-search", "--q", q, "--out", out)
+        v = q * q + q + 1
+        assert code == 0 and f"({v},{q + 1}) DS" in stdout
+        doc = json.loads(out.read_text())
+        assert doc["v"] == v and verify_cdp(v, doc["elements"]).code == "ds"
 
     def test_compare_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -328,6 +338,15 @@ class TestFailures:
         assert code == 1 and "[C3b]" in stderr and str(mutated) in stderr
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("demands", ["all", "sample:5"])
+    def test_sweep_refuses_out(self, ex4_file, tmp_path, capsys, demands):
+        out = tmp_path / "r.json"
+        code, stdout, stderr = run(
+            capsys, "simulate", ex4_file, "--N", 2, "--demands", demands, "--out", out
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        assert stderr.startswith("error: --out: ") and demands in stderr
+
     @pytest.mark.parametrize("q", [1, 17])
     def test_ds_search_order_out_of_range_is_usage_error(self, capsys, q):
         code, _, stderr = run(capsys, "ds-search", "--q", q)
@@ -481,7 +500,9 @@ class TestFailures:
         self, ex4_file, tmp_path, capsys, monkeypatch, demands
     ):
         out = tmp_path / "transcript.json"
-        argv = ("simulate", ex4_file, "--N", 4, "--demands", demands, "--out", out)
+        argv = ("simulate", ex4_file, "--N", 4, "--demands", demands)
+        if "," in demands:  # a sweep refuses --out
+            argv += ("--out", out)
         built = []
         real = simulate.FileLibrary.random
         monkeypatch.setattr(

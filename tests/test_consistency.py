@@ -7,15 +7,18 @@ emits must equal R.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from nhsdp import (
     FileLibrary,
     apply_grouping_formula,
+    cdp_to_nhsdp,
     conjugate_pda,
     construct_nhsdp,
     deliver,
+    ds_search,
     evaluate_nhsdp_scheme,
     evaluate_scheme,
     group_pda_divisible,
@@ -39,6 +42,10 @@ def _conjugate(v, n, solver):
 
 def _mn(K, t):
     return evaluate_scheme("MN", {"K": K, "t": t}), mn_pda(K, t)
+
+
+def _ask1(q):
+    return evaluate_scheme("ASK1", {"q": q}), pda_from_nhsdp(cdp_to_nhsdp(ds_search(q)))
 
 
 def _grouped(base, h):
@@ -66,6 +73,8 @@ CASES = {
     "grouped_nhsdp_63_3_x3": lambda: _grouped(_lift(63, 3, "closed_form"), 3),
     "grouped_conj_27_3_x2": lambda: _grouped(_conjugate(27, 3, "closed_form"), 2),
     "grouped_mn_5_2_x3": lambda: _grouped(_mn(5, 2), 3),
+    # ASK1 is the lift of the planar difference set of order q.
+    **{f"ask1_{q}": partial(_ask1, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)},
 }
 
 

@@ -20,6 +20,7 @@ from nhsdp import (
     verify_cdp,
     verify_nhsdp,
 )
+from nhsdp.packing import _ds_backtrack, _least_in_orbit
 from conftest import EX15_BLOCKS
 
 def reference_problem1(v, n):
@@ -320,6 +321,18 @@ class TestDsSearch:
             assert cdp.is_difference_set
             assert cdp.elements[:2] == (0, 1)
             assert verify_cdp(cdp.v, cdp.elements).code == "ds"
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_singer_matches_backtracking_reference(self, q):
+        assert ds_search(q).elements == _ds_backtrack(q).elements
+
+    @pytest.mark.parametrize("q", [11, 13, 16])
+    def test_orders_beyond_the_reference(self, q):
+        cdp = ds_search(q)
+        assert cdp.v == q * q + q + 1 and cdp.k == q + 1
+        assert cdp.elements[:2] == (0, 1)
+        assert verify_cdp(cdp.v, cdp.elements).code == "ds"
+        assert _least_in_orbit(cdp.v, cdp.elements) == cdp.elements
 
     def test_non_prime_power_exhausts(self):
         assert ds_search(6) is None

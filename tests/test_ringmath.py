@@ -9,6 +9,7 @@ from nhsdp import (
     integer_nth_root,
     is_prime_power,
 )
+from nhsdp.ringmath import prime_factors, prime_power_parts
 
 odd_moduli = st.integers(min_value=1, max_value=400).map(lambda k: 2 * k + 1)
 
@@ -105,3 +106,19 @@ class TestIntegerRoot:
 def test_is_prime_power():
     assert all(is_prime_power(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27))
     assert not any(is_prime_power(q) for q in (1, 6, 10, 12, 15, 100))
+
+
+def test_prime_power_parts():
+    assert [prime_power_parts(q) for q in (2, 9, 16, 27, 13)] == [
+        (2, 1), (3, 2), (2, 4), (3, 3), (13, 1)
+    ]
+    assert all(prime_power_parts(q) is None for q in (1, 6, 10, 12, 100))
+
+
+def test_prime_factors():
+    assert prime_factors(1) == ()
+    assert prime_factors(4095) == (3, 5, 7, 13)
+    assert prime_factors(2196) == (2, 3, 61)
+    assert prime_factors(97) == (97,)
+    with pytest.raises(ValueError):
+        prime_factors(0)
