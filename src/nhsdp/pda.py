@@ -31,6 +31,9 @@ STAR = 0
 # module (lift, conjugate, grouping, subset PDA) will allocate.
 MAX_CELLS = 2**27
 
+# The most pairs ``SymbolGroups.pairs`` yields in one step.
+_PAIR_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class Pda:
@@ -96,16 +99,20 @@ class SymbolGroups(NamedTuple):
     start: np.ndarray
 
     def pairs(self):
-        """Yield (c, o) index arrays, one per offset t = 1, 2, ...: the cells
-        c and o = c + t of every group that holds both.  Each unordered pair
-        of a group's cells comes exactly once, with c < o."""
-        # The number of cells after each cell in its group.
-        after = np.repeat(self.start[1:] - 1, np.diff(self.start)) - np.arange(self.symbol.size)
-        c, t = np.flatnonzero(after > 0), 1
+        """Yield (c, o) index arrays, offset t = 1, 2, ... in turn: the cells
+        c and o = c + t of every group that holds both, in chunks of at most
+        ``_PAIR_CHUNK`` pairs.  Each unordered pair of a group's cells comes
+        exactly once, with c < o."""
+        # At offset t a group [a, b) holds c = a .. b-1-t: one run of
+        # consecutive indices per group, the runs more than one apart, so
+        # dropping the last cell of each run gives offset t + 1.
+        c, t = np.flatnonzero(self.symbol[1:] == self.symbol[:-1]), 1
         while c.size:
-            yield c, c + t
+            for i in range(0, c.size, _PAIR_CHUNK):
+                part = c[i : i + _PAIR_CHUNK]
+                yield part, part + t
             t += 1
-            c = c[after[c] >= t]
+            c = c[:-1][c[1:] - c[:-1] == 1]
 
 
 def symbol_groups(pda: Pda) -> SymbolGroups:
@@ -114,30 +121,40 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     The sort key is symbol * F*K plus the cell's position in the transposed
     grid.  When the largest symbol would push the key past int64, the sort
     runs on each symbol's rank among those present and maps back after.
+    The transposed copy is dropped once its symbols are read, and the key is
+    built, sorted and split back in place.
     """
     gT = np.ascontiguousarray(pda.grid.T)
+    size = gT.size
     cell = np.flatnonzero(gT)
-    symbol = gT.ravel()[cell]
-    rank = (int(symbol.max(initial=0)) + 1) * gT.size > 2**63
+    key = gT.ravel()[cell]
+    del gT
+    rank = (int(key.max(initial=0)) + 1) * size > 2**63
     if rank:
-        present, symbol = np.unique(symbol, return_inverse=True)
-    symbol, cell = np.divmod(np.sort(symbol * gT.size + cell), gT.size)
+        present, key = np.unique(key, return_inverse=True)
+    key *= size
+    key += cell
+    key.sort()
+    symbol, cell = np.divmod(key, size, out=(key, cell))
     if rank:
         symbol = present[symbol]
-    user, row = np.divmod(cell, pda.F)
-    start = np.append(np.flatnonzero(np.diff(symbol, prepend=0)), symbol.size)
+    user, row = np.divmod(cell, pda.F, out=(None, cell))
+    edge = np.ones(symbol.size + 1, dtype=bool)
+    np.not_equal(symbol[1:], symbol[:-1], out=edge[1:-1])
+    start = np.flatnonzero(edge)
     return SymbolGroups(row, user, symbol, start)
 
 
 def verify_pda(pda: Pda) -> Verdict:
     """Exhaustively check C1, C2, C3a, and C3b.
 
-    Each pair of cells in a symbol group is compared once, one offset at a
-    time as ``SymbolGroups.pairs`` lists them, so the cost is
-    O(F*K + sum_s occ(s)^2) time and O(F*K) memory for any group sizes.
-    Only the symbols present are indexed, so no work follows the declared
-    S.  C3a is reported before C3b; either witness is the first violating
-    pair by (symbol, cells in row-major order).
+    Each pair of cells in a symbol group is compared once, in the chunks
+    ``SymbolGroups.pairs`` yields, so the cost is O(F*K + sum_s occ(s)^2)
+    time for any group sizes, and the memory is the symbol index plus one
+    chunk of pairs.  Only the symbols present are indexed, so no work
+    follows the declared S.  C3a is reported before C3b; either witness is
+    the first violating pair by (symbol, cells in row-major order), the
+    least over all chunks.
     """
     groups = symbol_groups(pda)
     row, user, symbol, start = groups

@@ -184,10 +184,11 @@ def _decode(
     payload XOR the group's other packets, each read from the receiver's
     cache through the slot map; a read with no slot blocks the receiver.
     Each pair of ``groups.pairs()`` (the C3b pairs of ``verify_pda``)
-    cancels in both directions.  A blocked user's witness (row, user whose
-    demand names the file, symbol) is its least blocked (receiver cell,
-    other cell) pair, else its first row neither cached nor in a cell, with
-    symbol 0.
+    cancels in both directions, one chunk of pairs at a time; XOR and the
+    least blocked pair do not depend on the chunking.  A blocked user's
+    witness (row, user whose demand names the file, symbol) is its least
+    blocked (receiver cell, other cell) pair, else its first row neither
+    cached nor in a cell, with symbol 0.
     """
     users, slots = cache.users, cache.slots
     K, N, Z, W = users.shape

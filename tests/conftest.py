@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nhsdp import Nhsdp, Pda, STAR
+from nhsdp import Nhsdp, Pda, STAR, conjugate_pda, construct_nhsdp, drop_columns, pda_from_nhsdp
 
 # The worked 4x4 example array: 2-regular (4,4,2,4).
 EX4_GRID = [
@@ -25,6 +26,33 @@ def ex4_pda() -> Pda:
 @pytest.fixture
 def ex15_packing() -> Nhsdp:
     return Nhsdp.from_blocks(15, EX15_BLOCKS)
+
+
+def _lift(v, m):
+    return pda_from_nhsdp(construct_nhsdp(v, m))
+
+
+@pytest.fixture(scope="session")
+def golden_arrays():
+    a1331 = _lift(1331, (5, 5, 5))
+    return {
+        "a125": _lift(125, (2, 2, 2)),
+        "a1331": a1331,
+        "e1330": drop_columns(a1331, range(1330)),
+        "c343": conjugate_pda(_lift(343, (3, 3, 3))),
+    }
+
+
+def peak_mib(call, *args):
+    """The tracemalloc peak of call(*args), in MiB above what was held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def naive_verify_pda(pda: Pda) -> bool:

@@ -22,7 +22,7 @@ from nhsdp import (
     symbol_groups,
     verify_pda,
 )
-from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda
+from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda, peak_mib
 
 
 def make_pda(rows, Z=None, S=None):
@@ -244,6 +244,91 @@ class TestVerify:
             assert_matches_references(mutated)
             codes.add(verify_pda(mutated).code)
         assert {"C3a", "C3b", "C1"} <= codes
+
+
+def walk(groups):
+    """The pairs of ``groups.pairs()`` in the order listed, and the size of each step."""
+    pairs, steps = [], []
+    for c, o in groups.pairs():
+        assert c.size == o.size
+        steps.append(c.size)
+        pairs += zip(c.tolist(), o.tolist())
+    return pairs, steps
+
+
+def walk_positions(arr, verdict):
+    """Positions in the walk of the first pair that breaks verdict.code and
+    of the witness pair verify_pda reports."""
+    groups = symbol_groups(arr)
+    grid, row, user = arr.grid, groups.row.tolist(), groups.user.tolist()
+    bad, cells = [], []
+    for c, o in walk(groups)[0]:
+        (r1, u1), (r2, u2) = (row[c], user[c]), (row[o], user[o])
+        if verdict.code == "C3a":
+            bad.append(r1 == r2 or u1 == u2)
+        else:
+            bad.append(grid[r1, u2] != STAR or grid[r2, u1] != STAR)
+        cells.append(tuple(sorted(((r1, u1), (r2, u2)))))
+    return bad.index(True), cells.index(verdict.info["cells"])
+
+
+class TestPairChunks:
+    """The pair walk cut into chunks of 1, 2 and 7 pairs gives exactly what
+    the default chunk, one whole offset per step at these sizes, gives."""
+
+    CHUNKS = (1, 2, 7)
+
+    @pytest.fixture
+    def arrays(self, ex15_packing):
+        lift = pda_from_nhsdp(ex15_packing)
+        return {"lift": lift, "conjugate": conjugate_pda(lift), "dropped": drop_columns(lift, range(14))}
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_pairs_keep_their_order_in_chunks(self, arrays, monkeypatch, chunk):
+        groups = [symbol_groups(arr) for arr in arrays.values()]
+        whole = [walk(g) for g in groups]
+        assert all(max(steps) > max(self.CHUNKS) for _, steps in whole)
+        monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+        for g, (pairs, _) in zip(groups, whole):
+            chunked, steps = walk(g)
+            assert max(steps) == chunk and chunked == pairs
+            assert len(set(chunked)) == len(chunked)
+
+    def test_verify_pda_is_chunk_invariant(self, arrays, monkeypatch):
+        # Star-to-symbol mutations of 40 cells each of the lift and of its conjugate.
+        rng = np.random.default_rng(15)
+        mutated = []
+        for arr in (arrays["lift"], arrays["conjugate"]):
+            stars = np.argwhere(arr.grid == STAR)
+            for j, k in stars[rng.choice(len(stars), size=40, replace=False)]:
+                grid = np.array(arr.grid)
+                grid[j, k] = int(rng.integers(1, arr.S + 1))
+                mutated.append(Pda(grid, Z=arr.Z, S=arr.S))
+        expected = [verify_pda(arr) for arr in mutated]
+        assert {v.code for v in expected} == {"C3a", "C3b"}
+        later = {(code, chunk): False for code in ("C3a", "C3b") for chunk in self.CHUNKS}
+        for arr, verdict in zip(mutated, expected):
+            first, witness = walk_positions(arr, verdict)
+            for chunk in self.CHUNKS:
+                later[verdict.code, chunk] |= first // chunk < witness // chunk
+        assert all(later.values())  # some witness comes after a chunk holding another bad pair
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+            for arr, verdict in zip(mutated, expected):
+                got = verify_pda(arr)
+                assert (got.ok, got.code, got.detail, got.info) == (
+                    verdict.ok, verdict.code, verdict.detail, verdict.info
+                )
+
+
+class TestPairWalkMemory:
+    """tracemalloc peaks of the symbol index and of verify_pda on the v=1331
+    lift, its grid already built."""
+
+    def test_index_and_verify_peaks(self, golden_arrays):
+        arr = golden_arrays["a1331"]
+        assert peak_mib(symbol_groups, arr) <= 56  # MiB; 74 before the key was built in place
+        assert peak_mib(verify_pda, arr) <= 80  # MiB; 127 when each offset was walked whole
 
 
 class TestLift:

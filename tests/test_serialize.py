@@ -1,7 +1,6 @@
 import hashlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +11,7 @@ from nhsdp import (
     Nhsdp,
     Pda,
     apply_grouping_formula,
-    conjugate_pda,
-    construct_nhsdp,
     deliver,
-    drop_columns,
     evaluate_nhsdp_scheme,
     evaluate_scheme,
     ntap_construct,
@@ -24,6 +20,7 @@ from nhsdp import (
     place,
 )
 from nhsdp import serialize
+from conftest import peak_mib
 
 
 class TestPackingJson:
@@ -158,21 +155,6 @@ class TestPdaFormats:
         doc["K"] = 5
         with pytest.raises(ValueError):
             serialize.pda_from_json(json.dumps(doc))
-
-
-def _lift(v, m):
-    return pda_from_nhsdp(construct_nhsdp(v, m))
-
-
-@pytest.fixture(scope="module")
-def golden_arrays():
-    a1331 = _lift(1331, (5, 5, 5))
-    return {
-        "a125": _lift(125, (2, 2, 2)),
-        "a1331": a1331,
-        "e1330": drop_columns(a1331, range(1330)),
-        "c343": conjugate_pda(_lift(343, (3, 3, 3))),
-    }
 
 
 class TestGoldens:
@@ -457,21 +439,11 @@ class TestJsonGrammar:
 class TestCodecMemory:
     """tracemalloc peaks of the codec on the v=1331 lift, its input already built."""
 
-    def peak(self, call, arg):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            call(arg)
-            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
-        finally:
-            tracemalloc.stop()
-
     def test_reader_and_writer_peaks(self, golden_arrays):
         arr = golden_arrays["a1331"]
         text = serialize.pda_to_text(arr)
-        assert self.peak(serialize.pda_from_text, text) <= 72  # MiB, the per-cell reader's peak
-        assert self.peak(serialize.pda_to_text, arr) <= 40  # MiB; the per-cell writer took 27
+        assert peak_mib(serialize.pda_from_text, text) <= 72  # MiB, the per-cell reader's peak
+        assert peak_mib(serialize.pda_to_text, arr) <= 40  # MiB; the per-cell writer took 27
 
 
 class TestPhfAndTranscript:

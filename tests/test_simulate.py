@@ -475,3 +475,59 @@ class TestDemandSweep:
         for n in range(3):
             want = b"".join(rng.getrandbits(40).to_bytes(5, "big") for _ in range(4))
             assert library.file_bytes(n) == want
+
+
+
+class TestPairChunks:
+    """Decoding with the pair walk cut into chunks of 1, 2 and 7 pairs
+    reports exactly what the default chunk, one whole offset per step at
+    these sizes, reports."""
+
+    CHUNKS = (1, 2, 7)
+
+    @staticmethod
+    def corruptions(arr, count):
+        """Per corruption, 1 to 3 cleared slots as (users, rows) and one
+        flipped cached packet as (user, file, slot)."""
+        rng = np.random.default_rng(23)
+        slots = place(arr, FileLibrary.random(2, arr.F, seed=1)).slots
+        k, j = np.nonzero(slots >= 0)
+        for _ in range(count):
+            pick = rng.choice(len(k), size=int(rng.integers(2, 5)), replace=False)
+            flip = (k[pick[0]], int(rng.integers(2)), slots[k[pick[0]], j[pick[0]]])
+            yield (k[pick[1:]], j[pick[1:]]), flip
+
+    @staticmethod
+    def corrupt(cache, cleared, flip):
+        cache.slots[cleared] = -1
+        cache.users.view(np.uint8)[flip][0] ^= 0x80
+
+    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    def test_sweep_failures(self, request, monkeypatch, name):
+        arr = request.getfixturevalue(f"{name}_pda")
+        current, reports = [], {}
+        corrupt_place(monkeypatch, lambda cache: self.corrupt(cache, *current[-1]))
+        for chunk in (pda_mod._PAIR_CHUNK, *self.CHUNKS):
+            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+            for i, corruption in enumerate(self.corruptions(arr, 6)):
+                current.append(corruption)
+                failures = exhaustive_demand_check(arr, N=2, demand_budget=30).failures
+                assert failures == reports.setdefault(i, failures)
+        reasons = " ".join(reason for failures in reports.values() for _, _, reason in failures)
+        assert "lacks interfering packet" in reasons and "differ" in reasons
+
+    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    def test_decode_error(self, request, monkeypatch, name):
+        arr = request.getfixturevalue(f"{name}_pda")
+        library = FileLibrary.random(2, arr.F, seed=1)
+        demand = tuple(k % 2 for k in range(arr.K))
+        messages = {}
+        for chunk in (pda_mod._PAIR_CHUNK, *self.CHUNKS):
+            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+            for i, corruption in enumerate(self.corruptions(arr, 6)):
+                cache = place(arr, library)
+                transcript = deliver(arr, library, cache, demand)
+                self.corrupt(cache, *corruption)
+                with pytest.raises(UnrecoverablePacketError) as error:
+                    decode(arr, cache, transcript)
+                assert str(error.value) == messages.setdefault(i, str(error.value))
