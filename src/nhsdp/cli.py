@@ -201,7 +201,7 @@ def _cmd_simulate(args) -> int:
     transcript = simulate.deliver(arr, library, cache, demand)
     files = simulate.decode(arr, cache, transcript)
     bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
-    load = transcript.bytes_on_wire / (arr.F * args.packet_len)
+    load = transcript.payloads.size / (arr.F * args.packet_len)
     print(f"demand {spec}: {arr.K - len(bad)}/{arr.K} users decoded, load = {load:g}")
     _write(args.out, serialize.transcript_to_json(transcript))
     return 1 if bad else 0

@@ -480,21 +480,45 @@ def phf_from_json(text: str) -> PhfArray:
 
 
 def transcript_to_json(transcript: DeliveryTranscript) -> str:
-    doc = {
-        "seed": transcript.seed,
-        "packet_len": transcript.packet_len,
-        "demands": list(transcript.demands),
-        "bytes_on_wire": transcript.bytes_on_wire,
-        "transmissions": [
-            {
-                "symbol": txn.symbol,
-                "payload": txn.payload.hex(),
-                "contributors": [[user, packet] for user, packet in txn.contributors],
-            }
-            for txn in transcript.transmissions
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    """The head fields, then one record per payload row in symbol order.
+
+    Symbols go in chunks of about ``_CHUNK`` cells: the chunk's payloads are
+    hex-encoded at once, each cell is written once as "[user,row]", and a
+    record joins its symbol group's cells.  An absent symbol has none.
+    """
+    head = json.dumps(
+        {
+            "seed": transcript.seed,
+            "packet_len": transcript.packet_len,
+            "demands": list(transcript.demands),
+            "bytes_on_wire": transcript.bytes_on_wire,
+        },
+        separators=(",", ":"),
+    )
+    wire = transcript.payloads
+    row, user, symbol, start = transcript.groups
+    present = symbol[start[:-1]]  # the symbol of each group, ascending
+    S, width = wire.shape[0], 2 * wire.shape[1]
+    step = max(1, _CHUNK * S // max(1, S, len(row)))
+    chunks = []
+    for lo in range(0, S, step):
+        hi = min(lo + step, S)
+        hexes = wire[lo:hi].tobytes().hex()
+        g0, g1 = np.searchsorted(present, [lo + 1, hi + 1])
+        edges = (start[g0 : g1 + 1] - start[g0]).tolist()
+        cells = [
+            f"[{u},{j}]"
+            for u, j in zip(user[start[g0] : start[g1]].tolist(), row[start[g0] : start[g1]].tolist())
+        ]
+        contributors = [""] * (hi - lo)
+        for s, a, b in zip(present[g0:g1].tolist(), edges, edges[1:]):
+            contributors[s - 1 - lo] = ",".join(cells[a:b])
+        chunks.append(",".join(
+            f'{{"symbol":{lo + i + 1},"payload":"{hexes[i * width : (i + 1) * width]}",'
+            f'"contributors":[{joined}]}}'
+            for i, joined in enumerate(contributors)
+        ))
+    return f'{head[:-1]},"transmissions":[{",".join(chunks)}]}}\n'
 
 
 CSV_COLUMNS = (

@@ -31,6 +31,9 @@ DEFAULT_DEMAND_BUDGET = 1_000_000
 _CHUNK_WORDS = 1 << 18
 _MAX_CHUNK = 256
 
+# 32-bit words per getrandbits call that fills a file library (2 MiB).
+_DRAW_WORDS = 1 << 19
+
 
 class UnrecoverablePacketError(RuntimeError):
     """A decode step needed a packet missing from the receiver's cache.
@@ -80,16 +83,33 @@ class FileLibrary:
     def random(
         cls, N: int, F: int, packet_len: int = DEFAULT_PACKET_LEN, seed: int = 0
     ) -> "FileLibrary":
-        """Deterministic pseudo-random contents from a 64-bit seed; N*F*W <= MAX_CELLS words."""
+        """Deterministic pseudo-random contents from a 64-bit seed; N*F*W <= MAX_CELLS words.
+
+        Packet p is what ``random.Random(seed)``'s p-th ``getrandbits(8 *
+        packet_len)`` call returns, as packet_len big-endian bytes.  Such a
+        call takes w = ceil(packet_len / 4) 32-bit words of the stream, least
+        significant first, and shifts the last one right by 32 - 8*packet_len
+        mod 32, so the packets come from whole-packet draws of w words each.
+        """
+        if packet_len < 1:
+            raise ValueError("packet_len must be >= 1")
         _check_cells("file library", N, F * _words(packet_len))
         rng = random.Random(seed)
-        bits = 8 * packet_len
-        raw = b"".join(
-            rng.getrandbits(bits).to_bytes(packet_len, "big") for _ in range(N * F)
-        )
-        padded = np.zeros((N, F, 8 * _words(packet_len)), dtype=np.uint8)
-        padded[..., :packet_len] = np.frombuffer(raw, dtype=np.uint8).reshape(N, F, packet_len)
-        return cls(packet_len, padded.view(np.uint64), seed)
+        w = -(-packet_len // 4)
+        shift = -8 * packet_len % 32
+        padded = np.zeros((N * F, 8 * _words(packet_len)), dtype=np.uint8)
+        step = max(1, _DRAW_WORDS // w)
+        for p in range(0, N * F, step):
+            n = min(step, N * F - p)
+            words = np.frombuffer(
+                rng.getrandbits(32 * w * n).to_bytes(4 * w * n, "little"), dtype="<u4"
+            ).reshape(n, w)
+            if shift:
+                words = words.copy()
+                words[:, -1] >>= shift
+            # Little-endian words hold the packet's bytes least significant first.
+            padded[p : p + n, :packet_len] = words.view(np.uint8)[:, packet_len - 1 :: -1]
+        return cls(packet_len, padded.view(np.uint64).reshape(N, F, _words(packet_len)), seed)
 
     def packet_bytes(self, n: int, j: int) -> bytes:
         return self.data[n, j].view(np.uint8)[: self.packet_len].tobytes()
@@ -115,20 +135,43 @@ class CacheContents:
 
 @dataclass(frozen=True)
 class Transmission:
+    """One symbol's payload and cells, as ``DeliveryTranscript.transmissions`` builds it."""
+
     symbol: int
     payload: bytes
     contributors: tuple[tuple[int, int], ...]  # (user, packet index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeliveryTranscript:
-    """Everything the server put on the wire for one demand vector."""
+    """Everything the server put on the wire for one demand vector.
+
+    ``payloads[s - 1]`` is the broadcast for symbol s: a read-only
+    (S, packet_len) uint8 array, one row per symbol.  ``groups`` is the
+    symbol index of the PDA delivered, which names the (user, row) cells
+    XORed into each payload.
+    """
 
     demands: tuple[int, ...]
-    transmissions: tuple[Transmission, ...]
-    bytes_on_wire: int
+    payloads: np.ndarray
+    groups: SymbolGroups
     packet_len: int
     seed: int | None
+
+    @property
+    def bytes_on_wire(self) -> int:
+        return self.payloads.size
+
+    @property
+    def transmissions(self) -> tuple[Transmission, ...]:
+        """One Transmission per payload row, built on each access."""
+        row, user, symbol, start = self.groups
+        bounds = zip(start[:-1].tolist(), start[1:].tolist())
+        cells = {int(symbol[a]): tuple(zip(user[a:b].tolist(), row[a:b].tolist())) for a, b in bounds}
+        return tuple(
+            Transmission(s, wire.tobytes(), cells.get(s, ()))
+            for s, wire in enumerate(self.payloads, 1)
+        )
 
 
 def _check_sizes(pda: Pda, N: int, packet_len: int) -> int:
@@ -246,7 +289,8 @@ def deliver(
     """Broadcast, for each symbol s, the XOR of the demanded packets it marks.
 
     The cache argument documents that delivery happens after placement; the
-    server only reads the library.  bytes_on_wire sums the payloads emitted.
+    server only reads the library.  The transcript's payloads are the rows
+    the XOR kernel emitted, so bytes_on_wire counts the bytes it broadcast.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -257,21 +301,10 @@ def deliver(
         raise ValueError("library packet count does not match the PDA")
 
     groups = symbol_groups(pda)
-    payloads = _payloads(groups, pda.S, library.data, np.array([d], dtype=np.int64))[:, 0]
-    wire = payloads.view(np.uint8)[:, : library.packet_len]
-    contributors = list(zip(groups.user.tolist(), groups.row.tolist()))
-    start, symbol = groups.start.tolist(), groups.symbol.tolist()
-    cells = {symbol[a]: tuple(contributors[a:b]) for a, b in zip(start, start[1:])}
-    transmissions = tuple(
-        Transmission(s, wire[s - 1].tobytes(), cells.get(s, ())) for s in range(1, len(wire) + 1)
-    )
-    return DeliveryTranscript(
-        demands=d,
-        transmissions=transmissions,
-        bytes_on_wire=sum(len(t.payload) for t in transmissions),
-        packet_len=library.packet_len,
-        seed=library.seed,
-    )
+    out = _payloads(groups, pda.S, library.data, np.array([d], dtype=np.int64))
+    payloads = out.view(np.uint8)[:, 0, : library.packet_len]
+    payloads.setflags(write=False)
+    return DeliveryTranscript(d, payloads, groups, library.packet_len, library.seed)
 
 
 def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
@@ -291,17 +324,20 @@ def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tu
         raise ValueError(f"transcript serves {len(d)} users, PDA has K={pda.K}")
     if any(not (0 <= x < N) for x in d):
         raise ValueError(f"transcript demands must be file indices below N={N}")
-    if _words(L) != W or any(len(t.payload) != L for t in transcript.transmissions):
-        raise ValueError(f"payloads must be packet_len={L} bytes and fit the cache's packets")
-    if sorted(t.symbol for t in transcript.transmissions) != list(range(1, pda.S + 1)):
-        raise ValueError(f"transcript must carry one transmission per symbol 1..S={pda.S}")
+    if _words(L) != W:
+        raise ValueError(f"packet_len={L} does not fit the cache's {8 * W}-byte packets")
+    payloads = transcript.payloads
+    array = isinstance(payloads, np.ndarray)
+    if not (array and payloads.dtype == np.uint8 and payloads.shape == (pda.S, L)):
+        got = f"{payloads.dtype} {payloads.shape}" if array else type(payloads).__name__
+        raise ValueError(
+            f"payloads must be one transmission per symbol 1..S={pda.S}: "
+            f"a uint8 ({pda.S}, {L}) array, got {got}"
+        )
 
     groups = symbol_groups(pda)
-    txns = transcript.transmissions
     wire = np.zeros((pda.S, 1, 8 * W), dtype=np.uint8)
-    wire[np.array([t.symbol - 1 for t in txns], dtype=np.int64), 0, :L] = np.frombuffer(
-        b"".join(t.payload for t in txns), dtype=np.uint8
-    ).reshape(len(txns), L)
+    wire[:, 0, :L] = payloads
     files, blocked = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
     if blocked:
         k = min(blocked)

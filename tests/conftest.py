@@ -43,6 +43,12 @@ def golden_arrays():
     }
 
 
+@pytest.fixture(scope="session")
+def lift343() -> Pda:
+    """The (3,3,3) lift at v=343, the array of the benchmark's one-shot case."""
+    return _lift(343, (3, 3, 3))
+
+
 def peak_mib(call, *args):
     """The tracemalloc peak of call(*args), in MiB above what was held before."""
     tracemalloc.start()

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from nhsdp import (
     Pda,
     apply_grouping_formula,
     deliver,
+    drop_columns,
     evaluate_nhsdp_scheme,
     evaluate_scheme,
     ntap_construct,
@@ -467,6 +471,71 @@ class TestPhfAndTranscript:
         first = doc["transmissions"][0]
         assert bytes.fromhex(first["payload"]) == transcript.transmissions[0].payload
         assert first["contributors"] == [[0, 1], [1, 0]]
+
+
+def reference_transcript_to_json(transcript) -> str:
+    """The transcript through nested json.dumps, one dict per Transmission."""
+    doc = {
+        "seed": transcript.seed,
+        "packet_len": transcript.packet_len,
+        "demands": list(transcript.demands),
+        "bytes_on_wire": transcript.bytes_on_wire,
+        "transmissions": [
+            {
+                "symbol": txn.symbol,
+                "payload": txn.payload.hex(),
+                "contributors": [[user, packet] for user, packet in txn.contributors],
+            }
+            for txn in transcript.transmissions
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _one_shot_demand(seed):
+    """benchmarks/cases.py's demand vector of the one-shot case."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "cases.py"
+    spec = importlib.util.spec_from_file_location("bench_cases", path)
+    cases = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = cases  # its dataclasses look their module up
+    spec.loader.exec_module(cases)
+    return cases.one_shot_demand(seed)
+
+
+class TestTranscriptWriter:
+    """transcript_to_json writes what nested json.dumps of the per-symbol
+    Transmission view writes, byte for byte."""
+
+    @staticmethod
+    def written(arr, n_files, packet_len, seed, demand):
+        library = FileLibrary.random(n_files, arr.F, packet_len, seed)
+        transcript = deliver(arr, library, place(arr, library), demand)
+        text = serialize.transcript_to_json(transcript)
+        assert text == reference_transcript_to_json(transcript)
+        return json.loads(text)
+
+    @pytest.mark.parametrize("packet_len", [16, 5, 17])
+    def test_worked_arrays(self, ex4_pda, ex15_packing, packet_len):
+        ex15 = pda_from_nhsdp(ex15_packing)
+        self.written(ex4_pda, 4, packet_len, 0, (0, 1, 2, 3))
+        self.written(ex15, 2, packet_len, 3, tuple(k % 2 for k in range(15)))
+        irregular = drop_columns(ex15, range(14))
+        self.written(irregular, 2, packet_len, 3, tuple(k % 2 for k in range(14)))
+
+    def test_absent_symbols_have_no_contributors(self):
+        doc = self.written(Pda([[0, 3], [3, 0]], Z=1, S=4), 2, 5, 1, (0, 1))
+        assert [t["contributors"] for t in doc["transmissions"]] == [[], [], [[0, 1], [1, 0]], []]
+
+    def test_all_star_has_no_transmissions(self):
+        doc = self.written(Pda(np.zeros((2, 2), dtype=np.int64), Z=2, S=0), 2, 16, 0, (0, 1))
+        assert doc["transmissions"] == [] and doc["bytes_on_wire"] == 0
+
+    def test_one_shot_lift(self, lift343, monkeypatch):
+        demand = _one_shot_demand(1)
+        doc = self.written(lift343, 2, 16, 1, demand)
+        assert len(doc["transmissions"]) == lift343.S
+        monkeypatch.setattr(serialize, "_CHUNK", 1000)  # many chunks of whole symbols
+        self.written(lift343, 2, 16, 1, demand)
 
 
 class TestTables:

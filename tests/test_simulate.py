@@ -25,6 +25,7 @@ from nhsdp import (
     symbol_groups,
 )
 from nhsdp import pda as pda_mod
+from conftest import peak_mib
 from nhsdp.packing import Nhsdp
 
 
@@ -56,6 +57,13 @@ def corrupt_place(monkeypatch, corrupt):
         return cache
 
     monkeypatch.setattr(simulate, "place", place_then_corrupt)
+
+
+def reference_random_library(N, F, packet_len, seed):
+    """Every file's bytes, one getrandbits draw per packet in (file, packet) order."""
+    rng = random.Random(seed)
+    draws = [rng.getrandbits(8 * packet_len).to_bytes(packet_len, "big") for _ in range(N * F)]
+    return [b"".join(draws[n * F : (n + 1) * F]) for n in range(N)]
 
 
 def blocked_reason(k, witness, d):
@@ -162,6 +170,25 @@ class TestDelivery:
             library.packet_bytes(0, 1), library.packet_bytes(1, 0)
         )
         assert transcript.bytes_on_wire == 4 * 16
+
+    def test_payloads_are_one_read_only_array(self, ex15_pda):
+        library = FileLibrary.random(2, 15, packet_len=5, seed=3)
+        cache = place(ex15_pda, library)
+        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
+        payloads = transcript.payloads
+        assert payloads.dtype == np.uint8 and payloads.shape == (30, 5)
+        assert not payloads.flags.writeable
+        assert transcript.bytes_on_wire == payloads.size == 30 * 5
+        assert [t.payload for t in transcript.transmissions] == [p.tobytes() for p in payloads]
+        assert transcript.groups.start.tolist() == symbol_groups(ex15_pda).start.tolist()
+
+    def test_deliver_memory_is_the_index_and_kernel(self, lift343):
+        # The symbol index and the kernel output peak at about 2.5 MiB; one
+        # object per symbol and cell took deliver to 13.5 MiB.
+        library = FileLibrary.random(2, lift343.F, seed=1)
+        cache = place(lift343, library)
+        demand = tuple(k % 2 for k in range(lift343.K))
+        assert peak_mib(deliver, lift343, library, cache, demand) <= 5  # MiB
 
     def test_degenerate_all_star(self):
         arr = Pda(np.zeros((2, 2), dtype=np.int64), Z=2, S=0)
@@ -325,9 +352,28 @@ class TestDecode:
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
         transcript = deliver(ex4_pda, library, cache, (0, 1, 0, 1))
-        short = dataclasses.replace(transcript, transmissions=transcript.transmissions[:-1])
+        short = dataclasses.replace(transcript, payloads=transcript.payloads[:-1])
         with pytest.raises(ValueError, match="one transmission per symbol"):
             decode(ex4_pda, cache, short)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda p: p.astype(np.uint16),
+            lambda p: p[:, None, :],
+            lambda p: p.ravel(),
+            lambda p: p[:, :-1],
+            lambda p: p.tolist(),
+        ],
+        ids=["uint16", "3-D", "1-D", "short-rows", "list"],
+    )
+    def test_rejects_malformed_payloads(self, ex4_pda, change):
+        library = FileLibrary.random(2, 4, seed=0)
+        cache = place(ex4_pda, library)
+        transcript = deliver(ex4_pda, library, cache, (0, 1, 0, 1))
+        bad = dataclasses.replace(transcript, payloads=change(transcript.payloads))
+        with pytest.raises(ValueError, match=r"^payloads must be .* a uint8 \(4, 16\) array"):
+            decode(ex4_pda, cache, bad)
 
 
 class TestDemandSweep:
@@ -475,6 +521,25 @@ class TestDemandSweep:
         for n in range(3):
             want = b"".join(rng.getrandbits(40).to_bytes(5, "big") for _ in range(4))
             assert library.file_bytes(n) == want
+
+    @pytest.mark.parametrize("packet_len", [1, 5, 7, 16, 17, 33])
+    @pytest.mark.parametrize("N, F", [(1, 1), (3, 5)])
+    def test_library_matches_per_packet_draws(self, N, F, packet_len):
+        library = FileLibrary.random(N, F, packet_len, seed=packet_len)
+        files = [library.file_bytes(n) for n in range(N)]
+        assert files == reference_random_library(N, F, packet_len, packet_len)
+
+    @pytest.mark.parametrize("packet_len", [0, -3])
+    def test_library_rejects_empty_packets(self, packet_len):
+        with pytest.raises(ValueError, match="packet_len must be >= 1"):
+            FileLibrary.random(2, 3, packet_len)
+
+    @pytest.mark.parametrize("draw_words", [1, 3, 10])
+    def test_library_draws_in_whole_packets(self, monkeypatch, draw_words):
+        # 1 and 3 words hold one packet of 9 bytes (3 words) per draw, 10 hold three.
+        monkeypatch.setattr(simulate, "_DRAW_WORDS", draw_words)
+        library = FileLibrary.random(2, 7, 9, seed=5)
+        assert [library.file_bytes(n) for n in range(2)] == reference_random_library(2, 7, 9, 5)
 
 
 
