@@ -28,17 +28,19 @@ rows = [j for j in range(arr.F) if cache.slots[0, j] >= 0]
 print("user 0 caches rows", rows, "of all", library.N, "files",
       "=", cache.cached_bytes(0, library.packet_len), "bytes")
 
-# Every user asks for a different file.
+# Every user asks for a different file; the server reads only the array and
+# the library.
 demand = (0, 1, 2, 3)
-transcript = deliver(arr, library, cache, demand)
+transcript = deliver(arr, library, demand)
 for txn in transcript.transmissions:
     print(f"symbol {txn.symbol}: XOR of", [f"W[{library_i},{p}]" for library_i, p in
           [(demand[u], p) for u, p in txn.contributors]])
 print("bytes on wire:", transcript.bytes_on_wire,
       "-> load", transcript.bytes_on_wire / (arr.F * library.packet_len))
 
-# Every user decodes at once, each from its own cache copy and the broadcast.
-files = decode(arr, cache, transcript)
+# Every user decodes at once, each from its own cache copy and the broadcast,
+# whose symbol index names the cells of each payload: no array is needed.
+files = decode(cache, transcript)
 assert files == tuple(library.file_bytes(n) for n in demand)
 print("all four users decoded their files byte-exactly")
 

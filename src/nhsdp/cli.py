@@ -198,8 +198,8 @@ def _cmd_simulate(args) -> int:
     _flagged(sizes, simulate._check_sizes, arr, args.N, args.packet_len)
     library = simulate.FileLibrary.random(args.N, arr.F, args.packet_len, args.seed)
     cache = simulate.place(arr, library)
-    transcript = simulate.deliver(arr, library, cache, demand)
-    files = simulate.decode(arr, cache, transcript)
+    transcript = simulate.deliver(arr, library, demand)
+    files = simulate.decode(cache, transcript)
     bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
     load = transcript.payloads.size / (arr.F * args.packet_len)
     print(f"demand {spec}: {arr.K - len(bad)}/{arr.K} users decoded, load = {load:g}")

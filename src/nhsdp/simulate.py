@@ -38,8 +38,8 @@ _DRAW_WORDS = 1 << 19
 class UnrecoverablePacketError(RuntimeError):
     """A decode step needed a packet missing from the receiver's cache.
 
-    For a valid PDA this cannot happen (the cross-cell star guarantees the
-    interferer is cached); seeing it means the array or cache is corrupt.
+    For a transcript of a valid PDA this cannot happen (C3b: the interferer
+    is cached); seeing it means a corrupt cache or another array's transcript.
     """
 
 
@@ -55,7 +55,7 @@ class FileLibrary:
     packet's bytes in order, zero-padded to 8W bytes.
     """
 
-    packet_len: int
+    packet_len: int  # the library's, which decode requires of a transcript
     data: np.ndarray
     seed: int | None = None
 
@@ -128,6 +128,7 @@ class CacheContents:
 
     users: np.ndarray  # (K, N, Zmax, W) uint64
     slots: np.ndarray  # (K, F) int64
+    packet_len: int  # the library's, which decode requires of a transcript
 
     def cached_bytes(self, k: int, packet_len: int) -> int:
         return int((self.slots[k] >= 0).sum()) * self.users.shape[1] * packet_len
@@ -155,7 +156,7 @@ class DeliveryTranscript:
     demands: tuple[int, ...]
     payloads: np.ndarray
     groups: SymbolGroups
-    packet_len: int
+    packet_len: int  # the library's, which decode requires of a transcript
     seed: int | None
 
     @property
@@ -195,7 +196,7 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     ks, js = np.nonzero(star)
     users = np.zeros((pda.K, library.N, zmax, library.data.shape[2]), dtype=np.uint64)
     users[ks, :, slots[ks, js]] = library.data[:, js].swapaxes(0, 1)
-    return CacheContents(users, slots)
+    return CacheContents(users, slots, library.packet_len)
 
 
 # The kernels loop over the offset within a symbol group, so each numpy call
@@ -281,16 +282,14 @@ def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
 
 
 def deliver(
-    pda: Pda,
-    library: FileLibrary,
-    cache: CacheContents,
-    demands: tuple[int, ...] | list[int],
+    pda: Pda, library: FileLibrary, demands: tuple[int, ...] | list[int]
 ) -> DeliveryTranscript:
     """Broadcast, for each symbol s, the XOR of the demanded packets it marks.
 
-    The cache argument documents that delivery happens after placement; the
-    server only reads the library.  The transcript's payloads are the rows
-    the XOR kernel emitted, so bytes_on_wire counts the bytes it broadcast.
+    The server reads only the array and the library.  The transcript's
+    payloads are the rows the XOR kernel emitted, so bytes_on_wire counts the
+    bytes it broadcast, and its groups are the symbol index they were XORed
+    over: all that decode needs of the array.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -307,43 +306,44 @@ def deliver(
     return DeliveryTranscript(d, payloads, groups, library.packet_len, library.seed)
 
 
-def decode(pda: Pda, cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
+def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
     """Recover every user's requested file from its cache plus the broadcast.
 
-    For every non-star cell (j, k) with symbol s user k cancels all other
-    contributions to transmission s using its cached packets, leaving its
-    own missing packet; star rows come straight from the cache.  Entry k of
-    the result is user k's file.
+    User k recovers its cell (j, k) of symbol s as payload s XOR the other
+    packets of s, read from its cache; the cells come from the index deliver
+    XORed over (``transcript.groups``), and star rows come from the cache.
+    So each packet is exact, whatever array was delivered, or an uncached
+    interferer blocks its user (UnrecoverablePacketError).  Entry k of the
+    result is user k's file.
     """
-    d = transcript.demands
-    L = transcript.packet_len
-    K, N, _, W = cache.users.shape
-    if cache.slots.shape != (pda.K, pda.F):
-        raise ValueError(f"cache holds {K} users of {cache.slots.shape[1]} rows, PDA is {pda.F}x{pda.K}")
-    if len(d) != pda.K:
-        raise ValueError(f"transcript serves {len(d)} users, PDA has K={pda.K}")
+    d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
+    row, user, symbol, _ = groups = transcript.groups
+    (K, N, _, W), F = cache.users.shape, cache.slots.shape[1]
+    if len(d) != K:
+        raise ValueError(f"transcript serves {len(d)} users, cache has K={K}")
     if any(not (0 <= x < N) for x in d):
         raise ValueError(f"transcript demands must be file indices below N={N}")
-    if _words(L) != W:
-        raise ValueError(f"packet_len={L} does not fit the cache's {8 * W}-byte packets")
-    payloads = transcript.payloads
+    if L != cache.packet_len:
+        raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
+    if row.size and (min(row.min(), user.min()) < 0 or row.max() >= F or user.max() >= K):
+        raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
     array = isinstance(payloads, np.ndarray)
-    if not (array and payloads.dtype == np.uint8 and payloads.shape == (pda.S, L)):
+    S = max(int(symbol.max(initial=0)), len(payloads) if array and payloads.ndim == 2 else 0)
+    if not (array and payloads.dtype == np.uint8 and payloads.shape == (S, L)):
         got = f"{payloads.dtype} {payloads.shape}" if array else type(payloads).__name__
         raise ValueError(
-            f"payloads must be one transmission per symbol 1..S={pda.S}: "
-            f"a uint8 ({pda.S}, {L}) array, got {got}"
+            f"payloads must be one transmission per symbol 1..S={S}: "
+            f"a uint8 ({S}, {L}) array, got {got}"
         )
 
-    groups = symbol_groups(pda)
-    wire = np.zeros((pda.S, 1, 8 * W), dtype=np.uint8)
+    wire = np.zeros((S, 1, 8 * W), dtype=np.uint8)
     wire[:, 0, :L] = payloads
     files, blocked = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
     files = files[:, :, 0].view(np.uint8)[..., :L]
-    return tuple(files[k].tobytes() for k in range(pda.K))
+    return tuple(files[k].tobytes() for k in range(K))
 
 
 @dataclass(frozen=True)

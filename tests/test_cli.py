@@ -75,6 +75,33 @@ class TestPipelines:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 5 and len(doc["transmissions"]) == 4
 
+    def test_one_demand_run_builds_the_index_twice(self, ex4_file, tmp_path, capsys, monkeypatch):
+        # Once to verify the file and once in deliver; decode reads the
+        # transcript's index.  simulate imports symbol_groups by name.
+        builds, in_decode = [], []
+        real_groups, real_decode = pda_mod.symbol_groups, simulate.decode
+
+        def spy(pda):
+            builds.append(pda.params())
+            return real_groups(pda)
+
+        def decode(*args):
+            before = len(builds)
+            try:
+                return real_decode(*args)
+            finally:
+                in_decode.append(len(builds) - before)
+
+        monkeypatch.setattr(pda_mod, "symbol_groups", spy)
+        monkeypatch.setattr(simulate, "symbol_groups", spy)
+        monkeypatch.setattr(simulate, "decode", decode)
+        out = tmp_path / "transcript.json"
+        code, stdout, _ = run(
+            capsys, "simulate", ex4_file, "--N", 4, "--demands", "0,1,2,3", "--out", out
+        )
+        assert code == 0 and "4/4 users decoded" in stdout and out.exists()
+        assert builds == [(4, 4, 2, 4)] * 2 and in_decode == [0]
+
     def test_conjugate_and_group(self, ex4_file, tmp_path, capsys):
         conj = tmp_path / "conj.txt"
         code, stdout, _ = run(capsys, "conjugate", ex4_file, "--out", conj)

@@ -25,7 +25,6 @@ from nhsdp import (
     mn_pda,
     pda_from_nhsdp,
     pda_stats,
-    place,
     verify_pda,
 )
 
@@ -96,8 +95,8 @@ def test_built_array_matches_scheme_point(name):
         point.gain,
     )
     # The payload count does not depend on the demands, so one file
-    # (N = 1) keeps the caches of the larger arrays small.
+    # (N = 1) keeps the libraries of the larger arrays small.
     packet_len = 3
     library = FileLibrary.random(1, arr.F, packet_len, seed=0)
-    transcript = deliver(arr, library, place(arr, library), (0,) * arr.K)
+    transcript = deliver(arr, library, (0,) * arr.K)
     assert Fraction(transcript.bytes_on_wire, arr.F * packet_len) == point.load

@@ -21,7 +21,6 @@ from nhsdp import (
     ntap_construct,
     pda_from_nhsdp,
     phf_from_ntap,
-    place,
 )
 from nhsdp import serialize
 from conftest import peak_mib
@@ -462,8 +461,7 @@ class TestPhfAndTranscript:
 
     def test_transcript_records_seed_and_payloads(self, ex4_pda):
         library = FileLibrary.random(4, 4, packet_len=8, seed=99)
-        cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
+        transcript = deliver(ex4_pda, library, (0, 1, 2, 3))
         doc = json.loads(serialize.transcript_to_json(transcript))
         assert doc["seed"] == 99 and doc["packet_len"] == 8
         assert doc["demands"] == [0, 1, 2, 3]
@@ -509,7 +507,7 @@ class TestTranscriptWriter:
     @staticmethod
     def written(arr, n_files, packet_len, seed, demand):
         library = FileLibrary.random(n_files, arr.F, packet_len, seed)
-        transcript = deliver(arr, library, place(arr, library), demand)
+        transcript = deliver(arr, library, demand)
         text = serialize.transcript_to_json(transcript)
         assert text == reference_transcript_to_json(transcript)
         return json.loads(text)

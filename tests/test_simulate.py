@@ -13,6 +13,7 @@ from nhsdp import (
     FileLibrary,
     Pda,
     UnrecoverablePacketError,
+    conjugate_pda,
     decode,
     deliver,
     drop_columns,
@@ -23,6 +24,7 @@ from nhsdp import (
     serialize,
     simulate,
     symbol_groups,
+    verify_pda,
 )
 from nhsdp import pda as pda_mod
 from conftest import peak_mib
@@ -160,8 +162,7 @@ class TestPlacement:
 class TestDelivery:
     def test_worked_transcript(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=0)
-        cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
+        transcript = deliver(ex4_pda, library, (0, 1, 2, 3))
         assert len(transcript.transmissions) == 4
         first = transcript.transmissions[0]
         assert first.symbol == 1
@@ -173,8 +174,7 @@ class TestDelivery:
 
     def test_payloads_are_one_read_only_array(self, ex15_pda):
         library = FileLibrary.random(2, 15, packet_len=5, seed=3)
-        cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
+        transcript = deliver(ex15_pda, library, (1,) * 15)
         payloads = transcript.payloads
         assert payloads.dtype == np.uint8 and payloads.shape == (30, 5)
         assert not payloads.flags.writeable
@@ -186,24 +186,23 @@ class TestDelivery:
         # The symbol index and the kernel output peak at about 2.5 MiB; one
         # object per symbol and cell took deliver to 13.5 MiB.
         library = FileLibrary.random(2, lift343.F, seed=1)
-        cache = place(lift343, library)
         demand = tuple(k % 2 for k in range(lift343.K))
-        assert peak_mib(deliver, lift343, library, cache, demand) <= 5  # MiB
+        assert peak_mib(deliver, lift343, library, demand) <= 5  # MiB
 
     def test_degenerate_all_star(self):
         arr = Pda(np.zeros((2, 2), dtype=np.int64), Z=2, S=0)
         library = FileLibrary.random(2, 2, seed=0)
         cache = place(arr, library)
-        transcript = deliver(arr, library, cache, (0, 1))
+        transcript = deliver(arr, library, (0, 1))
         assert transcript.transmissions == ()
         assert transcript.bytes_on_wire == 0
-        assert decode(arr, cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
+        assert decode(cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
 
     def test_absent_symbols_get_zero_payloads(self):
         arr = Pda([[0, 3], [3, 0]], Z=1, S=4)  # symbols 1, 2 and 4 never occur
         library = FileLibrary.random(2, 2, packet_len=5, seed=1)
         cache = place(arr, library)
-        transcript = deliver(arr, library, cache, (0, 1))
+        transcript = deliver(arr, library, (0, 1))
         assert [t.symbol for t in transcript.transmissions] == [1, 2, 3, 4]
         assert transcript.bytes_on_wire == 4 * 5
         for t in transcript.transmissions[:2] + transcript.transmissions[3:]:
@@ -211,31 +210,28 @@ class TestDelivery:
         third = transcript.transmissions[2]
         assert third.contributors == ((0, 1), (1, 0))
         assert third.payload == xor_bytes(library.packet_bytes(0, 1), library.packet_bytes(1, 0))
-        assert decode(arr, cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
+        assert decode(cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
         report = exhaustive_demand_check(arr, N=2)
         assert report.ok and report.exhaustive and report.checked == 4
         assert report.max_measured_load == report.nominal_load == 2
 
     def test_fifteen_user_load(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=3)
-        cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, cache, (0,) * 15)
+        transcript = deliver(ex15_pda, library, (0,) * 15)
         assert len(transcript.transmissions) == 30
         assert Fraction(transcript.bytes_on_wire, 15 * 16) == 2
 
     def test_rejects_bad_demands(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
-        cache = place(ex4_pda, library)
         with pytest.raises(ValueError):
-            deliver(ex4_pda, library, cache, (0, 1))
+            deliver(ex4_pda, library, (0, 1))
         with pytest.raises(ValueError):
-            deliver(ex4_pda, library, cache, (0, 1, 2, 2))
+            deliver(ex4_pda, library, (0, 1, 2, 2))
 
     def test_xor_self_consistency(self, ex15_pda):
         library = FileLibrary.random(3, 15, seed=9)
-        cache = place(ex15_pda, library)
         d = tuple(j % 3 for j in range(15))
-        transcript = deliver(ex15_pda, library, cache, d)
+        transcript = deliver(ex15_pda, library, d)
         for txn in transcript.transmissions[::7]:
             rest = txn.payload
             for user, packet in txn.contributors[1:]:
@@ -245,12 +241,11 @@ class TestDelivery:
 
     def test_wire_bytes_count_emitted_payloads(self, ex15_pda, monkeypatch):
         library = FileLibrary.random(2, 15, packet_len=5, seed=3)
-        cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
+        transcript = deliver(ex15_pda, library, (1,) * 15)
         assert transcript.bytes_on_wire == 30 * 5
         real = simulate._payloads
         monkeypatch.setattr(simulate, "_payloads", lambda *a: real(*a)[:-1])
-        short = deliver(ex15_pda, library, cache, (1,) * 15)
+        short = deliver(ex15_pda, library, (1,) * 15)
         assert len(short.transmissions) == 29
         assert short.bytes_on_wire == 29 * 5
 
@@ -276,11 +271,11 @@ def test_transcript_golden(request, name, n_files, seed, demand):
     arr = request.getfixturevalue(f"{name}_pda")
     library = FileLibrary.random(n_files, arr.F, seed=seed)
     cache = place(arr, library)
-    transcript = deliver(arr, library, cache, demand)
+    transcript = deliver(arr, library, demand)
     doc = json.loads(serialize.transcript_to_json(transcript))
     canonical = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(canonical).hexdigest() == TRANSCRIPT_GOLDENS[name]
-    files = decode(arr, cache, transcript)
+    files = decode(cache, transcript)
     assert files == tuple(library.file_bytes(n) for n in demand)
 
 
@@ -288,26 +283,26 @@ class TestDecode:
     def test_all_users_recover(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=5)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
-        files = decode(ex4_pda, cache, transcript)
+        transcript = deliver(ex4_pda, library, (0, 1, 2, 3))
+        files = decode(cache, transcript)
         assert files == tuple(library.file_bytes(k) for k in range(4))
 
     def test_same_demand_vector(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=5)
         cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, cache, (0,) * 15)
-        assert decode(ex15_pda, cache, transcript) == (library.file_bytes(0),) * 15
+        transcript = deliver(ex15_pda, library, (0,) * 15)
+        assert decode(cache, transcript) == (library.file_bytes(0),) * 15
 
     def test_unrecoverable_fires_on_corrupt_cache(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=5)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 2, 3))
+        transcript = deliver(ex4_pda, library, (0, 1, 2, 3))
         cache.slots[0, 0] = -1  # user 0 needs row 0 of file 1 to cancel symbol 1
         with pytest.raises(
             UnrecoverablePacketError,
             match=r"^user 0 lacks interfering packet \(1, 0\) needed for symbol 1$",
         ):
-            decode(ex4_pda, cache, transcript)
+            decode(cache, transcript)
 
     @pytest.mark.parametrize("name", ["ex4", "ex15", "irregular", "mn"])
     def test_blocked_witness_is_lowest_symbol(self, request, name):
@@ -332,29 +327,29 @@ class TestDecode:
         arr = Pda(np.zeros((3, 3), dtype=np.int64), Z=3, S=0)
         library = FileLibrary.random(2, 3, seed=1)
         cache = place(arr, library)
-        transcript = deliver(arr, library, cache, (0, 1, 0))
+        transcript = deliver(arr, library, (0, 1, 0))
         cache.slots[1, 1:] = -1
         cache.slots[2, 0] = -1
         with pytest.raises(
             UnrecoverablePacketError, match=r"^user 1 should have cached packet \(1, 1\)$"
         ):
-            decode(arr, cache, transcript)
+            decode(cache, transcript)
 
     def test_rejects_bad_user(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 0, 0, 0))
+        transcript = deliver(ex4_pda, library, (0, 0, 0, 0))
         too_many = dataclasses.replace(transcript, demands=(0, 0, 0, 0, 0))
         with pytest.raises(ValueError, match="serves 5 users"):
-            decode(ex4_pda, cache, too_many)
+            decode(cache, too_many)
 
     def test_rejects_transcript_missing_a_symbol(self, ex4_pda):
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 0, 1))
+        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
         short = dataclasses.replace(transcript, payloads=transcript.payloads[:-1])
         with pytest.raises(ValueError, match="one transmission per symbol"):
-            decode(ex4_pda, cache, short)
+            decode(cache, short)
 
     @pytest.mark.parametrize(
         "change",
@@ -370,10 +365,60 @@ class TestDecode:
     def test_rejects_malformed_payloads(self, ex4_pda, change):
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, cache, (0, 1, 0, 1))
+        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
         bad = dataclasses.replace(transcript, payloads=change(transcript.payloads))
         with pytest.raises(ValueError, match=r"^payloads must be .* a uint8 \(4, 16\) array"):
-            decode(ex4_pda, cache, bad)
+            decode(cache, bad)
+
+    def test_rejects_other_packet_len(self, ex15_pda):
+        # 9-byte packets fit the 16-byte cache's two words, but would decode
+        # to 135-byte files of a 240-byte library.
+        cache = place(ex15_pda, FileLibrary.random(2, 15, seed=1))
+        transcript = deliver(ex15_pda, FileLibrary.random(2, 15, packet_len=9, seed=1), (0,) * 15)
+        with pytest.raises(ValueError, match=r"packet_len=9 is not the cache's 16"):
+            decode(cache, transcript)
+
+    def test_foreign_transcript_is_exact_or_blocked(self, ex15_pda):
+        # Transcripts of ex15 with its rows and columns permuted (each still a
+        # valid PDA of the same shape) against ex15's cache: a random
+        # permutation blocks, a cyclic shift of both keeps the star pattern.
+        library = FileLibrary.random(2, 15, seed=1)
+        cache = place(ex15_pda, library)
+        d = tuple(k % 2 for k in range(15))
+        want = [library.file_bytes(n) for n in d]
+        shifts = [np.roll(np.arange(15), t) for t in (1, 7)]
+        perms = [np.random.default_rng(seed).permutation(15) for seed in range(12)]
+        outcomes = set()
+        for rows, cols in [(p, p) for p in shifts] + list(zip(perms[::2], perms[1::2])):
+            arr = Pda(ex15_pda.grid[rows][:, cols], Z=ex15_pda.Z, S=ex15_pda.S)
+            assert verify_pda(arr).ok and not np.array_equal(arr.grid, ex15_pda.grid)
+            transcript = deliver(arr, library, d)
+            try:
+                outcomes.add(list(decode(cache, transcript)) == want)
+            except UnrecoverablePacketError:
+                outcomes.add("blocked")
+            wire = np.ascontiguousarray(transcript.payloads).view(np.uint64)[:, None]
+            files, blocked = simulate._decode(transcript.groups, cache, wire, np.array([d]))
+            for k in set(range(15)) - set(blocked):
+                assert files[k, :, 0].tobytes() == want[k]
+        assert outcomes == {True, "blocked"}
+
+    def test_rejects_transcript_of_a_larger_array(self, ex15_pda):
+        # The conjugate serves the same 15 users from 30 rows.
+        conj = conjugate_pda(ex15_pda)
+        assert (conj.K, conj.F) == (15, 30)
+        cache = place(ex15_pda, FileLibrary.random(2, 15, seed=1))
+        transcript = deliver(conj, FileLibrary.random(2, 30, seed=1), (1,) * 15)
+        with pytest.raises(ValueError, match=r"cells must lie in the cache's 15 rows x 15 users"):
+            decode(cache, transcript)
+
+    def test_decode_memory(self, lift343):
+        # The transcript's index serves decode; building a second one took
+        # the peak to 10.95 MiB.
+        library = FileLibrary.random(2, lift343.F, seed=1)
+        cache = place(lift343, library)
+        transcript = deliver(lift343, library, tuple(k % 2 for k in range(lift343.K)))
+        assert peak_mib(decode, cache, transcript) <= 10  # MiB
 
 
 class TestDemandSweep:
@@ -473,8 +518,8 @@ class TestDemandSweep:
         monkeypatch.setattr(simulate, "_payloads", lambda *a: chunks.append(1) or real_payloads(*a))
         library = FileLibrary.random(2, ex15_pda.F, seed=4)
         cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, cache, (1,) * 15)
-        assert decode(ex15_pda, cache, transcript) == (library.file_bytes(1),) * 15
+        transcript = deliver(ex15_pda, library, (1,) * 15)
+        assert decode(cache, transcript) == (library.file_bytes(1),) * 15
         assert len(walks) == 1
         walks.clear()
         chunks.clear()
@@ -591,8 +636,8 @@ class TestPairChunks:
             monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
             for i, corruption in enumerate(self.corruptions(arr, 6)):
                 cache = place(arr, library)
-                transcript = deliver(arr, library, cache, demand)
+                transcript = deliver(arr, library, demand)
                 self.corrupt(cache, *corruption)
                 with pytest.raises(UnrecoverablePacketError) as error:
-                    decode(arr, cache, transcript)
+                    decode(cache, transcript)
                 assert str(error.value) == messages.setdefault(i, str(error.value))
