@@ -122,7 +122,9 @@ def params_to_json(v: int, n: int, solver: str, m: Sequence[int], product: int, 
 # Both PDA encodings are rows of decimal cells and a star token; they differ
 # only in the bytes around the cells.  One writer and one reader serve both,
 # a chunk of rows at a time, so no step runs Python code per cell and the
-# working set beside the grid and the text stays bounded.
+# working set beside the grid and the text stays bounded.  The writer looks
+# each cell's bytes up in a table of decimals; the reader reads digits only
+# where a token has them, so the stars of a sparse array cost one pass.
 
 # Byte classes of the reader.  A token is a maximal run of classes >= _DIGIT.
 _SPACE, _COMMA, _CLOSE, _ROW, _DIGIT, _SIGN, _OTHER = range(7)
@@ -176,43 +178,59 @@ _JSON = _Dialect(
 )
 
 
+def _decimals(values: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of ascending values >= 0, right-aligned in ``width``
+    byte slots with 0 in the slots before them: one row per value."""
+    q = values.astype(np.min_scalar_type(values[-1]))  # narrow division is faster
+    out = np.empty((values.size, width), dtype=np.uint8)
+    for slot in range(width - 1, -1, -1):
+        div = q // 10
+        digit = (q - div * 10).astype(np.uint8) + np.uint8(ord("0"))
+        out[:, slot] = digit if slot == width - 1 else digit * (q > 0)
+        q = div
+    return out
+
+
+def _cell_table(values: np.ndarray, width: int, sep: np.ndarray, star: bytes) -> np.ndarray:
+    """One row of written bytes per value: the cell in ``width`` slots, the star
+    for STAR, then ``sep``; the 0 bytes are slots the text leaves out."""
+    table = np.zeros((values.size, width + sep.size), dtype=np.uint8)
+    table[:, :width] = _decimals(values, width)
+    table[:, width:] = sep
+    if values[0] == STAR:
+        table[0, :width] = 0
+        table[0, width - len(star) : width] = np.frombuffer(star, dtype=np.uint8)
+    return table
+
+
 def _write_rows(grid: np.ndarray, d: _Dialect) -> list[str]:
     """Each row as its cells joined by d.sep and followed by d.row_end.
 
-    Per chunk of rows the cells' decimal digits go right-aligned into fixed
-    slots of a uint8 buffer by vectorised division, the star and the separators
-    into their slots, and one keep-mask compacts the buffer into the text.
+    A cell's bytes are a row of a table built once per call, one row for
+    each value in 0..top.  That needs top < F*K, as in every valid PDA with
+    a star: S is at most its non-star cells.  A grid with a larger cell gets
+    a table of each chunk's own values instead, so no cell value sizes it.
+    A chunk of rows is then one take of table rows, the row ends put in,
+    and the 0 slots dropped.
     """
     F, K = grid.shape
-    star = np.frombuffer(d.star, dtype=np.uint8)
+    top = int(grid.max())
+    width = max(len(str(top)), len(d.star))
     gap = max(len(d.sep), len(d.row_end))
-    tail = np.zeros((K, gap), dtype=np.uint8)
-    tail_keep = np.zeros((K, gap), dtype=bool)
-    for k, text in ((slice(0, K - 1), d.sep), (K - 1, d.row_end)):
-        tail[k, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-        tail_keep[k, : len(text)] = True
+    sep, row_end = (np.frombuffer(s.ljust(gap, b"\0"), dtype=np.uint8) for s in (d.sep, d.row_end))
+    dense = top < F * K
+    if dense:
+        table = _cell_table(np.arange(top + 1), width, sep, d.star)
     pieces = []
     step = max(1, _CHUNK // K)
     for r in range(0, F, step):
-        cells = grid[r : r + step]
-        top = int(cells.max())
-        q = cells.astype(np.min_scalar_type(top))  # cells are >= 0; narrow division is faster
-        width = max(len(str(top)), star.size)
-        buf = np.empty(q.shape + (width + gap,), dtype=np.uint8)
-        keep = np.empty(buf.shape, dtype=bool)
-        for slot in range(width - 1, -1, -1):
-            keep[..., slot] = q > 0
-            div = q // 10
-            buf[..., slot] = (q - div * 10).astype(np.uint8)
-            q = div
-        buf[..., :width] += ord("0")
-        keep[..., width - 1] = True
-        is_star = cells == STAR
-        buf[..., width - star.size : width][is_star] = star
-        keep[..., width - star.size : width][is_star] = True
-        buf[..., width:] = tail
-        keep[..., width:] = tail_keep
-        pieces.append(buf[keep].tobytes().decode("ascii"))
+        index = grid[r : r + step]
+        if not dense:
+            values, inverse = np.unique(index, return_inverse=True)
+            table, index = _cell_table(values, width, sep, d.star), inverse.reshape(index.shape)
+        buf = table.take(index, axis=0)
+        buf[:, -1, width:] = row_end
+        pieces.append(buf[buf != 0].tobytes().decode("ascii"))
     return pieces
 
 
@@ -250,23 +268,30 @@ def _tokens(buf: np.ndarray, cls: np.ndarray, d: _Dialect):
 
 
 def _values(buf: np.ndarray, end, digits, negative) -> tuple[np.ndarray, bool]:
-    """The int64 value of every token, built by digit position; and whether one overflows."""
+    """The int64 value of every token, and whether one overflows.
+
+    Only tokens with digits are read, by digit position; the stars stay 0.
+    """
+    value = np.zeros(end.size, dtype=np.int64)
+    num = np.flatnonzero(digits)
+    end, digits, negative = end[num], digits[num], negative[num]
     width = min(int(digits.max(initial=0)), 19)  # 19 digits fit in uint64
-    value = np.zeros(end.size, dtype=np.uint64)
+    got = np.zeros(num.size, dtype=np.uint64)
     pos = end - width
     for j in range(width):
         digit = buf.take(pos, mode="clip") - np.uint8(ord("0"))
         digit[digits < width - j] = 0
-        value *= _TEN
-        value += digit
+        got *= _TEN
+        got += digit
         pos += 1
-    over = value > _INT64_MAX + negative
+    over = got > _INT64_MAX + negative
     long = np.flatnonzero(digits > 19)
     if long.size:  # more than 19 digits fit only after leading zeros
         nonzero = np.r_[0, np.cumsum(buf > ord("0"))]
         over[long] |= nonzero[end[long] - 19] > nonzero[end[long] - digits[long]]
-    value = value.view(np.int64)
-    value[negative] = -value[negative]
+    got = got.view(np.int64)
+    got[negative] = -got[negative]
+    value[num] = got
     return value, bool(over.any())
 
 
@@ -483,8 +508,9 @@ def transcript_to_json(transcript: DeliveryTranscript) -> str:
     """The head fields, then one record per payload row in symbol order.
 
     Symbols go in chunks of about ``_CHUNK`` cells: the chunk's payloads are
-    hex-encoded at once, each cell is written once as "[user,row]", and a
-    record joins its symbol group's cells.  An absent symbol has none.
+    hex-encoded at once, its cells are written as "[user,row]," at once from
+    one decimal table, and a record slices its symbol group's cells out of
+    that text.  An absent symbol has none.
     """
     head = json.dumps(
         {
@@ -499,20 +525,27 @@ def transcript_to_json(transcript: DeliveryTranscript) -> str:
     row, user, symbol, start = transcript.groups
     present = symbol[start[:-1]]  # the symbol of each group, ascending
     S, width = wire.shape[0], 2 * wire.shape[1]
+    top = int(max(row.max(initial=0), user.max(initial=0)))
+    nd = len(str(top))
+    digits = _decimals(np.arange(top + 1), nd)
+    cell = np.zeros(2 * nd + 4, dtype=np.uint8)  # '[', user, ',', row, '],'
+    cell[[0, nd + 1, -2, -1]] = np.frombuffer(b"[,],", dtype=np.uint8)
     step = max(1, _CHUNK * S // max(1, S, len(row)))
     chunks = []
     for lo in range(0, S, step):
         hi = min(lo + step, S)
         hexes = wire[lo:hi].tobytes().hex()
         g0, g1 = np.searchsorted(present, [lo + 1, hi + 1])
-        edges = (start[g0 : g1 + 1] - start[g0]).tolist()
-        cells = [
-            f"[{u},{j}]"
-            for u, j in zip(user[start[g0] : start[g1]].tolist(), row[start[g0] : start[g1]].tolist())
-        ]
+        u, j = user[start[g0] : start[g1]], row[start[g0] : start[g1]]
+        buf = np.tile(cell, (u.size, 1))
+        buf[:, 1 : nd + 1] = digits[u]
+        buf[:, nd + 2 : 2 * nd + 2] = digits[j]
+        keep = buf != 0
+        cells = buf[keep].tobytes().decode("ascii")
+        ends = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1))][start[g0 : g1 + 1] - start[g0]].tolist()
         contributors = [""] * (hi - lo)
-        for s, a, b in zip(present[g0:g1].tolist(), edges, edges[1:]):
-            contributors[s - 1 - lo] = ",".join(cells[a:b])
+        for s, a, b in zip(present[g0:g1].tolist(), ends, ends[1:]):
+            contributors[s - 1 - lo] = cells[a : b - 1]
         chunks.append(",".join(
             f'{{"symbol":{lo + i + 1},"payload":"{hexes[i * width : (i + 1) * width]}",'
             f'"contributors":[{joined}]}}'

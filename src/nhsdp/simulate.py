@@ -131,6 +131,9 @@ class CacheContents:
     packet_len: int  # the library's, which decode requires of a transcript
 
     def cached_bytes(self, k: int, packet_len: int) -> int:
+        """Bytes user k caches; packet_len must be the library's."""
+        if packet_len != self.packet_len:
+            raise ValueError(f"packet_len {packet_len} is not the library's {self.packet_len}")
         return int((self.slots[k] >= 0).sum()) * self.users.shape[1] * packet_len
 
 

@@ -190,6 +190,22 @@ class TestGoldens:
         assert serialize.load_pda(text).same_as(arr)
 
 
+def reference_pda_to_text(arr):
+    """The per-cell str writer of PDA text."""
+    return "".join(" ".join("*" if x == STAR else str(x) for x in row) + "\n" for row in arr.grid.tolist())
+
+
+def reference_pda_doc(arr):
+    """The PDA as the JSON object json.dumps writes, with "*" for the star."""
+    grid = [["*" if x == STAR else x for x in row] for row in arr.grid.tolist()]
+    return {"F": arr.F, "K": arr.K, "Z": arr.Z, "S": arr.S, "grid": grid}
+
+
+def reference_pda_to_json(arr):
+    """The per-cell json.dumps writer of PDA JSON."""
+    return json.dumps(reference_pda_doc(arr), separators=(",", ":")) + "\n"
+
+
 def reference_pda_from_text(text):
     """The per-cell reader the byte codec replaced: str.splitlines, str.split and int."""
     rows = []
@@ -253,9 +269,13 @@ def scramble(grid, rng, space, breaks):
 
 @pytest.fixture(params=[3, 64, None], ids=["chunk3", "chunk64", "chunk_default"])
 def chunk(request, monkeypatch):
-    """Run the codec with tiny chunks too, so rows, tokens and faults straddle chunk bounds."""
+    """Run the codec with tiny chunks too, so rows, tokens and faults straddle chunk bounds.
+
+    Returns the chunk size in effect.
+    """
     if request.param:
         monkeypatch.setattr(serialize, "_CHUNK", request.param)
+    return serialize._CHUNK
 
 
 class TestTextGrammar:
@@ -266,9 +286,7 @@ class TestTextGrammar:
         for _ in range(60):
             arr = Pda.from_grid(random_grid(rng))
             text = serialize.pda_to_text(arr)
-            assert text == "".join(
-                " ".join("*" if x == STAR else str(x) for x in row) + "\n" for row in arr.grid.tolist()
-            )
+            assert text == reference_pda_to_text(arr)
             assert serialize.pda_from_text(text).same_as(arr)
             assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
 
@@ -340,9 +358,8 @@ class TestJsonGrammar:
         for _ in range(60):
             arr = Pda.from_grid(random_grid(rng))
             text = serialize.pda_to_json(arr)
-            grid = [["*" if x == STAR else x for x in row] for row in arr.grid.tolist()]
-            doc = {"F": arr.F, "K": arr.K, "Z": arr.Z, "S": arr.S, "grid": grid}
-            assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+            doc = reference_pda_doc(arr)
+            assert text == reference_pda_to_json(arr)
             assert serialize.pda_from_json(text).same_as(arr)
             for spaced in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(dict(reversed(doc.items())))):
                 assert_reads_like(serialize.pda_from_json, reference_pda_from_json, spaced)
@@ -437,6 +454,88 @@ class TestJsonGrammar:
         assert reference_pda_from_json(text).grid.tolist() == [[STAR, 1]]
         with pytest.raises(ValueError, match="field 'grid' must write the star as"):
             serialize.pda_from_json(text)
+
+
+def edge_grid(kind):
+    """A 5x7 grid at one edge of the writer's decimal table, or star-free."""
+    F, K = 5, 7
+    rng = np.random.default_rng(9)
+    grid = rng.integers(1, F * K - 2, size=(F, K), endpoint=True)
+    if kind != "star_free":
+        grid[rng.random((F, K)) < 0.4] = STAR
+    if kind == "top_FK_minus_1":
+        grid[2, 3] = F * K - 1
+    elif kind == "top_FK":
+        grid[2, 3] = F * K
+    elif kind == "int64_max_row":
+        grid[4] = [2**63 - 1, STAR, 7, 2**63 - 1, 10**18, STAR, 2**63 - 1]
+    elif kind == "all_star":
+        grid[:] = STAR
+    return grid
+
+
+def star_dense_grid(kind, rng):
+    """A 40x30 grid of stars only, or about 3 % symbols as in a conjugate."""
+    grid = np.zeros((40, 30), dtype=np.int64)
+    if kind == "star_dense":
+        cells = rng.random(grid.shape) < 0.03
+        grid[cells] = rng.integers(1, 10**6, size=int(cells.sum()))
+        grid[0, 5] = 2**63 - 1
+    return grid
+
+
+class TestCellCodec:
+    """The table writer writes what the per-cell writers write at the edges of
+    its table, and the reader reads the digits of star-heavy grids."""
+
+    @pytest.mark.parametrize(
+        "kind", ["top_FK_minus_1", "top_FK", "int64_max_row", "all_star", "star_free"]
+    )
+    def test_edge_grids(self, chunk, kind, monkeypatch):
+        arr = Pda.from_grid(edge_grid(kind))
+        sizes, build = [], serialize._cell_table
+        monkeypatch.setattr(
+            serialize, "_cell_table", lambda values, *rest: sizes.append(values.size) or build(values, *rest)
+        )
+        assert serialize.pda_to_text(arr) == reference_pda_to_text(arr)
+        assert serialize.pda_to_json(arr) == reference_pda_to_json(arr)
+        assert serialize.pda_from_text(reference_pda_to_text(arr)).same_as(arr)
+        FK, top = arr.F * arr.K, int(arr.grid.max())
+        if top < FK:  # one table per call, a row per value in 0..top
+            assert sizes == [top + 1, top + 1]
+        else:  # one table per chunk, a row per value the chunk holds
+            rows_per_chunk = max(1, chunk // arr.K)
+            assert len(sizes) == 2 * -(-arr.F // rows_per_chunk)
+            assert max(sizes) <= rows_per_chunk * arr.K
+
+    @pytest.mark.parametrize("kind", ["star_only", "star_dense"])
+    def test_star_heavy_grids(self, chunk, kind):
+        rng = np.random.default_rng(10)
+        arr = Pda.from_grid(star_dense_grid(kind, rng))
+        text = reference_pda_to_text(arr)
+        assert serialize.pda_from_text(text).same_as(arr)
+        assert serialize.pda_from_json(reference_pda_to_json(arr)).same_as(arr)
+        assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+        scrambled = scramble(arr.grid, rng, [" ", "\t"], ["\n", "\r\n"])
+        assert_reads_like(serialize.pda_from_text, reference_pda_from_text, scrambled)
+        assert_reads_like(serialize.pda_from_json, reference_pda_from_json, json.dumps(reference_pda_doc(arr)))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "9223372036854775808",
+            "99999999999999999999",
+            "000000000000000000009223372036854775807",
+            "000000000000000000009223372036854775808",
+            "x",
+        ],
+    )
+    def test_star_dense_faults(self, chunk, row):
+        text = "* * * *\n* * * 5\n* " + row + " * *\n* * * *\n"
+        assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+        grid = "[" + ",".join("[" + ",".join(line.split()).replace("*", '"*"') + "]" for line in text.splitlines()) + "]"
+        doc = '{"F": 4, "K": 4, "Z": 3, "S": 5, "grid": ' + grid + "}"
+        assert_reads_like(serialize.pda_from_json, reference_pda_from_json, doc)
 
 
 class TestCodecMemory:

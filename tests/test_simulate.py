@@ -114,6 +114,13 @@ class TestPlacement:
             assert np.array_equal(cache.users[k], library.data)
             assert cache.cached_bytes(k, library.packet_len) == 2 * 3 * 16
 
+    def test_cached_bytes_takes_only_the_library_packet_len(self, ex4_pda):
+        cache = place(ex4_pda, FileLibrary.random(4, 4, seed=7))
+        assert cache.cached_bytes(0, 16) == 2 * 4 * 16
+        for wrong in (5, 8, 17):
+            with pytest.raises(ValueError, match=f"packet_len {wrong} is not the library's 16"):
+                cache.cached_bytes(0, wrong)
+
     def test_cache_is_a_copy(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=7)
         cache = place(ex4_pda, library)
