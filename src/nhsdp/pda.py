@@ -31,8 +31,9 @@ STAR = 0
 # module (lift, conjugate, grouping, subset PDA) will allocate.
 MAX_CELLS = 2**27
 
-# The most pairs ``SymbolGroups.pairs`` yields in one step.
-_PAIR_CHUNK = 1 << 18
+# The most cross entries, times their width, one tile of
+# ``SymbolGroups.tiles`` holds.
+_TILE = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,9 @@ class SymbolGroups(NamedTuple):
 
     Only the P symbols present have a group: group g owns cells
     ``start[g]:start[g+1]``, all of symbol ``symbol[start[g]]``, and
-    ``start[P]`` is the number of non-star cells.
+    ``start[P]`` is the number of non-star cells.  ``tiles`` is the one
+    walk over the ordered pairs of a group's cells, for ``verify_pda`` and
+    the decoder alike.
     """
 
     row: np.ndarray
@@ -98,21 +101,37 @@ class SymbolGroups(NamedTuple):
     symbol: np.ndarray
     start: np.ndarray
 
-    def pairs(self):
-        """Yield (c, o) index arrays, offset t = 1, 2, ... in turn: the cells
-        c and o = c + t of every group that holds both, in chunks of at most
-        ``_PAIR_CHUNK`` pairs.  Each unordered pair of a group's cells comes
-        exactly once, with c < o."""
-        # At offset t a group [a, b) holds c = a .. b-1-t: one run of
-        # consecutive indices per group, the runs more than one apart, so
-        # dropping the last cell of each run gives offset t + 1.
-        c, t = np.flatnonzero(self.symbol[1:] == self.symbol[:-1]), 1
-        while c.size:
-            for i in range(0, c.size, _PAIR_CHUNK):
-                part = c[i : i + _PAIR_CHUNK]
-                yield part, part + t
-            t += 1
-            c = c[:-1][c[1:] - c[:-1] == 1]
+    def tiles(self, width: int = 1):
+        """Yield (rec, oth, shift) tiles of at most ``_TILE // width`` cross
+        entries, and at least one: width is what one entry costs its user.
+
+        Groups of equal size g form a (G, g) table of cell indices, taken
+        in order of size and then of start; groups of one cell yield
+        nothing.  In a tile, receiver ``rec[x, i]`` meets each other cell
+        ``oth[x, j]`` of the same group x: (n, a) and (n, b) arrays, n*a*b
+        entries.  Whole groups go into a tile while g*g fits the budget; a
+        larger group is cut by receivers, and by other cells too once g
+        alone exceeds it.  Receiver i is other cell i + shift, or none of
+        them when shift is None.  Over all tiles every ordered pair of
+        distinct cells of a group comes exactly once.
+        """
+        budget = max(1, _TILE // width)
+        size = np.diff(self.start)
+        order = np.argsort(size, kind="stable")
+        size = size[order]
+        cut = np.flatnonzero(np.diff(size, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(cut, cut[1:]):
+            g = int(size[lo])
+            if g < 2:
+                continue
+            first, col = self.start[order[lo:hi], None], np.arange(g)
+            n, r, b = max(1, budget // (g * g)), min(g, max(1, budget // g)), min(g, budget)
+            for x in range(0, len(first), n):
+                for i in range(0, g, r):
+                    rec = first[x : x + n] + col[i : i + r]
+                    for j in range(0, g, b):
+                        oth = rec if b == r == g else first[x : x + n] + col[j : j + b]
+                        yield rec, oth, i - j if j <= i < j + b else None
 
 
 def symbol_groups(pda: Pda) -> SymbolGroups:
@@ -148,30 +167,35 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
 def verify_pda(pda: Pda) -> Verdict:
     """Exhaustively check C1, C2, C3a, and C3b.
 
-    Each pair of cells in a symbol group is compared once, in the chunks
-    ``SymbolGroups.pairs`` yields, so the cost is O(F*K + sum_s occ(s)^2)
-    time for any group sizes, and the memory is the symbol index plus one
-    chunk of pairs.  Only the symbols present are indexed, so no work
-    follows the declared S.  C3a is reported before C3b; either witness is
-    the first violating pair by (symbol, cells in row-major order), the
-    least over all chunks.
+    Each cell of a symbol group meets every other cell of it in the tiles
+    of ``SymbolGroups.tiles``: the cross cell (row of one, user of the
+    other) must be a star, which also rules out a shared row or column.
+    A tile passes when its only non-stars are its receivers' own cells, so
+    the cost is O(F*K + sum_s occ(s)^2) time for any group sizes, and the
+    memory is the symbol index plus one tile.  Only the symbols present are
+    indexed, so no work follows the declared S.  C3a is reported before
+    C3b; either witness is the first violating pair by (symbol, cells in
+    row-major order), the least over all tiles.
     """
     groups = symbol_groups(pda)
     row, user, symbol, start = groups
     grid, K = pda.grid, pda.K
-    star = (grid == STAR).ravel()
+    symbolic = (grid != STAR).ravel()
+    rk, cell = row * K, None
     first: dict[str, tuple[int, int, int]] = {}
-    for c, o in groups.pairs():
-        rc, ro, uc, uo = row[c], row[o], user[c], user[o]
-        clash = (rc == ro) | (uc == uo)
-        cross = ~(star[rc * K + uo] & star[ro * K + uc])
-        for code, bad in (("C3a", clash), ("C3b", cross)):
-            if bad.any():
-                a, b = rc[bad] * K + uc[bad], ro[bad] * K + uo[bad]
-                a, b = np.minimum(a, b), np.maximum(a, b)
-                sym = symbol[c[bad]]
-                i = np.lexsort((b, a, sym))[0]
-                key = (int(sym[i]), int(a[i]), int(b[i]))
+    for rec, oth, shift in groups.tiles():
+        # (b, n, a): is the cross cell (row of receiver, user of other) a symbol?
+        bad = symbolic.take(rk[rec] + user[oth].T[:, :, None])
+        if np.count_nonzero(bad) == (0 if shift is None else rec.size):
+            continue
+        if shift is not None:
+            own = np.arange(rec.shape[1])
+            bad[own + shift, :, own] = False
+        cell = rk + user if cell is None else cell
+        clash = (row[rec] == row[oth].T[:, :, None]) | (user[rec] == user[oth].T[:, :, None])
+        for code, hit in (("C3a", bad & clash), ("C3b", bad)):
+            if hit.any():
+                key = _least_pair(cell, symbol, rec, oth, hit)
                 first[code] = min(first.get(code, key), key)
     for code in ("C3a", "C3b"):
         if code in first:
@@ -186,7 +210,7 @@ def verify_pda(pda: Pda) -> Verdict:
             )
             return Verdict(False, code, detail, {"symbol": s, "cells": cells})
 
-    star_counts = star.reshape(grid.shape).sum(axis=0)
+    star_counts = pda.F - symbolic.reshape(grid.shape).sum(axis=0)
     bad = np.nonzero(star_counts != pda.Z)[0]
     if bad.size:
         k = int(bad[0])
@@ -211,6 +235,19 @@ def verify_pda(pda: Pda) -> Verdict:
         )
     K, F, Z, S = pda.params()
     return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", {"params": pda.params()})
+
+
+def _least_pair(cell, symbol, rec, oth, hit) -> tuple[int, int, int]:
+    """(symbol, a, b) of the first group of a tile with a hit, a < b the
+    row-major positions of the least hit pair of it."""
+    x = int(hit.any(axis=(0, 2)).argmax())
+    o, r = cell[oth[x]], cell[rec[x]]
+    lo, big = np.minimum.outer(o, r), np.iinfo(np.int64).max
+    lo[~hit[:, x]] = big
+    least = lo.min()
+    hi = np.maximum.outer(o, r)
+    hi[lo != least] = big
+    return int(symbol[rec[x, 0]]), int(least), int(hi.min())
 
 
 def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:

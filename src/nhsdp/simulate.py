@@ -194,7 +194,7 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
             f"library has {library.F} packets per file, PDA needs {pda.F}"
         )
     zmax = _check_sizes(pda, library.N, library.packet_len)
-    star = (pda.grid == STAR).T  # (K, F)
+    star = np.ascontiguousarray((pda.grid == STAR).T)  # (K, F), row-major for _decode's take
     slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
     ks, js = np.nonzero(star)
     users = np.zeros((pda.K, library.N, zmax, library.data.shape[2]), dtype=np.uint64)
@@ -202,10 +202,11 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     return CacheContents(users, slots, library.packet_len)
 
 
-# The kernels loop over the offset within a symbol group, so each numpy call
-# moves whole (B, W) blocks for every group at once.  np.bitwise_xor.reduceat
-# over the same gathers would make one inner-loop call per (group, demand,
-# word), which dominates when groups hold a few cells.
+# The payload kernel loops over the offset within a symbol group, so each
+# numpy call moves whole (B, W) blocks for every group at once.
+# np.bitwise_xor.reduceat over the same gathers would make one inner-loop
+# call per (group, demand, word), which dominates when groups hold a few
+# cells.
 
 def _payloads(groups: SymbolGroups, S: int, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
@@ -230,34 +231,49 @@ def _decode(
     Cached rows are the user's own copy; any other row is its symbol's
     payload XOR the group's other packets, each read from the receiver's
     cache through the slot map; a read with no slot blocks the receiver.
-    Each pair of ``groups.pairs()`` (the C3b pairs of ``verify_pda``)
-    cancels in both directions, one chunk of pairs at a time; XOR and the
-    least blocked pair do not depend on the chunking.  A blocked user's
-    witness (row, user whose demand names the file, symbol) is its least
-    blocked (receiver cell, other cell) pair, else its first row neither
-    cached nor in a cell, with symbol 0.
+    The reads follow the tiles of ``groups.tiles`` (the cross entries
+    ``verify_pda`` checks): a turn table lists each receiver's other cells
+    after its own, other cell first, so one gather per tile reads them and
+    an XOR fold over the leading axis cancels them.  An entry weighs four
+    times its B*W packet words, so a tile reads at most a quarter of
+    ``pda._TILE`` words; tiles twice as large ran slower on the 15-user
+    demand sweep, whose working set then left the cache.  XOR and the least
+    blocked pair do not depend on the tiling.  A blocked user's witness
+    (row, user whose demand names the file, symbol) is its least blocked
+    (receiver cell, other cell) pair, else its first row neither cached
+    nor in a cell, with symbol 0.
     """
     users, slots = cache.users, cache.slots
     K, N, Z, W = users.shape
     F = slots.shape[1]
     flat, dZ = users.reshape(-1, W), d.T * Z
 
-    def cached(k, u, slot):  # user k's copy, in slot, of the file user u demands
-        return np.take(flat, dZ[u] + (k * (N * Z) + slot)[:, None], axis=0)
-
     out = np.empty((K * F, len(d), W), dtype=np.uint64)
     k, j = np.nonzero(slots >= 0)
-    out[k * F + j] = cached(k, k, slots[k, j])
+    out[k * F + j] = np.take(flat, dZ[k] + (k * (N * Z) + slots[k, j])[:, None], axis=0)
     user, row, symbol = groups.user, groups.row, groups.symbol
     got = payloads[symbol - 1]
     lost = []  # (receiver cells, other cells) with no slot
-    for c, o in groups.pairs():
-        uc, uo = user[c], user[o]
-        sc, so = slots[uc, row[o]], slots[uo, row[c]]
-        got[c] ^= cached(uc, uo, sc)
-        got[o] ^= cached(uo, uc, so)
-        if min(sc.min(), so.min()) < 0:
-            lost += [(c[sc < 0], o[sc < 0]), (o[so < 0], c[so < 0])]
+    turns = {}
+    for rec, oth, shift in groups.tiles(4 * len(d) * W):
+        key = rec.shape[1], oth.shape[1], shift
+        if key not in turns:  # receiver i's other cells: columns i + shift + 1, ... cyclically
+            a, b, _ = key
+            if shift is None:
+                turns[key] = np.arange(b)[:, None]
+            else:
+                turns[key] = (np.arange(1, b)[:, None] + np.arange(a) + shift) % b
+        other = oth[:, turns[key]].transpose(1, 0, 2)  # (b', n, a)
+        ur = user[rec]
+        slot = slots.take(ur * F + row[other])
+        # each receiver's copy of each other cell's packet, (b', n, a, B, W)
+        index = dZ[user[other]]
+        index += (slot + ur * (N * Z))[..., None]
+        read = np.take(flat, index, axis=0)
+        got[rec] ^= np.bitwise_xor.reduce(read, axis=0)
+        if slot.min(initial=0) < 0:
+            o, x, i = np.nonzero(slot < 0)
+            lost.append((rec[x, i], other[o, x, i]))
     out[user * F + row] = got
     blocked = {}
     if lost:
@@ -316,11 +332,13 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     packets of s, read from its cache; the cells come from the index deliver
     XORed over (``transcript.groups``), and star rows come from the cache.
     So each packet is exact, whatever array was delivered, or an uncached
-    interferer blocks its user (UnrecoverablePacketError).  Entry k of the
-    result is user k's file.
+    interferer blocks its user (UnrecoverablePacketError).  The groups are
+    taken as ``start`` bounds them, so a transcript whose bounds are not
+    where its sorted symbols change is refused.  Entry k of the result is
+    user k's file.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
-    row, user, symbol, _ = groups = transcript.groups
+    row, user, symbol, start = groups = transcript.groups
     (K, N, _, W), F = cache.users.shape, cache.slots.shape[1]
     if len(d) != K:
         raise ValueError(f"transcript serves {len(d)} users, cache has K={K}")
@@ -330,6 +348,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
         raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
     if row.size and (min(row.min(), user.min()) < 0 or row.max() >= F or user.max() >= K):
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
+    step = np.diff(symbol)
+    if (step < 0).any() or not (
+        len(start) and start[0] == 0 and start[-1] == symbol.size
+        and np.array_equal(start[1:-1], np.flatnonzero(step) + 1)
+    ):
+        raise ValueError(
+            "transcript groups.start must split groups.symbol, sorted, exactly where it changes"
+        )
     array = isinstance(payloads, np.ndarray)
     S = max(int(symbol.max(initial=0)), len(payloads) if array and payloads.ndim == 2 else 0)
     if not (array and payloads.dtype == np.uint8 and payloads.shape == (S, L)):

@@ -105,27 +105,35 @@ class TestSymbolGroups:
         assert groups.user.tolist() == [0, 1, 0, 1] and groups.row.tolist() == [1, 0, 0, 1]
         assert groups.start.tolist() == [0, 1, 2, 4]
 
+    @pytest.mark.parametrize("budget", [1, 2, 7, 16, 50, pda_mod._TILE])
     @pytest.mark.parametrize(
         "arr, sizes",
         [
             (drop_columns(pda_from_nhsdp(Nhsdp.from_blocks(15, EX15_BLOCKS)), range(14)), {3, 4}),
             (make_pda([[1, 4, STAR], [4, STAR, 2], [STAR, 3, 4]], Z=1, S=4), {1, 3}),
             (make_pda([[STAR, STAR]], Z=1, S=0), set()),
+            (make_pda(np.repeat(np.arange(1, 10), np.arange(1, 10)).reshape(5, 9)), set(range(1, 10))),
         ],
-        ids=["dropped_column", "singletons", "all_star"],
+        ids=["dropped_column", "singletons", "all_star", "sizes_1_to_9"],
     )
-    def test_pairs_list_each_pair_of_a_group_once(self, arr, sizes):
+    def test_tiles_cross_each_ordered_pair_of_a_group_once(self, monkeypatch, arr, sizes, budget):
         groups = symbol_groups(arr)
-        assert set(np.diff(groups.start).tolist()) == sizes
-        walked = []
-        for c, o in groups.pairs():
-            assert (c < o).all() and (groups.symbol[c] == groups.symbol[o]).all()
-            walked += zip(c.tolist(), o.tolist())
+        size = np.diff(groups.start)
+        assert set(size.tolist()) == sizes
+        monkeypatch.setattr(pda_mod, "_TILE", budget)
+        walked, steps = walk(groups)
         bounds = groups.start.tolist()
         expected = [
-            pair for a, b in zip(bounds, bounds[1:]) for pair in itertools.combinations(range(a, b), 2)
+            pair for a, b in zip(bounds, bounds[1:]) for pair in itertools.permutations(range(a, b), 2)
         ]
         assert len(walked) == len(set(walked)) and sorted(walked) == expected
+        assert max(steps, default=0) <= budget
+        # Whole rows of a rectangle fill at least half of the budget, so
+        # the walk takes at most one step per size class plus 2 sum g^2 / budget.
+        classes, squares = len(set(size[size > 1].tolist())), int((size[size > 1] ** 2).sum())
+        assert len(steps) <= classes + 2 * squares / budget
+        if squares <= budget:  # each size class in one tile
+            assert len(steps) == classes
 
 
 class TestVerify:
@@ -247,54 +255,64 @@ class TestVerify:
 
 
 def walk(groups):
-    """The pairs of ``groups.pairs()`` in the order listed, and the size of each step."""
+    """The ordered (receiver, other) cell pairs of ``groups.tiles()``, the
+    receivers' entries with themselves left out, and the entries of each tile."""
     pairs, steps = [], []
-    for c, o in groups.pairs():
-        assert c.size == o.size
+    for rec, oth, shift in groups.tiles():
+        n, a, b = rec.shape + oth.shape[1:]
+        own = np.zeros((n, a, b), dtype=bool)
+        if shift is not None:
+            own[:, np.arange(a), np.arange(a) + shift] = True
+        c, o = np.broadcast_arrays(rec[:, :, None], oth[:, None, :])
+        assert (c[own] == o[own]).all() and (c[~own] != o[~own]).all()
+        pairs += zip(c[~own].tolist(), o[~own].tolist())
         steps.append(c.size)
-        pairs += zip(c.tolist(), o.tolist())
     return pairs, steps
 
 
-def walk_positions(arr, verdict):
-    """Positions in the walk of the first pair that breaks verdict.code and
-    of the witness pair verify_pda reports."""
+def tile_positions(arr, verdict):
+    """Indices in the walk of the first tile holding a pair that breaks
+    verdict.code and of the first tile holding the witness pair broken."""
     groups = symbol_groups(arr)
     grid, row, user = arr.grid, groups.row.tolist(), groups.user.tolist()
-    bad, cells = [], []
-    for c, o in walk(groups)[0]:
-        (r1, u1), (r2, u2) = (row[c], user[c]), (row[o], user[o])
-        if verdict.code == "C3a":
-            bad.append(r1 == r2 or u1 == u2)
-        else:
-            bad.append(grid[r1, u2] != STAR or grid[r2, u1] != STAR)
-        cells.append(tuple(sorted(((r1, u1), (r2, u2)))))
-    return bad.index(True), cells.index(verdict.info["cells"])
+    first = None
+    for t, (rec, oth, _) in enumerate(groups.tiles()):
+        for cs, os in zip(rec.tolist(), oth.tolist()):
+            for c, o in itertools.product(cs, os):
+                (r1, u1), (r2, u2) = (row[c], user[c]), (row[o], user[o])
+                if c == o or not (
+                    r1 == r2 or u1 == u2 if verdict.code == "C3a" else grid[r1, u2] != STAR
+                ):
+                    continue
+                first = t if first is None else first
+                if tuple(sorted(((r1, u1), (r2, u2)))) == verdict.info["cells"]:
+                    return first, t
+    return first, None
 
 
-class TestPairChunks:
-    """The pair walk cut into chunks of 1, 2 and 7 pairs gives exactly what
-    the default chunk, one whole offset per step at these sizes, gives."""
+class TestTileBudgets:
+    """The tile walk cut to budgets of 1, 2 and 7 entries gives exactly what
+    the default budget, one tile per size class at these sizes, gives."""
 
-    CHUNKS = (1, 2, 7)
+    BUDGETS = (1, 2, 7)
 
     @pytest.fixture
     def arrays(self, ex15_packing):
         lift = pda_from_nhsdp(ex15_packing)
         return {"lift": lift, "conjugate": conjugate_pda(lift), "dropped": drop_columns(lift, range(14))}
 
-    @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_pairs_keep_their_order_in_chunks(self, arrays, monkeypatch, chunk):
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_tiles_cross_the_same_pairs_at_any_budget(self, arrays, monkeypatch, budget):
         groups = [symbol_groups(arr) for arr in arrays.values()]
         whole = [walk(g) for g in groups]
-        assert all(max(steps) > max(self.CHUNKS) for _, steps in whole)
-        monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+        assert all(max(steps) > max(self.BUDGETS) for _, steps in whole)
+        monkeypatch.setattr(pda_mod, "_TILE", budget)
         for g, (pairs, _) in zip(groups, whole):
-            chunked, steps = walk(g)
-            assert max(steps) == chunk and chunked == pairs
-            assert len(set(chunked)) == len(chunked)
+            tiled, steps = walk(g)
+            assert budget / 2 < max(steps) <= budget and sorted(tiled) == sorted(pairs)
+            assert len(set(tiled)) == len(tiled)
 
-    def test_verify_pda_is_chunk_invariant(self, arrays, monkeypatch):
+    def test_verify_pda_is_budget_invariant(self, arrays, monkeypatch):
         # Star-to-symbol mutations of 40 cells each of the lift and of its conjugate.
         rng = np.random.default_rng(15)
         mutated = []
@@ -306,19 +324,28 @@ class TestPairChunks:
                 mutated.append(Pda(grid, Z=arr.Z, S=arr.S))
         expected = [verify_pda(arr) for arr in mutated]
         assert {v.code for v in expected} == {"C3a", "C3b"}
-        later = {(code, chunk): False for code in ("C3a", "C3b") for chunk in self.CHUNKS}
-        for arr, verdict in zip(mutated, expected):
-            first, witness = walk_positions(arr, verdict)
-            for chunk in self.CHUNKS:
-                later[verdict.code, chunk] |= first // chunk < witness // chunk
-        assert all(later.values())  # some witness comes after a chunk holding another bad pair
-        for chunk in self.CHUNKS:
-            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+        later = {(code, budget): False for code in ("C3a", "C3b") for budget in self.BUDGETS}
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(pda_mod, "_TILE", budget)
+            for arr, verdict in zip(mutated, expected):
+                first, witness = tile_positions(arr, verdict)
+                later[verdict.code, budget] |= first < witness
+        assert all(later.values())  # some witness comes after a tile holding another bad pair
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(pda_mod, "_TILE", budget)
             for arr, verdict in zip(mutated, expected):
                 got = verify_pda(arr)
                 assert (got.ok, got.code, got.detail, got.info) == (
                     verdict.ok, verdict.code, verdict.detail, verdict.info
                 )
+
+    def test_group_over_the_budget_is_tiled_within(self):
+        # One symbol in all 4096 cells: 4096^2 cross entries, 64 times the budget.
+        arr = Pda(np.ones((64, 64), dtype=np.int64), Z=0, S=1)
+        verdict = verify_pda(arr)
+        assert (verdict.code, verdict.detail) == ("C3a", "symbol 1 repeats at cells (0,0) and (0,1)")
+        assert verdict.info == {"symbol": 1, "cells": ((0, 0), (0, 1))}
+        assert peak_mib(verify_pda, arr) <= 8  # MiB; the whole group would take 128
 
 
 class TestPairWalkMemory:

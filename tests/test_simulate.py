@@ -419,6 +419,23 @@ class TestDecode:
         with pytest.raises(ValueError, match=r"cells must lie in the cache's 15 rows x 15 users"):
             decode(cache, transcript)
 
+    @pytest.mark.parametrize("edit", ["merge", "split", "unsorted"])
+    def test_rejects_groups_split_off_their_symbols(self, ex15_pda, edit):
+        # Each edit, if decoded, gives some user wrong bytes and no error:
+        # the payload of a symbol is the XOR over all of its cells.
+        arr = Pda(np.array([[1, STAR], [STAR, 2]]), Z=1, S=2) if edit == "merge" else ex15_pda
+        library = FileLibrary.random(2, arr.F, seed=1)
+        cache = place(arr, library)
+        transcript = deliver(arr, library, tuple(k % 2 for k in range(arr.K)))
+        groups = transcript.groups
+        bad = {
+            "merge": groups._replace(start=np.array([0, 2])),
+            "split": groups._replace(start=np.insert(groups.start, 1, 2)),
+            "unsorted": groups._replace(symbol=groups.symbol[::-1]),
+        }[edit]
+        with pytest.raises(ValueError, match=r"groups\.start"):
+            decode(cache, dataclasses.replace(transcript, groups=bad))
+
     def test_decode_memory(self, lift343):
         # The transcript's index serves decode; building a second one took
         # the peak to 10.95 MiB.
@@ -513,15 +530,15 @@ class TestDemandSweep:
             for d, k, reason in report.failures:
                 assert reason == blocked_reason(k, want[k], d)
 
-    def test_pairs_walked_once_per_decode_and_chunk(self, ex15_pda, monkeypatch):
+    def test_tiles_walked_once_per_decode_and_chunk(self, ex15_pda, monkeypatch):
         walks, chunks = [], []
-        real_pairs, real_payloads = pda_mod.SymbolGroups.pairs, simulate._payloads
+        real_tiles, real_payloads = pda_mod.SymbolGroups.tiles, simulate._payloads
 
-        def pairs(groups):
+        def tiles(groups, width=1):
             walks.append(1)
-            yield from real_pairs(groups)
+            yield from real_tiles(groups, width)
 
-        monkeypatch.setattr(pda_mod.SymbolGroups, "pairs", pairs)
+        monkeypatch.setattr(pda_mod.SymbolGroups, "tiles", tiles)
         monkeypatch.setattr(simulate, "_payloads", lambda *a: chunks.append(1) or real_payloads(*a))
         library = FileLibrary.random(2, ex15_pda.F, seed=4)
         cache = place(ex15_pda, library)
@@ -595,12 +612,19 @@ class TestDemandSweep:
 
 
 
-class TestPairChunks:
-    """Decoding with the pair walk cut into chunks of 1, 2 and 7 pairs
-    reports exactly what the default chunk, one whole offset per step at
+def entries_per_tile(monkeypatch):
+    """Make ``_TILE`` the entries of every tile, whatever the width that the
+    walk's caller asks for."""
+    real = pda_mod.SymbolGroups.tiles
+    monkeypatch.setattr(pda_mod.SymbolGroups, "tiles", lambda groups, width=1: real(groups))
+
+
+class TestTileBudgets:
+    """Decoding with the tile walk cut to budgets of 1, 2 and 7 entries
+    reports exactly what the default budget, one tile per size class at
     these sizes, reports."""
 
-    CHUNKS = (1, 2, 7)
+    BUDGETS = (1, 2, 7)
 
     @staticmethod
     def corruptions(arr, count):
@@ -624,8 +648,9 @@ class TestPairChunks:
         arr = request.getfixturevalue(f"{name}_pda")
         current, reports = [], {}
         corrupt_place(monkeypatch, lambda cache: self.corrupt(cache, *current[-1]))
-        for chunk in (pda_mod._PAIR_CHUNK, *self.CHUNKS):
-            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+        entries_per_tile(monkeypatch)
+        for budget in (pda_mod._TILE, *self.BUDGETS):
+            monkeypatch.setattr(pda_mod, "_TILE", budget)
             for i, corruption in enumerate(self.corruptions(arr, 6)):
                 current.append(corruption)
                 failures = exhaustive_demand_check(arr, N=2, demand_budget=30).failures
@@ -639,8 +664,9 @@ class TestPairChunks:
         library = FileLibrary.random(2, arr.F, seed=1)
         demand = tuple(k % 2 for k in range(arr.K))
         messages = {}
-        for chunk in (pda_mod._PAIR_CHUNK, *self.CHUNKS):
-            monkeypatch.setattr(pda_mod, "_PAIR_CHUNK", chunk)
+        entries_per_tile(monkeypatch)
+        for budget in (pda_mod._TILE, *self.BUDGETS):
+            monkeypatch.setattr(pda_mod, "_TILE", budget)
             for i, corruption in enumerate(self.corruptions(arr, 6)):
                 cache = place(arr, library)
                 transcript = deliver(arr, library, demand)
