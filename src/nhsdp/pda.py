@@ -137,17 +137,21 @@ class SymbolGroups(NamedTuple):
 def symbol_groups(pda: Pda) -> SymbolGroups:
     """Index the cells of each symbol present with one scan and one sort.
 
-    The sort key is symbol * F*K plus the cell's position in the transposed
-    grid.  When the largest symbol would push the key past int64, the sort
-    runs on each symbol's rank among those present and maps back after.
-    The transposed copy is dropped once its symbols are read, and the key is
+    The sort key is symbol * F*K plus the cell's position u*F + r in the
+    transposed grid, mapped from its row-major position, so every array is
+    one entry per non-star cell and the grid is never copied.  When the
+    largest symbol would push the key past int64, the sort runs on each
+    symbol's rank among those present and maps back after.  The key is
     built, sorted and split back in place.
     """
-    gT = np.ascontiguousarray(pda.grid.T)
-    size = gT.size
-    cell = np.flatnonzero(gT)
-    key = gT.ravel()[cell]
-    del gT
+    F, K = pda.F, pda.K
+    size = F * K
+    cell = np.flatnonzero(pda.grid)
+    key = pda.grid.ravel()[cell]
+    row, cell = np.divmod(cell, K, out=(None, cell))
+    cell *= F
+    cell += row
+    del row
     rank = (int(key.max(initial=0)) + 1) * size > 2**63
     if rank:
         present, key = np.unique(key, return_inverse=True)
@@ -157,7 +161,7 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     symbol, cell = np.divmod(key, size, out=(key, cell))
     if rank:
         symbol = present[symbol]
-    user, row = np.divmod(cell, pda.F, out=(None, cell))
+    user, row = np.divmod(cell, F, out=(None, cell))
     edge = np.ones(symbol.size + 1, dtype=bool)
     np.not_equal(symbol[1:], symbol[:-1], out=edge[1:-1])
     start = np.flatnonzero(edge)
@@ -181,17 +185,17 @@ def verify_pda(pda: Pda) -> Verdict:
     row, user, symbol, start = groups
     grid, K = pda.grid, pda.K
     symbolic = (grid != STAR).ravel()
-    rk, cell = row * K, None
+    cell = None
     first: dict[str, tuple[int, int, int]] = {}
     for rec, oth, shift in groups.tiles():
         # (b, n, a): is the cross cell (row of receiver, user of other) a symbol?
-        bad = symbolic.take(rk[rec] + user[oth].T[:, :, None])
+        bad = symbolic.take(row[rec] * K + user[oth].T[:, :, None])
         if np.count_nonzero(bad) == (0 if shift is None else rec.size):
             continue
         if shift is not None:
             own = np.arange(rec.shape[1])
             bad[own + shift, :, own] = False
-        cell = rk + user if cell is None else cell
+        cell = row * K + user if cell is None else cell
         clash = (row[rec] == row[oth].T[:, :, None]) | (user[rec] == user[oth].T[:, :, None])
         for code, hit in (("C3a", bad & clash), ("C3b", bad)):
             if hit.any():
@@ -392,7 +396,12 @@ def pda_stats(pda: Pda) -> PdaStats:
     gain = Fraction(K * (F - Z), S) if S else None
     regular: int | None = None
     if 0 < S <= np.count_nonzero(pda.grid):  # else some symbol is missing
-        sizes = np.bincount(pda.grid.ravel(), minlength=S + 1)[1:]
+        # A band of rows at a time: bincount copies a read-only input whole.
+        sizes = np.zeros(S + 1, dtype=np.int64)
+        band = max(1, max(_TILE, S) // K)
+        for lo in range(0, F, band):
+            sizes += np.bincount(pda.grid[lo : lo + band].ravel(), minlength=S + 1)
+        sizes = sizes[1:]
         if sizes[0] and (sizes == sizes[0]).all():
             regular = int(sizes[0])
     return PdaStats(K, F, Z, S, memory, load, gain, regular)

@@ -357,6 +357,14 @@ class TestPairWalkMemory:
         assert peak_mib(symbol_groups, arr) <= 56  # MiB; 74 before the key was built in place
         assert peak_mib(verify_pda, arr) <= 80  # MiB; 127 when each offset was walked whole
 
+    def test_star_dense_grid_is_never_copied(self, golden_arrays):
+        # The (343,9261,9045,343) conjugate: a 24 MiB grid, 2.3 % of its cells symbols.
+        arr = golden_arrays["c343"]
+        grid_mib = arr.grid.nbytes / 2**20
+        assert peak_mib(symbol_groups, arr) <= grid_mib / 8  # a transposed copy took 1
+        assert peak_mib(pda_stats, arr) <= grid_mib / 8  # one bincount copied it whole
+        assert peak_mib(verify_pda, arr) <= grid_mib / 2
+
 
 class TestLift:
     def test_worked_example_cells(self, ex15_packing):
@@ -585,6 +593,22 @@ class TestStats:
         got = [pda_stats(arr).regular_g for arr in arrays]
         assert got == [by_groups(arr) for arr in arrays]
         assert got[:2] == [4, 8] and None in got
+
+    @pytest.mark.parametrize("budget", [1, 7, 1000])
+    def test_regularity_is_band_invariant(self, monkeypatch, ex15_packing, budget):
+        # Counted a band of max(_TILE, S) // K rows at a time; 1 gives one-row bands.
+        lift = pda_from_nhsdp(ex15_packing)
+        arrays = [
+            lift,
+            drop_columns(lift, range(lift.K - 1)),
+            conjugate_pda(lift),
+            mn_pda(6, 2),
+            Pda([[1, 2, 0], [2, 0, 1], [0, 1, 1]], Z=1, S=2),  # sizes 4 and 2
+        ]
+        expected = [pda_stats(arr).regular_g for arr in arrays]
+        assert expected[0] == 4 and expected[4] is None
+        monkeypatch.setattr(pda_mod, "_TILE", budget)
+        assert [pda_stats(arr).regular_g for arr in arrays] == expected
 
     def test_gain_identity(self, ex4_pda, ex15_packing):
         for arr in (ex4_pda, pda_from_nhsdp(ex15_packing), mn_pda(5, 2)):
