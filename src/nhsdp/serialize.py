@@ -21,7 +21,7 @@ import numpy as np
 from .designs import NtapSet, PhfArray
 from .packing import Cdp, Nhsdp
 from .pda import STAR, Pda
-from .schemes import SchemePoint
+from .schemes import ROW_FIELDS, SchemePoint
 from .simulate import DeliveryTranscript
 
 
@@ -554,26 +554,14 @@ def transcript_to_json(transcript: DeliveryTranscript) -> str:
     return f'{head[:-1]},"transmissions":[{",".join(chunks)}]}}\n'
 
 
-CSV_COLUMNS = (
-    "scheme",
-    "params",
-    "K",
-    "memory_ratio_num",
-    "memory_ratio_den",
-    "load_num",
-    "load_den",
-    "F",
-    "gain_num",
-    "gain_den",
-)
+CSV_COLUMNS = ROW_FIELDS
 
 
 def scheme_points_to_csv(points: Sequence[SchemePoint]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for point in points:
-        writer.writerow(point.as_row())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(point.as_fields() for point in points)
     return buf.getvalue()
 
 

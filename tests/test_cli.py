@@ -417,6 +417,16 @@ class TestFailures:
                 "--slack",
                 "slack must be non-negative, got -1",
             ),
+            (
+                ("compare", "--schemes", "MN", "--K", 4097),
+                "--K",
+                "K=4097 is over the limit of SWEEP_MAX_K = 4096",
+            ),
+            (
+                ("compare", "--schemes", "MN", "--K", 1000, "--slack", 10**9),
+                "--slack",
+                "K + slack = 1000001000 over the limit of SWEEP_MAX_K = 4096",
+            ),
             (("ds-search", "--q", 10), "--q", "q=10 is not a prime power"),
             (("ds-search", "--q", 12), "--q", "D. M. Gordon, Electron. J. Combin. 1 (1994) R6"),
             (("ds-search", "--q", 14), "--q", "below 2,000,000"),
@@ -424,7 +434,8 @@ class TestFailures:
         ],
         ids=[
             "mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "ntap_cells",
-            "scheme", "no_scheme", "compare_K", "compare_slack", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
+            "scheme", "no_scheme", "compare_K", "compare_slack",
+            "compare_K_bound", "compare_slack_bound", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
         ],
     )
     def test_rejected_flag_values_are_usage_errors(self, tmp_path, capsys, argv, flag, message):

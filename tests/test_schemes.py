@@ -1,8 +1,13 @@
+import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nhsdp import (
+    SCHEME_NAMES,
     SchemeConstraintError,
     SchemePoint,
     apply_grouping_formula,
@@ -12,6 +17,8 @@ from nhsdp import (
     ratio_report,
     tradeoff_sweep,
 )
+from nhsdp import schemes
+from nhsdp.cli import main
 
 
 def F(a, b=1):
@@ -271,3 +278,115 @@ class TestSweepAndRatios:
             ratio = ratio_report(mn, ours).f_ratio
             assert ratio > previous
             previous = ratio
+
+
+@functools.cache
+def _raw_cksm_points():
+    """CKSM1/CKSM2 at every point of their grid, unpruned by K, in grid order."""
+    points = []
+    for scheme in ("CKSM1", "CKSM2"):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for k in range(2, 10):
+                for m in range(1, k):
+                    for t in range(1, k - m + 1):
+                        try:
+                            points.append(evaluate_scheme(scheme, {"q": q, "k": k, "m": m, "t": t}))
+                        except SchemeConstraintError:
+                            pass
+    return points
+
+
+def _reference_sweep(K, names, slack):
+    """The sweep as plain as it gets: evaluate every raw grid point, keep those
+    within slack of K, sort stably by the exact (memory, load, scheme) key."""
+    points = []
+    for scheme in names:
+        if scheme in ("CKSM1", "CKSM2"):
+            raw = [pt for pt in _raw_cksm_points() if pt.scheme == scheme]
+        else:
+            raw = []
+            for params in schemes._default_grid(scheme, K, slack):
+                try:
+                    raw.append(evaluate_scheme(scheme, params))
+                except (SchemeConstraintError, ValueError):
+                    pass
+        points += [pt for pt in raw if abs(pt.K - K) <= slack]
+    points.sort(key=lambda pt: (pt.memory_ratio, pt.load, pt.scheme))
+    return points
+
+
+# sha256 of the `compare` tables over all 15 schemes at K = 1000 (3191 points).
+COMPARE_1000_SHA256 = {
+    "t.csv": "624fc66e75f9e2971019fcd545aa8692d3b0c53890145a526a712754ca5a1bce",
+    "t.json": "45772f862b877b06d77a3afbbe3222082527986b81b22a7620dd70b4661d58c6",
+}
+
+# A Fraction with numerator and denominator up to 400 digits, so loads run
+# past the float range and memory ratios get more bits than a float holds.
+_big = st.integers(min_value=1, max_value=10**400)
+_fractions = st.builds(Fraction, _big, _big)
+
+
+@st.composite
+def _fraction_pairs(draw):
+    """(a, b): independent, equal in value (unreduced b), or within 1e-30."""
+    a = draw(_fractions)
+    kind = draw(st.sampled_from(["any", "equal", "near"]))
+    if kind == "any":
+        return a, draw(_fractions)
+    if kind == "equal":
+        scale = draw(st.integers(min_value=1, max_value=10**6))
+        return a, Fraction(a.numerator * scale, a.denominator * scale)
+    step = Fraction(1, 10**30 * draw(st.integers(min_value=1, max_value=10**9)))
+    return a, max(a + draw(st.sampled_from([-1, 1])) * step, step)
+
+
+def _ratio(x):
+    """x folded into (0, 1] to stand for a memory ratio."""
+    return x if x <= 1 else 1 / x
+
+
+class TestSweepPruning:
+    @pytest.mark.parametrize("slack", [0, 8])
+    @pytest.mark.parametrize("K", [31, 85, 127, 156, 255, 364])
+    def test_sweep_matches_unpruned_reference(self, K, slack):
+        expected = _reference_sweep(K, SCHEME_NAMES, slack)
+        assert tradeoff_sweep(K, SCHEME_NAMES, slack=slack) == expected
+        assert {"CKSM1", "CKSM2"} & {pt.scheme for pt in expected}
+
+    @pytest.mark.parametrize("name", sorted(COMPARE_1000_SHA256))
+    def test_compare_1000_bytes_are_pinned(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        code = main(["compare", "--schemes", ",".join(SCHEME_NAMES), "--K", "1000", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "3191 scheme points within |K - 1000| <= 8\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_1000_SHA256[name]
+
+    @given(st.lists(_fraction_pairs(), min_size=1, max_size=6))
+    def test_float_first_key_orders_as_the_exact_key(self, pairs):
+        values = [x for pair in pairs for x in pair]
+        points = [
+            SchemePoint(name, {}, 1, _ratio(m), load, 1, Fraction(1))
+            for name in ("A", "B")
+            for m, load in zip(values, reversed(values))
+        ]
+        order = sorted(range(len(points)), key=lambda i: schemes._sweep_key(points[i]))
+        exact = sorted(
+            range(len(points)),
+            key=lambda i: (points[i].memory_ratio, points[i].load, points[i].scheme),
+        )
+        assert order == exact
+
+    def test_k_over_the_bound_is_refused(self):
+        top = schemes.SWEEP_MAX_K
+        with pytest.raises(ValueError, match=f"K={top + 1} is over the limit of SWEEP_MAX_K"):
+            tradeoff_sweep(top + 1, ["MN"], slack=0)
+        assert tradeoff_sweep(top, ["XXGL"], slack=0)[0].K == top
+
+    def test_slack_over_the_bound_is_refused_before_any_grid(self):
+        # The bound is checked before any grid is walked, so an unknown
+        # scheme name is never reached.
+        with pytest.raises(ValueError, match="slack=1000000000 puts K \\+ slack"):
+            tradeoff_sweep(1, ["BOGUS"], slack=10**9)
+        top = schemes.SWEEP_MAX_K
+        assert tradeoff_sweep(top - 8, ["XXGL"], slack=8)[0].K == top - 8
