@@ -160,21 +160,20 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--N must be at least 1, got {args.N}")
     if args.packet_len < 1:
         raise _UsageError(f"--packet-len must be at least 1, got {args.packet_len}")
+    budget = simulate.DEFAULT_DEMAND_BUDGET
+    if spec.startswith("sample:"):
+        try:
+            budget = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise _UsageError(f"--demands: bad sample count in {spec!r}")
     arr = _load_valid_pda(args.file)
     sizes = "--N, --packet-len"  # they size the file library and the caches
     if sweep:
-        if spec == "all":
-            budget = simulate.DEFAULT_DEMAND_BUDGET
-            total = args.N**arr.K
-            if total > budget:
-                raise _UsageError(
-                    f"--demands all would sweep {total} vectors, over {budget}; use sample:COUNT"
-                )
-        else:
-            try:
-                budget = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise _UsageError(f"bad sample count in {spec!r}")
+        total = args.N**arr.K
+        if spec == "all" and total > budget:
+            raise _UsageError(
+                f"--demands all would sweep {total} vectors, over {budget}; use sample:COUNT"
+            )
         report = _flagged(
             "--demands" if budget < 0 else sizes, simulate.exhaustive_demand_check,
             arr, args.N, args.packet_len, demand_budget=budget, seed=args.seed,

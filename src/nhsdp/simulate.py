@@ -15,9 +15,11 @@ Demands are 0-based file indices.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -202,92 +204,197 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     return CacheContents(users, slots, library.packet_len)
 
 
+class _Workspace:
+    """The chunk buffers of one sweep, and the work every chunk shares;
+    ``deliver`` and ``decode`` each use one for a sweep of one vector.
+
+    ``buffer`` hands out C-contiguous leading slices of flat arrays kept by
+    name, so a short last chunk reuses them; an array is replaced only when
+    a request outgrows it, which the first (largest) chunk does.  The rest
+    depends only on the array and the cache and is built on first use:
+    ``kernel`` for the payload kernel and ``receivers`` for the decoder.
+    ``blocked`` is filled by the decoder's first tile walk.
+    """
+
+    def __init__(self, groups: SymbolGroups, S: int, cache: CacheContents | None = None):
+        self.groups, self.S, self.cache = groups, S, cache
+        self.turns = {}  # the decoder's turn tables, by tile shape
+        self.blocked = None
+        self._buffers = {}
+
+    def buffer(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    @cached_property
+    def kernel(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """(first, counts, places): each group's first cell, largest groups
+        first, so the cells at offset t are ``first[:counts[t]] + t``; and
+        per symbol its group's place in that order (len(first) if absent)."""
+        start = self.groups.start
+        sizes = np.diff(start)
+        order = np.argsort(-sizes, kind="stable")
+        counts = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
+        places = np.full(self.S, len(order), dtype=np.int64)
+        places[self.groups.symbol[start[order]] - 1] = np.arange(len(order))
+        return start[order], counts.tolist(), places
+
+    @cached_property
+    def receivers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """(cached, bases, targets, unset): the output row k*F + j of each
+        cached packet and its cache row at file 0, k*N*Z + slot; the output
+        row of each non-star cell; and per user with a star row it has no
+        slot for, its first such row as a blocked witness."""
+        users, slots = self.cache.users, self.cache.slots
+        _, N, Z, _ = users.shape
+        F = slots.shape[1]
+        user, row = self.groups.user, self.groups.row
+        cached = np.flatnonzero(slots >= 0)
+        bases = cached // F * (N * Z) + slots.ravel()[cached]
+        targets = user * F + row
+        unset = slots < 0
+        unset[user, row] = False
+        ks, js = np.nonzero(unset)
+        first = np.unique(ks, return_index=True)[1]
+        return cached, bases, targets, {int(ks[i]): (int(js[i]), int(ks[i]), 0) for i in first}
+
+
 # The payload kernel loops over the offset within a symbol group, so each
 # numpy call moves whole (B, W) blocks for every group at once.
 # np.bitwise_xor.reduceat over the same gathers would make one inner-loop
 # call per (group, demand, word), which dominates when groups hold a few
 # cells.
+#
+# Every take below writes into a workspace buffer with mode="clip", which
+# numpy does not buffer as it does "raise".  Each index is in range:
+# demands are below N (deliver and decode check them, the sweep makes
+# them), cells lie in the F x K grid, symbols are at most len(payloads)
+# (decode checks it, the sweep decodes only a full broadcast) and slots
+# lie in [-1, Z) (place writes them, decode checks them).  The one
+# exception, a read through slot -1, belongs to a receiver that the
+# decoder reports blocked, whose bytes are never returned.
 
-def _payloads(groups: SymbolGroups, S: int, data: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
-    XOR of the demanded packets of its cells (zero for an absent symbol)."""
+    XOR of the demanded packets of its cells (zero for an absent symbol).
+
+    The groups with an offset-t cell lead the kernel's order, so offset t
+    XORs into a leading slice of one accumulator, and one gather puts its
+    rows in symbol order."""
     N, F, W = data.shape
-    flat, dT = data.reshape(-1, W), d.T
-    starts, sizes = groups.start[:-1], np.diff(groups.start)
-    out = np.zeros((S, len(d), W), dtype=np.uint64)
-    for t in range(int(sizes.max(initial=0))):
-        c = starts[sizes > t] + t
-        packets = dT[groups.user[c]] * F + groups.row[c, None]
-        out[groups.symbol[c] - 1] ^= np.take(flat, packets, axis=0)
-    return out
+    B, flat = len(d), data.reshape(-1, W)
+    first, counts, places = ws.kernel
+    dF = ws.buffer("dF", d.T.shape, np.int64)
+    np.multiply(d.T, F, out=dF)
+    acc = ws.buffer("acc", (len(first) + 1, B, W))
+    acc.fill(0)
+    for t, n in enumerate(counts):
+        c = first[:n] + t
+        index = ws.buffer("index", (n, B), np.int64)
+        np.take(dF, ws.groups.user[c], axis=0, out=index, mode="clip")
+        index += ws.groups.row[c, None]
+        read = ws.buffer("read", (n, B, W))
+        np.take(flat, index, axis=0, out=read, mode="clip")
+        np.bitwise_xor(acc[:n], read, out=acc[:n])
+    return np.take(acc, places, axis=0, out=ws.buffer("payloads", (ws.S, B, W)), mode="clip")
 
 
 def _decode(
-    groups: SymbolGroups, cache: CacheContents, payloads: np.ndarray, d: np.ndarray
+    ws: _Workspace, payloads: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, dict[int, tuple[int, int, int]]]:
-    """(K, F, B, W) files every user recovers from payloads (S, B, W), and
-    the users blocked by a packet their cache has no slot for.
+    """(K, F, B, W) files every user of ``ws.cache`` recovers from payloads
+    (S, B, W), and the users blocked by a packet their cache has no slot for.
 
     Cached rows are the user's own copy; any other row is its symbol's
     payload XOR the group's other packets, each read from the receiver's
     cache through the slot map; a read with no slot blocks the receiver.
     The reads follow the tiles of ``groups.tiles`` (the cross entries
     ``verify_pda`` checks): a turn table lists each receiver's other cells
-    after its own, other cell first, so one gather per tile reads them and
-    an XOR fold over the leading axis cancels them.  An entry weighs four
-    times its B*W packet words, so a tile reads at most a quarter of
-    ``pda._TILE`` words; tiles twice as large ran slower on the 15-user
-    demand sweep, whose working set then left the cache.  XOR and the least
-    blocked pair do not depend on the tiling.  A blocked user's witness
-    (row, user whose demand names the file, symbol) is its least blocked
-    (receiver cell, other cell) pair, else its first row neither cached
-    nor in a cell, with symbol 0.
+    after its own, other cell first, so one gather per tile reads them
+    behind the receivers' rows and an XOR fold over the leading axis
+    cancels them.  An entry weighs four times its B*W packet words, so a
+    tile reads at most a quarter of ``pda._TILE`` words; tiles twice as
+    large ran slower on the 15-user demand sweep, whose working set then
+    left the cache.  XOR and the least blocked pair do not depend on the
+    tiling.  A blocked user's witness (row, user whose demand names the
+    file, symbol) is its least blocked (receiver cell, other cell) pair,
+    else its first row neither cached nor in a cell, with symbol 0.
+
+    The work that depends only on the array and the cache is done once per
+    workspace: the cells' output rows, the cached rows' cache positions,
+    the star-row screen (``ws.receivers``) and, on the first tile walk,
+    the blocked users.  Each call runs only the demand-dependent gathers
+    and XORs, with ``out=`` into the workspace's buffers: the output, the
+    gather indices and the tile reads, and the cached and payload rows
+    copied in pieces of at most ``_CHUNK_WORDS`` words.  Each call walks
+    the tiles afresh, one at a time, so no table of all cross entries is
+    kept.
     """
-    users, slots = cache.users, cache.slots
+    users, slots = ws.cache.users, ws.cache.slots
     K, N, Z, W = users.shape
     F = slots.shape[1]
-    flat, dZ = users.reshape(-1, W), d.T * Z
+    B, flat = len(d), users.reshape(-1, W)
+    user, row, symbol = ws.groups.user, ws.groups.row, ws.groups.symbol
+    cached, bases, targets, unset = ws.receivers
+    dZ = ws.buffer("dZ", d.T.shape, np.int64)
+    np.multiply(d.T, Z, out=dZ)
 
-    out = np.empty((K * F, len(d), W), dtype=np.uint64)
-    k, j = np.nonzero(slots >= 0)
-    out[k * F + j] = np.take(flat, dZ[k] + (k * (N * Z) + slots[k, j])[:, None], axis=0)
-    user, row, symbol = groups.user, groups.row, groups.symbol
-    got = payloads[symbol - 1]
-    lost = []  # (receiver cells, other cells) with no slot
-    turns = {}
-    for rec, oth, shift in groups.tiles(4 * len(d) * W):
+    # Cached rows are copied from the cache, then each cell's row starts as
+    # its symbol's payload; both in pieces of at most _CHUNK_WORDS words.
+    files = ws.buffer("files", (K * F, B, W))
+    step = max(1, _CHUNK_WORDS // (B * W))
+    for lo in range(0, len(cached), step):
+        hi = min(lo + step, len(cached))
+        index = ws.buffer("index", (hi - lo, B), np.int64)
+        np.take(dZ, cached[lo:hi] // F, axis=0, out=index, mode="clip")
+        index += bases[lo:hi, None]
+        read = ws.buffer("read", (hi - lo, B, W))
+        files[cached[lo:hi]] = np.take(flat, index, axis=0, out=read, mode="clip")
+    for lo in range(0, len(targets), step):
+        hi = min(lo + step, len(targets))
+        read = ws.buffer("read", (hi - lo, B, W))
+        files[targets[lo:hi]] = np.take(payloads, symbol[lo:hi] - 1, axis=0, out=read, mode="clip")
+
+    lost = [] if ws.blocked is None else None  # (receiver cells, other cells) with no slot
+    for rec, oth, shift in ws.groups.tiles(4 * B * W):
         key = rec.shape[1], oth.shape[1], shift
-        if key not in turns:  # receiver i's other cells: columns i + shift + 1, ... cyclically
+        if key not in ws.turns:  # receiver i's other cells: columns i + shift + 1, ... cyclically
             a, b, _ = key
             if shift is None:
-                turns[key] = np.arange(b)[:, None]
+                ws.turns[key] = np.arange(b)[:, None]
             else:
-                turns[key] = (np.arange(1, b)[:, None] + np.arange(a) + shift) % b
-        other = oth[:, turns[key]].transpose(1, 0, 2)  # (b', n, a)
+                ws.turns[key] = (np.arange(1, b)[:, None] + np.arange(a) + shift) % b
+        other = oth[:, ws.turns[key]].transpose(1, 0, 2)  # (b', n, a)
         ur = user[rec]
         slot = slots.take(ur * F + row[other])
-        # each receiver's copy of each other cell's packet, (b', n, a, B, W)
-        index = dZ[user[other]]
+        # the receivers' rows, then each receiver's copy of each other
+        # cell's packet: (1 + b', n, a, B, W)
+        index = ws.buffer("index", (*slot.shape, B), np.int64)
+        np.take(dZ, user[other], axis=0, out=index, mode="clip")
         index += (slot + ur * (N * Z))[..., None]
-        read = np.take(flat, index, axis=0)
-        got[rec] ^= np.bitwise_xor.reduce(read, axis=0)
-        if slot.min(initial=0) < 0:
+        read = ws.buffer("read", (1 + len(slot), *slot.shape[1:], B, W))
+        dest = targets[rec]
+        np.take(files, dest, axis=0, out=read[0], mode="clip")
+        np.take(flat, index, axis=0, out=read[1:], mode="clip")
+        for other_read in read[1:]:
+            np.bitwise_xor(read[0], other_read, out=read[0])
+        files[dest] = read[0]
+        if lost is not None and slot.min(initial=0) < 0:
             o, x, i = np.nonzero(slot < 0)
             lost.append((rec[x, i], other[o, x, i]))
-    out[user * F + row] = got
-    blocked = {}
-    if lost:
-        a, b = map(np.concatenate, zip(*lost))
-        order = np.lexsort((b, a))
-        for i in order[np.unique(user[a[order]], return_index=True)[1]]:
-            blocked[int(user[a[i]])] = (int(row[b[i]]), int(user[b[i]]), int(symbol[a[i]]))
-    unset = slots < 0
-    unset[user, row] = False
-    if unset.any():
-        ks, js = np.nonzero(unset)
-        for i in np.unique(ks, return_index=True)[1]:
-            blocked.setdefault(int(ks[i]), (int(js[i]), int(ks[i]), 0))
-    return out.reshape(K, F, len(d), W), blocked
+    if lost is not None:
+        ws.blocked = {}
+        if lost:
+            a, b = map(np.concatenate, zip(*lost))
+            order = np.lexsort((b, a))
+            for i in order[np.unique(user[a[order]], return_index=True)[1]]:
+                ws.blocked[int(user[a[i]])] = (int(row[b[i]]), int(user[b[i]]), int(symbol[a[i]]))
+        for k, witness in unset.items():
+            ws.blocked.setdefault(k, witness)
+    return files.reshape(K, F, B, W), ws.blocked
 
 
 def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
@@ -319,7 +426,7 @@ def deliver(
         raise ValueError("library packet count does not match the PDA")
 
     groups = symbol_groups(pda)
-    out = _payloads(groups, pda.S, library.data, np.array([d], dtype=np.int64))
+    out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
     return DeliveryTranscript(d, payloads, groups, library.packet_len, library.seed)
@@ -334,12 +441,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     So each packet is exact, whatever array was delivered, or an uncached
     interferer blocks its user (UnrecoverablePacketError).  The groups are
     taken as ``start`` bounds them, so a transcript whose bounds are not
-    where its sorted symbols change is refused.  Entry k of the result is
-    user k's file.
+    where its sorted symbols change is refused, and so is one that names a
+    cell twice.  Entry k of the result is user k's file.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
     row, user, symbol, start = groups = transcript.groups
-    (K, N, _, W), F = cache.users.shape, cache.slots.shape[1]
+    (K, N, Z, W), F = cache.users.shape, cache.slots.shape[1]
+    if cache.slots.size and (cache.slots.min() < -1 or cache.slots.max() >= Z):
+        raise ValueError(f"cache slots must lie in [-1, {Z})")
     if len(d) != K:
         raise ValueError(f"transcript serves {len(d)} users, cache has K={K}")
     if any(not (0 <= x < N) for x in d):
@@ -348,6 +457,11 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
         raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
     if row.size and (min(row.min(), user.min()) < 0 or row.max() >= F or user.max() >= K):
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
+    seen = np.zeros(K * F, dtype=bool)
+    seen[user * F + row] = True
+    if np.count_nonzero(seen) != user.size:  # each decodes into its own (user, row)
+        raise ValueError("transcript cells must be distinct (user, row) pairs")
+    del seen
     step = np.diff(symbol)
     if (step < 0).any() or not (
         len(start) and start[0] == 0 and start[-1] == symbol.size
@@ -367,7 +481,10 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
 
     wire = np.zeros((S, 1, 8 * W), dtype=np.uint8)
     wire[:, 0, :L] = payloads
-    files, blocked = _decode(groups, cache, wire.view(np.uint64), np.array([d], dtype=np.int64))
+    # The workspace goes with the call, before the K files are copied out.
+    files, blocked = _decode(
+        _Workspace(groups, S, cache), wire.view(np.uint64), np.array([d], dtype=np.int64)
+    )
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
@@ -438,26 +555,34 @@ def exhaustive_demand_check(
     equal S/F for each vector.  When N^K exceeds the budget, a deterministic
     sample plus the all-equal and (when N >= K) all-distinct corners is used.
     Demand vectors run in chunks through the same kernels as deliver/decode.
+
+    The sweep runs in one workspace.  Its buffers (payloads, decoded and
+    expected files, the comparison mask, gather indices, tile reads) are
+    allocated on the first, largest chunk, and later chunks write into
+    leading slices of them; what depends only on the array and the cache
+    (the payload kernel's group order, ``_decode``'s receivers and blocked
+    users) is worked out once.  So memory does not grow with the number
+    of chunks, and no chunk allocates an array that scales with F*K*B.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
     _check_sizes(pda, N, packet_len)
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
-    groups = symbol_groups(pda)
+    ws = _Workspace(symbol_groups(pda), pda.S, cache)
     nominal = Fraction(pda.S, pda.F)
-    W = library.data.shape[2]
-    rows = np.arange(pda.F)[:, None]
-    size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (pda.F * pda.K * W)))
+    K, F, W = pda.K, pda.F, library.data.shape[2]
+    packets, rows = library.data.reshape(-1, W), np.arange(F)[:, None]
+    size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (F * K * W)))
 
-    total, exhaustive, chunks = _demand_chunks(N, pda.K, demand_budget, seed, size)
+    total, exhaustive, chunks = _demand_chunks(N, K, demand_budget, seed, size)
     failures = []
     max_load = Fraction(0)
     checked = 0
     for d in chunks:
         checked += len(d)
-        payloads = _payloads(groups, pda.S, library.data, d)
-        load = Fraction(len(payloads) * packet_len, pda.F * packet_len)
+        payloads = _payloads(ws, library.data, d)
+        load = Fraction(len(payloads) * packet_len, F * packet_len)
         max_load = max(max_load, load)
         if load != nominal:
             # A broadcast that does not carry one payload per symbol cannot
@@ -467,9 +592,14 @@ def exhaustive_demand_check(
                 for v in map(tuple, d.tolist())
             ]
             continue
-        files, blocked = _decode(groups, cache, payloads, d)
-        expected = np.take(library.data.reshape(-1, W), d.T[:, None, :] * pda.F + rows, axis=0)
-        wrong = (files != expected).any(axis=1).any(axis=-1)  # (K, B)
+        files, blocked = _decode(ws, payloads, d)
+        index = ws.buffer("index", files.shape[:3], np.int64)
+        np.add(d.T[:, None] * F, rows, out=index)
+        expected = np.take(packets, index, axis=0, out=ws.buffer("expected", files.shape), mode="clip")
+        mask = np.not_equal(files, expected, out=ws.buffer("mask", files.shape, np.bool_))
+        user, word = np.nonzero(mask.any(axis=1).reshape(K, -1))  # word = b*W + w
+        wrong = np.zeros((K, len(d)), dtype=bool)
+        wrong[user, word // W] = True
         wrong[list(blocked)] = True
         for b, k in zip(*np.nonzero(wrong.T)):
             v, k = tuple(d[b].tolist()), int(k)

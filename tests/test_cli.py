@@ -286,12 +286,32 @@ class TestFailures:
             (("--N", 0), "--N"),
             (("--N", 2, "--packet-len", 0), "--packet-len"),
             (("--N", 2, "--demands", "sample:-5"), "--demands"),
+            (("--N", 2, "--demands", "sample:abc"), "--demands"),
+            (("--N", 2, "--demands", "sample:"), "--demands"),
+            (("--N", 2, "--demands", "sample:1e3"), "--demands"),
         ],
-        ids=["demand_length", "demand_index", "zero_files", "zero_packet_len", "negative_sample"],
+        ids=["demand_length", "demand_index", "zero_files", "zero_packet_len", "negative_sample",
+             "word_sample", "empty_sample", "float_sample"],
     )
-    def test_simulate_bad_values_are_usage_errors(self, ex4_file, capsys, flags, flag):
+    def test_simulate_bad_values_are_usage_errors(
+        self, ex4_file, capsys, monkeypatch, flags, flag
+    ):
+        built = []
+        real = simulate.FileLibrary.random
+        monkeypatch.setattr(
+            simulate.FileLibrary, "random", staticmethod(lambda *a: built.append(a) or real(*a))
+        )
         code, _, stderr = run(capsys, "simulate", ex4_file, *flags)
         assert code == 2 and flag in stderr
+        assert built == []  # refused before the library is built
+
+    @pytest.mark.parametrize("count", ["abc", "", "1e3"])
+    def test_bad_sample_count_is_refused_before_the_file_is_read(self, capsys, count):
+        code, stdout, stderr = run(
+            capsys, "simulate", "/no/such/file.txt", "--N", 2, "--demands", f"sample:{count}"
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: --demands: bad sample count in 'sample:{count}'\n"
 
     @pytest.mark.parametrize("command", ["verify-nhsdp", "build-pda", "phf"])
     @pytest.mark.parametrize(

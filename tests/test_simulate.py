@@ -318,7 +318,7 @@ class TestDecode:
         cache = place(arr, library)
         groups = symbol_groups(arr)
         d = np.zeros((1, arr.K), dtype=np.int64)
-        payloads = simulate._payloads(groups, arr.S, library.data, d)
+        payloads = simulate._payloads(simulate._Workspace(groups, arr.S), library.data, d)
         rng = np.random.default_rng(7)
         for _ in range(40):
             slots = cache.slots.copy()
@@ -326,7 +326,7 @@ class TestDecode:
             clear = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
             slots[k[clear], j[clear]] = -1
             cleared = dataclasses.replace(cache, slots=slots)
-            _, blocked = simulate._decode(groups, cleared, payloads, d)
+            _, blocked = simulate._decode(simulate._Workspace(groups, arr.S, cleared), payloads, d)
             assert blocked == reference_blocked(arr, slots)
 
     def test_uncached_star_rows_witness_the_first(self):
@@ -405,7 +405,8 @@ class TestDecode:
             except UnrecoverablePacketError:
                 outcomes.add("blocked")
             wire = np.ascontiguousarray(transcript.payloads).view(np.uint64)[:, None]
-            files, blocked = simulate._decode(transcript.groups, cache, wire, np.array([d]))
+            ws = simulate._Workspace(transcript.groups, len(wire), cache)
+            files, blocked = simulate._decode(ws, wire, np.array([d]))
             for k in set(range(15)) - set(blocked):
                 assert files[k, :, 0].tobytes() == want[k]
         assert outcomes == {True, "blocked"}
@@ -435,6 +436,29 @@ class TestDecode:
         }[edit]
         with pytest.raises(ValueError, match=r"groups\.start"):
             decode(cache, dataclasses.replace(transcript, groups=bad))
+
+    def test_rejects_a_cell_named_twice(self, ex15_pda):
+        # Every cell decodes into its own (user, row) of the output.
+        library = FileLibrary.random(2, ex15_pda.F, seed=1)
+        cache = place(ex15_pda, library)
+        transcript = deliver(ex15_pda, library, (1,) * 15)
+        groups = transcript.groups
+        user, row = groups.user.copy(), groups.row.copy()
+        c = groups.start[1]  # the first cell of symbol 2 becomes symbol 1's first cell
+        user[c], row[c] = user[0], row[0]
+        twice = groups._replace(user=user, row=row)
+        with pytest.raises(ValueError, match=r"cells must be distinct"):
+            decode(cache, dataclasses.replace(transcript, groups=twice))
+
+    @pytest.mark.parametrize("slot", [-2, "Z"])
+    def test_rejects_cache_slots_out_of_range(self, ex4_pda, slot):
+        library = FileLibrary.random(2, ex4_pda.F, seed=1)
+        cache = place(ex4_pda, library)
+        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
+        Z = cache.users.shape[2]
+        cache.slots[0, 0] = Z if slot == "Z" else slot
+        with pytest.raises(ValueError, match=rf"^cache slots must lie in \[-1, {Z}\)$"):
+            decode(cache, transcript)
 
     def test_decode_memory(self, lift343):
         # The transcript's index serves decode; building a second one took
@@ -674,3 +698,47 @@ class TestTileBudgets:
                 with pytest.raises(UnrecoverablePacketError) as error:
                     decode(cache, transcript)
                 assert str(error.value) == messages.setdefault(i, str(error.value))
+
+
+class TestWorkspace:
+    """A sweep reuses one workspace of chunk buffers: what it reports does
+    not depend on the chunk size, and its memory does not grow with the
+    number of chunks."""
+
+    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    def test_sweep_is_chunk_invariant(self, request, monkeypatch, name):
+        # 40 samples and the all-equal corner: 41 vectors, so chunks of 7
+        # end on a short one and a default chunk is a leading slice.
+        arr = request.getfixturevalue(f"{name}_pda")
+        current, reports = [None], {}
+
+        def corrupt(cache):
+            if current[-1] is not None:
+                TestTileBudgets.corrupt(cache, *current[-1])
+
+        corrupt_place(monkeypatch, corrupt)
+        for chunk in (simulate._MAX_CHUNK, 1, 7):
+            monkeypatch.setattr(simulate, "_MAX_CHUNK", chunk)
+            for i, corruption in enumerate([None, *TestTileBudgets.corruptions(arr, 6)]):
+                current.append(corruption)
+                report = exhaustive_demand_check(arr, N=2, demand_budget=40)
+                seen = (
+                    report.failures, report.checked, report.max_measured_load,
+                    report.loads_all_equal,
+                )
+                assert seen == reports.setdefault(i, seen)
+        assert reports[0] == ((), 41, 2, True)
+        reasons = " ".join(r for i in range(1, 7) for _, _, r in reports[i][0])
+        assert "lacks interfering packet" in reasons and "differ" in reasons
+
+    def test_sweep_memory_is_one_chunk_of_buffers(self, ex15_pda):
+        # All 32,768 vectors in 128 chunks of 256.  One (K, F, B, W) array
+        # of a chunk is 0.88 MiB; the decoded files and the expected files
+        # are one each, and the tiles' reads, their indices and the rest
+        # stay within two more.  Freeing per-chunk temporaries instead
+        # peaked at 4.26 MiB.
+        K, F, B, W = 15, 15, 256, 2
+        full = peak_mib(exhaustive_demand_check, ex15_pda, 2)
+        three = peak_mib(exhaustive_demand_check, ex15_pda, 2, 16, 600)  # 256 + 256 + 89
+        assert full <= 4 * K * F * B * W * 8 / 2**20
+        assert full <= 1.1 * three
