@@ -73,14 +73,6 @@ class Pda:
         s = int(arr.max(initial=0))
         return cls(arr, z, max(s, 0))
 
-    def same_as(self, other: "Pda") -> bool:
-        return (
-            self.Z == other.Z
-            and self.S == other.S
-            and self.grid.shape == other.grid.shape
-            and bool(np.array_equal(self.grid, other.grid))
-        )
-
     def params(self) -> tuple[int, int, int, int]:
         """(K, F, Z, S)."""
         return self.K, self.F, self.Z, self.S
@@ -90,16 +82,28 @@ class SymbolGroups(NamedTuple):
     """The non-star cells of a PDA, sorted by (symbol, user, row).
 
     Only the P symbols present have a group: group g owns cells
-    ``start[g]:start[g+1]``, all of symbol ``symbol[start[g]]``, and
-    ``start[P]`` is the number of non-star cells.  ``tiles`` is the one
-    walk over the ordered pairs of a group's cells, for ``verify_pda`` and
-    the decoder alike.
+    ``start[g]:start[g+1]``, all of symbol ``present[g]``, and ``start[P]``
+    is the number of non-star cells.  So ``start`` rises strictly from 0
+    and ``present`` strictly from 1.  ``tiles`` is the one walk over the
+    ordered pairs of a group's cells, for ``verify_pda`` and the decoder
+    alike.
     """
 
     row: np.ndarray
     user: np.ndarray
-    symbol: np.ndarray
+    present: np.ndarray
     start: np.ndarray
+
+    def symbols(self, lo: int, hi: int) -> np.ndarray:
+        """The symbol of each of cells lo:hi, its group's ``present``.
+
+        Groups g0 - 1 .. g1 - 1 hold them, their bounds cut to lo and hi at
+        the ends; array methods, since a sweep calls this once a chunk.
+        """
+        g0, g1 = self.start.searchsorted((lo + 1, hi))
+        bounds = self.start[g0 - 1 : g1 + 1].copy()
+        bounds[0], bounds[-1] = lo, hi
+        return self.present[g0 - 1 : g1].repeat(bounds[1:] - bounds[:-1])
 
     def size_classes(self) -> list[tuple[int, np.ndarray]]:
         """(g, first) for each group size g >= 2, ascending: the first cells
@@ -150,7 +154,8 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     one entry per non-star cell and the grid is never copied.  When the
     largest symbol would push the key past int64, the sort runs on each
     symbol's rank among those present and maps back after.  The key is
-    built, sorted and split back in place.
+    built, sorted and split back in place; once the groups are cut, the
+    users overwrite its symbols.
     """
     F, K = pda.F, pda.K
     size = F * K
@@ -162,18 +167,20 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     del row
     rank = (int(key.max(initial=0)) + 1) * size > 2**63
     if rank:
-        present, key = np.unique(key, return_inverse=True)
+        ranked, key = np.unique(key, return_inverse=True)
     key *= size
     key += cell
     key.sort()
     symbol, cell = np.divmod(key, size, out=(key, cell))
-    if rank:
-        symbol = present[symbol]
-    user, row = np.divmod(cell, F, out=(None, cell))
     edge = np.ones(symbol.size + 1, dtype=bool)
     np.not_equal(symbol[1:], symbol[:-1], out=edge[1:-1])
     start = np.flatnonzero(edge)
-    return SymbolGroups(row, user, symbol, start)
+    del edge
+    present = symbol[start[:-1]]
+    if rank:
+        present = ranked[present]
+    user, row = np.divmod(cell, F, out=(symbol, cell))
+    return SymbolGroups(row, user, present, start)
 
 
 def verify_pda(pda: Pda) -> Verdict:
@@ -192,7 +199,7 @@ def verify_pda(pda: Pda) -> Verdict:
     "groups", for a caller that goes on to use it.
     """
     groups = symbol_groups(pda)
-    row, user, symbol, start = groups
+    row, user, present, start = groups
     grid, K = pda.grid, pda.K
     symbolic = (grid != STAR).ravel()
     cell = None
@@ -209,7 +216,7 @@ def verify_pda(pda: Pda) -> Verdict:
         clash = (row[rec] == row[oth].T[:, :, None]) | (user[rec] == user[oth].T[:, :, None])
         for code, hit in (("C3a", bad & clash), ("C3b", bad)):
             if hit.any():
-                key = _least_pair(cell, symbol, rec, oth, hit)
+                key = _least_pair(cell, groups, rec, oth, hit)
                 first[code] = min(first.get(code, key), key)
     for code in ("C3a", "C3b"):
         if code in first:
@@ -234,7 +241,6 @@ def verify_pda(pda: Pda) -> Verdict:
             f"column {k} has {int(star_counts[k])} stars, declared Z={pda.Z}",
             {"column": k, "stars": int(star_counts[k]), "Z": pda.Z},
         )
-    present = symbol[start[:-1]]
     missing = pda.S - present.size
     if missing:
         # The j-th absent symbol is j plus the number of present symbols
@@ -252,7 +258,7 @@ def verify_pda(pda: Pda) -> Verdict:
     return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", info)
 
 
-def _least_pair(cell, symbol, rec, oth, hit) -> tuple[int, int, int]:
+def _least_pair(cell, groups, rec, oth, hit) -> tuple[int, int, int]:
     """(symbol, a, b) of the first group of a tile with a hit, a < b the
     row-major positions of the least hit pair of it."""
     x = int(hit.any(axis=(0, 2)).argmax())
@@ -262,7 +268,8 @@ def _least_pair(cell, symbol, rec, oth, hit) -> tuple[int, int, int]:
     least = lo.min()
     hi = np.maximum.outer(o, r)
     hi[lo != least] = big
-    return int(symbol[rec[x, 0]]), int(least), int(hi.min())
+    c = int(rec[x, 0])
+    return int(groups.symbols(c, c + 1)[0]), int(least), int(hi.min())
 
 
 def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
@@ -315,7 +322,7 @@ def conjugate_pda(pda: Pda) -> Pda:
             f"row {int(empty[0])} is all stars; compact rows before conjugating"
         )
     out = np.zeros((S, K), dtype=np.int64)
-    out[groups.symbol - 1, groups.user] = groups.row + 1
+    out[groups.symbols(0, groups.row.size) - 1, groups.user] = groups.row + 1
     return Pda(out, Z=S - (F - Z), S=F)
 
 

@@ -553,7 +553,7 @@ def transcript_chunks(transcript: DeliveryTranscript):
     )
     yield f'{head[:-1]},"transmissions":['.encode()
     wire = transcript.payloads
-    row, user, symbol, start = transcript.groups
+    row, user, present, start = transcript.groups
     S, L = wire.shape
     top = int(max(row.max(initial=0), user.max(initial=0)))
     nd, ns = len(str(top)), len(str(S))
@@ -573,13 +573,12 @@ def transcript_chunks(transcript: DeliveryTranscript):
     front[:sym], front[sym + ns : hex0], front[cell0 - tail.size :] = lead, mid, tail
 
     def chunk(lo, hi):
-        """Cells a:b, the groups' bounds and sizes, and the largest size, of
+        """The groups' bounds, records and sizes, and the largest size, of
         symbols lo+1..hi."""
-        a, b = np.searchsorted(symbol, [lo + 1, hi + 1])
-        g0, g1 = np.searchsorted(start, [a, b])
+        g0, g1 = np.searchsorted(present, [lo + 1, hi + 1])
         bounds = start[g0 : g1 + 1]
         counts = np.diff(bounds)
-        return a, b, bounds, counts, int(counts.max(initial=0))
+        return bounds, present[g0:g1] - 1 - lo, counts, int(counts.max(initial=0))
 
     def width(g):
         return cell0 + g * cell.itemsize + 3
@@ -587,17 +586,17 @@ def transcript_chunks(transcript: DeliveryTranscript):
     lo, g = 0, 1
     while lo < S:
         hi = min(S, lo + max(1, _CHUNK // width(g)))
-        a, b, bounds, counts, g = chunk(lo, hi)
+        bounds, recs, counts, g = chunk(lo, hi)
         if (hi - lo) * width(g) > _CHUNK:  # cut back to fit at the chunk's own width
             hi = lo + max(1, _CHUNK // width(g))
-            a, b, bounds, counts, g = chunk(lo, hi)
+            bounds, recs, counts, g = chunk(lo, hi)
+        a, b = bounds[0], bounds[-1]
         record = np.zeros(width(g), dtype=np.uint8)
         record[:cell0], record[-3:] = front, _ascii("]},")
         table = np.empty((hi - lo, record.size), dtype=np.uint8)
         table[:] = record
         table[:, sym : sym + ns] = _decimals(np.arange(lo + 1, hi + 1), ns)
         table[:, hex0 : hex0 + 2 * L] = _HEX.take(wire[lo:hi]).view(np.uint8)
-        recs = symbol[bounds[:-1]] - 1 - lo
         cells = np.empty((b - a, 2), dtype=half)
         opens.take(user[a:b], out=cells[:, 0])
         closes.take(row[a:b], out=cells[:, 1])

@@ -113,9 +113,6 @@ class FileLibrary:
             padded[p : p + n, :packet_len] = words.view(np.uint8)[:, packet_len - 1 :: -1]
         return cls(packet_len, padded.view(np.uint64).reshape(N, F, _words(packet_len)), seed)
 
-    def packet_bytes(self, n: int, j: int) -> bytes:
-        return self.data[n, j].view(np.uint8)[: self.packet_len].tobytes()
-
     def file_bytes(self, n: int) -> bytes:
         return self.data[n].view(np.uint8)[:, : self.packet_len].tobytes()
 
@@ -171,9 +168,9 @@ class DeliveryTranscript:
     @property
     def transmissions(self) -> tuple[Transmission, ...]:
         """One Transmission per payload row, built on each access."""
-        row, user, symbol, start = self.groups
-        bounds = zip(start[:-1].tolist(), start[1:].tolist())
-        cells = {int(symbol[a]): tuple(zip(user[a:b].tolist(), row[a:b].tolist())) for a, b in bounds}
+        row, user, present, start = self.groups
+        bounds = zip(present.tolist(), start[:-1].tolist(), start[1:].tolist())
+        cells = {s: tuple(zip(user[a:b].tolist(), row[a:b].tolist())) for s, a, b in bounds}
         return tuple(
             Transmission(s, wire.tobytes(), cells.get(s, ()))
             for s, wire in enumerate(self.payloads, 1)
@@ -247,7 +244,7 @@ class _Workspace:
         order = np.argsort(-sizes, kind="stable")
         counts = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
         places = np.full(self.S, len(order), dtype=np.int64)
-        places[self.groups.symbol[start[order]] - 1] = np.arange(len(order))
+        places[self.groups.present[order] - 1] = np.arange(len(order))
         return start[order], counts.tolist(), places
 
     @cached_property
@@ -351,13 +348,15 @@ def _decode(
     K, N, Z, W = users.shape
     F = slots.shape[1]
     B, flat = len(d), users.reshape(-1, W)
-    user, row, symbol = ws.groups.user, ws.groups.row, ws.groups.symbol
+    groups = ws.groups
+    user, row = groups.user, groups.row
     cached, bases, targets, unset = ws.receivers
     dZ = ws.buffer("dZ", d.T.shape, np.int64)
     np.multiply(d.T, Z, out=dZ)
 
     # Cached rows are copied from the cache, then each cell's row starts as
-    # its symbol's payload; both in pieces of at most _CHUNK_WORDS words.
+    # its symbol's payload; both in pieces of at most _CHUNK_WORDS words,
+    # the cells' symbols expanded from their groups a piece at a time.
     files = ws.buffer("files", (K * F, B, W))
     step = max(1, _CHUNK_WORDS // (B * W))
     for lo in range(0, len(cached), step):
@@ -370,10 +369,10 @@ def _decode(
     for lo in range(0, len(targets), step):
         hi = min(lo + step, len(targets))
         read = ws.buffer("read", (hi - lo, B, W))
-        files[targets[lo:hi]] = np.take(payloads, symbol[lo:hi] - 1, axis=0, out=read, mode="clip")
+        files[targets[lo:hi]] = np.take(payloads, groups.symbols(lo, hi) - 1, axis=0, out=read, mode="clip")
 
     lost = [] if ws.blocked is None else None  # (receiver cells, other cells) with no slot
-    for rec, oth, shift in ws.groups.tiles(4 * B * W, ws.classes):
+    for rec, oth, shift in groups.tiles(4 * B * W, ws.classes):
         key = rec.shape[1], oth.shape[1], shift
         if key not in ws.turns:  # receiver i's other cells: columns i + shift + 1, ... cyclically
             a, b, _ = key
@@ -405,10 +404,50 @@ def _decode(
             a, b = map(np.concatenate, zip(*lost))
             order = np.lexsort((b, a))
             for i in order[np.unique(user[a[order]], return_index=True)[1]]:
-                ws.blocked[int(user[a[i]])] = (int(row[b[i]]), int(user[b[i]]), int(symbol[a[i]]))
+                c, o = int(a[i]), int(b[i])
+                ws.blocked[int(user[c])] = (int(row[o]), int(user[o]), int(groups.symbols(c, c + 1)[0]))
         for k, witness in unset.items():
             ws.blocked.setdefault(k, witness)
     return files.reshape(K, F, B, W), ws.blocked
+
+
+def _grouped(groups: SymbolGroups) -> bool:
+    """Whether ``start`` rises strictly from 0 to the cell count, one entry
+    longer than ``present``, which rises strictly from 1."""
+    row, user, present, start = groups
+    return bool(
+        len(start) == len(present) + 1
+        and start[0] == 0
+        and start[-1] == len(row) == len(user)
+        and (np.diff(start) > 0).all()
+        and (np.diff(present, prepend=0) > 0).all()
+    )
+
+
+def _index_of(pda: Pda, groups: SymbolGroups | None) -> SymbolGroups:
+    """``symbol_groups(pda)``, built, or a caller's ``groups`` once checked
+    to be it: grouped as ``_grouped`` asks, as many cells as the array has
+    non-stars, each group's cells in ascending u*F + r, and each holding
+    its group's symbol in the grid.  The check is O(cells), with no sort,
+    a piece of at most ``_CHUNK_WORDS`` cells at a time."""
+    if groups is None:
+        return symbol_groups(pda)
+    row, user, present, start = groups
+    F, K, n = pda.F, pda.K, len(row)
+    ok = _grouped(groups) and n == np.count_nonzero(pda.grid)
+    ok = ok and (n == 0 or (min(row.min(), user.min()) >= 0 and row.max() < F and user.max() < K))
+    for lo in range(0, n if ok else 0, _CHUNK_WORDS):
+        hi, a = min(lo + _CHUNK_WORDS, n), max(lo - 1, 0)
+        key = user[a:hi] * F
+        key += row[a:hi]
+        rise = key[1:] > key[:-1]  # cells a+1..hi-1 over the one before
+        rise[start[np.searchsorted(start, a + 1) : np.searchsorted(start, hi)] - (a + 1)] = True
+        ok = rise.all() and np.array_equal(pda.grid[row[lo:hi], user[lo:hi]], groups.symbols(lo, hi))
+        if not ok:
+            break
+    if not ok:
+        raise ValueError("groups is not the symbol index of this array, symbol_groups(pda)")
+    return groups
 
 
 def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
@@ -433,7 +472,8 @@ def deliver(
     payloads are the rows the XOR kernel emitted, so bytes_on_wire counts the
     bytes it broadcast, and its groups are the symbol index they were XORed
     over: all that decode needs of the array.  ``groups`` is that index,
-    ``symbol_groups(pda)``, for a caller that has built it already.
+    ``symbol_groups(pda)``, for a caller that has built it already; it is
+    checked against the array.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -443,8 +483,7 @@ def deliver(
     if library.F != pda.F:
         raise ValueError("library packet count does not match the PDA")
 
-    if groups is None:
-        groups = symbol_groups(pda)
+    groups = _index_of(pda, groups)
     out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
@@ -458,13 +497,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     packets of s, read from its cache; the cells come from the index deliver
     XORed over (``transcript.groups``), and star rows come from the cache.
     So each packet is exact, whatever array was delivered, or an uncached
-    interferer blocks its user (UnrecoverablePacketError).  The groups are
-    taken as ``start`` bounds them, so a transcript whose bounds are not
-    where its sorted symbols change is refused, and so is one that names a
+    interferer blocks its user (UnrecoverablePacketError).  A transcript
+    whose ``groups.start`` does not rise strictly from 0 to the cell count,
+    one entry longer than ``groups.present``, or whose ``groups.present``
+    does not rise strictly from 1, is refused, and so is one that names a
     cell twice.  Entry k of the result is user k's file.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
-    row, user, symbol, start = groups = transcript.groups
+    row, user, present, start = groups = transcript.groups
     (K, N, Z, W), F = cache.users.shape, cache.slots.shape[1]
     if cache.slots.size and (cache.slots.min() < -1 or cache.slots.max() >= Z):
         raise ValueError(f"cache slots must lie in [-1, {Z})")
@@ -474,6 +514,11 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
         raise ValueError(f"transcript demands must be file indices below N={N}")
     if L != cache.packet_len:
         raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
+    if not _grouped(groups):
+        raise ValueError(
+            "transcript groups.start must rise strictly from 0 to the cell count, one entry "
+            "longer than groups.present, which must rise strictly from 1"
+        )
     if row.size and (min(row.min(), user.min()) < 0 or row.max() >= F or user.max() >= K):
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
     seen = np.zeros(K * F, dtype=bool)
@@ -481,16 +526,8 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     if np.count_nonzero(seen) != user.size:  # each decodes into its own (user, row)
         raise ValueError("transcript cells must be distinct (user, row) pairs")
     del seen
-    step = np.diff(symbol)
-    if (step < 0).any() or not (
-        len(start) and start[0] == 0 and start[-1] == symbol.size
-        and np.array_equal(start[1:-1], np.flatnonzero(step) + 1)
-    ):
-        raise ValueError(
-            "transcript groups.start must split groups.symbol, sorted, exactly where it changes"
-        )
     array = isinstance(payloads, np.ndarray)
-    S = max(int(symbol.max(initial=0)), len(payloads) if array and payloads.ndim == 2 else 0)
+    S = max(int(present.max(initial=0)), len(payloads) if array and payloads.ndim == 2 else 0)
     if not (array and payloads.dtype == np.uint8 and payloads.shape == (S, L)):
         got = f"{payloads.dtype} {payloads.shape}" if array else type(payloads).__name__
         raise ValueError(
@@ -584,14 +621,15 @@ def exhaustive_demand_check(
     users) is worked out once.  So memory does not grow with the number
     of chunks, and no chunk allocates an array that scales with F*K*B.
     ``groups`` is the array's symbol index, ``symbol_groups(pda)``, for a
-    caller that has built it already.
+    caller that has built it already; it is checked against the array.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
     _check_sizes(pda, N, packet_len)
+    groups = _index_of(pda, groups)
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
-    ws = _Workspace(symbol_groups(pda) if groups is None else groups, pda.S, cache)
+    ws = _Workspace(groups, pda.S, cache)
     nominal = Fraction(pda.S, pda.F)
     K, F, W = pda.K, pda.F, library.data.shape[2]
     packets, rows = library.data.reshape(-1, W), np.arange(F)[:, None]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nhsdp import Nhsdp, Pda, STAR, conjugate_pda, construct_nhsdp, drop_columns, pda_from_nhsdp
+from nhsdp import FileLibrary, Nhsdp, Pda, STAR, conjugate_pda, construct_nhsdp, drop_columns, pda_from_nhsdp
 
 # The worked 4x4 example array: 2-regular (4,4,2,4).
 EX4_GRID = [
@@ -59,6 +59,16 @@ def peak_mib(call, *args):
         return (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         tracemalloc.stop()
+
+
+def same_pda(a: Pda, b: Pda) -> bool:
+    """Whether two PDAs have the same Z, S and grid."""
+    return a.Z == b.Z and a.S == b.S and a.grid.shape == b.grid.shape and np.array_equal(a.grid, b.grid)
+
+
+def packet_bytes(library: FileLibrary, n: int, j: int) -> bytes:
+    """Packet j of file n, its packet_len bytes."""
+    return library.data[n, j].view(np.uint8)[: library.packet_len].tobytes()
 
 
 def naive_verify_pda(pda: Pda) -> bool:

@@ -22,7 +22,7 @@ from nhsdp import (
     symbol_groups,
     verify_pda,
 )
-from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda, peak_mib
+from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda, peak_mib, same_pda
 
 
 def make_pda(rows, Z=None, S=None):
@@ -67,28 +67,45 @@ class TestSymbolGroups:
     def test_order_is_symbol_user_row(self, ex15_packing):
         for arr in (pda_from_nhsdp(ex15_packing), make_pda(EX4_GRID, Z=2, S=4)):
             groups = symbol_groups(arr)
-            listed = list(zip(groups.symbol.tolist(), groups.user.tolist(), groups.row.tolist()))
+            symbol = np.repeat(groups.present, np.diff(groups.start))
+            listed = list(zip(symbol.tolist(), groups.user.tolist(), groups.row.tolist()))
             grid = arr.grid
             assert listed == sorted(
                 (int(grid[j, k]), k, j) for j in range(arr.F) for k in range(arr.K) if grid[j, k]
             )
             present, sizes = np.unique(grid[grid != STAR], return_counts=True)
-            assert groups.symbol[groups.start[:-1]].tolist() == present.tolist()
+            assert groups.present.tolist() == present.tolist()
             assert groups.start.tolist() == [0, *np.cumsum(sizes).tolist()]
+
+    def test_symbols_of_any_run_of_cells(self, ex15_packing):
+        arr = drop_columns(pda_from_nhsdp(ex15_packing), range(14))  # groups of 3 and 4
+        groups = symbol_groups(arr)
+        symbol = arr.grid[groups.row, groups.user]
+        n = len(symbol)
+        for lo, hi in itertools.combinations_with_replacement(range(n + 1), 2):
+            assert groups.symbols(lo, hi).tolist() == symbol[lo:hi].tolist()
+
+    def test_index_holds_two_words_per_cell_and_per_group(self, golden_arrays):
+        # row and user per cell; present and start per group, and one more
+        # bound.  A symbol per cell took the v=1331 lift's index to 31.7 MiB.
+        groups = symbol_groups(golden_arrays["a1331"])
+        cells, P = len(groups.row), len(groups.present)
+        assert (cells, P) == (1331 * 1000, 166375)
+        assert sum(part.nbytes for part in groups) == 8 * (2 * cells + 2 * P + 1) == 23_958_008
 
     def test_absent_symbols_have_no_group(self):  # symbol 3 has one; 1, 2 and 4 have none
         groups = symbol_groups(make_pda([[STAR, 3], [3, STAR]], Z=1, S=4))
         assert groups.start.tolist() == [0, 2]
-        assert groups.symbol.tolist() == [3, 3]
+        assert groups.present.tolist() == [3]
         assert groups.row.tolist() == [1, 0] and groups.user.tolist() == [0, 1]
         groups = symbol_groups(make_pda([[STAR, STAR]], Z=1, S=0))
-        assert groups.start.tolist() == [0] and groups.symbol.size == 0
+        assert groups.start.tolist() == [0] and groups.present.size == 0 == groups.row.size
 
     @pytest.mark.parametrize("S", [2**40, 10**30])
     def test_huge_declared_s_is_not_allocated(self, S):
         top = min(S, 2**40)
         groups = symbol_groups(Pda([[top, STAR], [STAR, top]], Z=1, S=S))
-        assert groups.start.tolist() == [0, 2] and groups.symbol.tolist() == [top, top]
+        assert groups.start.tolist() == [0, 2] and groups.present.tolist() == [top]
         assert groups.row.tolist() == [0, 1] and groups.user.tolist() == [0, 1]
 
     @pytest.mark.parametrize(
@@ -101,7 +118,7 @@ class TestSymbolGroups:
         monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
         groups = symbol_groups(Pda([[top, top - 1], [top - 2, top]], Z=0, S=top))
         assert bool(calls) == ranked
-        assert groups.symbol.tolist() == [top - 2, top - 1, top, top]
+        assert groups.present.tolist() == [top - 2, top - 1, top]
         assert groups.user.tolist() == [0, 1, 0, 1] and groups.row.tolist() == [1, 0, 0, 1]
         assert groups.start.tolist() == [0, 1, 2, 4]
 
@@ -475,7 +492,7 @@ class TestGrouping:
 
     def test_identity(self, ex4_pda):
         grouped = group_pda_divisible(ex4_pda, 4)
-        assert grouped.same_as(ex4_pda)
+        assert same_pda(grouped, ex4_pda)
 
     def test_triple(self, ex4_pda):
         grouped = group_pda_divisible(ex4_pda, 12)
@@ -541,7 +558,7 @@ class TestDropColumns:
         assert verify_pda(dropped).ok
 
     def test_keep_everything(self, ex4_pda):
-        assert drop_columns(ex4_pda, range(4)).same_as(ex4_pda)
+        assert same_pda(drop_columns(ex4_pda, range(4)), ex4_pda)
 
     def test_single_column(self):
         arr = pda_from_nhsdp(construct_nhsdp(3, (1,)))

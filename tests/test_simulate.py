@@ -27,7 +27,8 @@ from nhsdp import (
     verify_pda,
 )
 from nhsdp import pda as pda_mod
-from conftest import peak_mib
+from nhsdp.pda import SymbolGroups
+from conftest import packet_bytes, peak_mib
 from nhsdp.packing import Nhsdp
 
 
@@ -125,7 +126,7 @@ class TestPlacement:
         library = FileLibrary.random(4, 4, seed=7)
         cache = place(ex4_pda, library)
         cache.users[0, 0, 0, 0] ^= 1
-        assert library.packet_bytes(0, 0) == FileLibrary.random(4, 4, seed=7).packet_bytes(0, 0)
+        assert packet_bytes(library, 0, 0) == packet_bytes(FileLibrary.random(4, 4, seed=7), 0, 0)
 
     def test_cache_size_identity(self, ex15_pda):
         library = FileLibrary.random(3, 15, seed=2)
@@ -175,7 +176,7 @@ class TestDelivery:
         assert first.symbol == 1
         assert first.contributors == ((0, 1), (1, 0))
         assert first.payload == xor_bytes(
-            library.packet_bytes(0, 1), library.packet_bytes(1, 0)
+            packet_bytes(library, 0, 1), packet_bytes(library, 1, 0)
         )
         assert transcript.bytes_on_wire == 4 * 16
 
@@ -216,7 +217,7 @@ class TestDelivery:
             assert t.payload == bytes(5) and t.contributors == ()
         third = transcript.transmissions[2]
         assert third.contributors == ((0, 1), (1, 0))
-        assert third.payload == xor_bytes(library.packet_bytes(0, 1), library.packet_bytes(1, 0))
+        assert third.payload == xor_bytes(packet_bytes(library, 0, 1), packet_bytes(library, 1, 0))
         assert decode(cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
         report = exhaustive_demand_check(arr, N=2)
         assert report.ok and report.exhaustive and report.checked == 4
@@ -242,9 +243,9 @@ class TestDelivery:
         for txn in transcript.transmissions[::7]:
             rest = txn.payload
             for user, packet in txn.contributors[1:]:
-                rest = xor_bytes(rest, library.packet_bytes(d[user], packet))
+                rest = xor_bytes(rest, packet_bytes(library, d[user], packet))
             first_user, first_packet = txn.contributors[0]
-            assert rest == library.packet_bytes(d[first_user], first_packet)
+            assert rest == packet_bytes(library, d[first_user], first_packet)
 
     def test_wire_bytes_count_emitted_payloads(self, ex15_pda, monkeypatch):
         library = FileLibrary.random(2, 15, packet_len=5, seed=3)
@@ -255,6 +256,67 @@ class TestDelivery:
         short = deliver(ex15_pda, library, (1,) * 15)
         assert len(short.transmissions) == 29
         assert short.bytes_on_wire == 29 * 5
+
+
+class TestGivenIndex:
+    """deliver and the sweep take a caller's symbol index only once it is
+    checked against the array."""
+
+    MESSAGE = r"^groups is not the symbol index of this array, symbol_groups\(pda\)$"
+
+    @pytest.fixture
+    def wrong(self, ex15_pda, ex4_pda):
+        groups = symbol_groups(ex15_pda)
+        user, row = groups.user.copy(), groups.row.copy()
+        c = groups.start[1]  # the first cell of symbol 2 becomes symbol 1's first cell
+        user[c], row[c] = user[0], row[0]
+
+        def cells(*first):  # the index with its first cells replaced by cells `first`
+            order = np.arange(len(groups.row))
+            order[: len(first)] = first
+            return groups._replace(user=groups.user[order], row=groups.row[order])
+
+        return {
+            # the index of the valid column-reversed array: every symbol's cells move
+            "reversed": symbol_groups(Pda(ex15_pda.grid[:, ::-1], Z=ex15_pda.Z, S=ex15_pda.S)),
+            "twice": groups._replace(user=user, row=row),
+            "swapped": cells(1, 0),  # symbol 1's first two cells out of order
+            "repeated": cells(0, 0),  # symbol 1's first cell in place of its second
+            "split": groups._replace(  # symbol 1 in two groups of 2 cells
+                start=np.insert(groups.start, 1, 2), present=np.insert(groups.present, 0, 1)
+            ),
+            "other": symbol_groups(ex4_pda),
+            "short": SymbolGroups(  # all but the last symbol's cells
+                groups.row[: groups.start[-2]], groups.user[: groups.start[-2]],
+                groups.present[:-1], groups.start[:-1],
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["reversed", "twice", "swapped", "repeated", "split", "other", "short"]
+    )
+    def test_deliver_and_sweep_refuse_another_index(self, ex15_pda, wrong, name):
+        library = FileLibrary.random(2, 15, seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            deliver(ex15_pda, library, (0, 1) * 7 + (0,), wrong[name])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            exhaustive_demand_check(ex15_pda, N=2, groups=wrong[name])
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
+    def test_check_runs_across_pieces(self, irregular_pda, monkeypatch, piece):
+        # Groups of 3 and 4 cut by pieces of 1, 2, 3 and 7 cells: the index
+        # passes, and so does no swap of two neighbouring cells.
+        monkeypatch.setattr(simulate, "_CHUNK_WORDS", piece)
+        library = FileLibrary.random(2, irregular_pda.F, seed=0)
+        d = (0, 1) * 7
+        groups = symbol_groups(irregular_pda)
+        assert deliver(irregular_pda, library, d, groups).groups is groups
+        for c in range(len(groups.row) - 1):
+            order = np.arange(len(groups.row))
+            order[[c, c + 1]] = c + 1, c
+            swapped = groups._replace(user=groups.user[order], row=groups.row[order])
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                deliver(irregular_pda, library, d, swapped)
 
 
 # sha256 of each transcript's JSON, parsed and re-dumped with sorted keys, as
@@ -420,21 +482,32 @@ class TestDecode:
         with pytest.raises(ValueError, match=r"cells must lie in the cache's 15 rows x 15 users"):
             decode(cache, transcript)
 
-    @pytest.mark.parametrize("edit", ["merge", "split", "unsorted"])
+    @pytest.mark.parametrize("edit", ["merge", "split", "unsorted", "empty", "zero"])
     def test_rejects_groups_split_off_their_symbols(self, ex15_pda, edit):
-        # Each edit, if decoded, gives some user wrong bytes and no error:
-        # the payload of a symbol is the XOR over all of its cells.
+        # Each edit, if decoded, gives some user wrong bytes and no error,
+        # or ("empty") blocks users whose caches are whole: the payload of a
+        # symbol is the XOR over all of its cells.
         arr = Pda(np.array([[1, STAR], [STAR, 2]]), Z=1, S=2) if edit == "merge" else ex15_pda
         library = FileLibrary.random(2, arr.F, seed=1)
         cache = place(arr, library)
         transcript = deliver(arr, library, tuple(k % 2 for k in range(arr.K)))
         groups = transcript.groups
+        present, start = groups.present, groups.start
         bad = {
+            # symbol 1's group takes symbol 2's cell: a bound fewer than symbols
             "merge": groups._replace(start=np.array([0, 2])),
-            "split": groups._replace(start=np.insert(groups.start, 1, 2)),
-            "unsorted": groups._replace(symbol=groups.symbol[::-1]),
+            # symbol 1 in two groups of 2 cells
+            "split": groups._replace(start=np.insert(start, 1, 2), present=np.insert(present, 0, 1)),
+            "unsorted": groups._replace(present=present[::-1]),
+            # symbol 1's group empty, its cells in symbol 2's
+            "empty": groups._replace(start=np.insert(start[2:], 0, [0, 0])),
+            "zero": groups._replace(present=present - 1),
         }[edit]
-        with pytest.raises(ValueError, match=r"groups\.start"):
+        with pytest.raises(
+            ValueError,
+            match=r"^transcript groups\.start must rise strictly from 0 to the cell count, one "
+            r"entry longer than groups\.present, which must rise strictly from 1$",
+        ):
             decode(cache, dataclasses.replace(transcript, groups=bad))
 
     def test_rejects_a_cell_named_twice(self, ex15_pda):
