@@ -382,10 +382,16 @@ def drop_columns(pda: Pda, keep: Iterable[int]) -> Pda:
         raise ValueError("keep must name at least one column")
     if cols[0] < 0 or cols[-1] >= pda.K:
         raise ValueError(f"column index out of range for K={pda.K}")
-    groups = symbol_groups(Pda(pda.grid[:, cols], Z=pda.Z, S=pda.S))
-    out = np.zeros((pda.F, len(cols)), dtype=np.int64)
-    out[groups.row, groups.user] = np.repeat(np.arange(1, groups.start.size), np.diff(groups.start))
-    return Pda(out, Z=pda.Z, S=groups.start.size - 1)
+    sub = pda.grid[:, cols]
+    if int(sub.max()) > sub.size:
+        # Symbols sparser than the cells: relabel their ranks instead, star first.
+        values, rank = np.unique(sub, return_inverse=True)
+        sub = rank.reshape(sub.shape) + int(values[0] != STAR)
+    kept = np.zeros(int(sub.max()) + 1, dtype=bool)
+    kept[sub] = True
+    kept[STAR] = False
+    label = np.cumsum(kept)  # the symbols kept, numbered 1, 2, ... in order
+    return Pda(label[sub], Z=pda.Z, S=int(label[-1]))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class SchemeConstraintError(ValueError):
     """Raised when parameters violate a scheme's constraint column."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemePoint:
     """One row of a comparison table: a scheme at concrete parameters."""
 
@@ -98,11 +98,8 @@ def _require(cond: bool, constraint: str) -> None:
         raise SchemeConstraintError(f"constraint violated: {constraint}")
 
 
-def _point(scheme, params, K, memory, load, F) -> SchemePoint:
-    if not isinstance(memory, Fraction):
-        memory = Fraction(memory)
-    if not isinstance(load, Fraction):
-        load = Fraction(load)
+def _point(scheme, params: dict, K, memory: Fraction, load: Fraction, F) -> SchemePoint:
+    """The checked point; params is a fresh dict the point keeps."""
     # Fraction denominators are positive, so the bounds read off numerators.
     mem_num, mem_den = memory.numerator, memory.denominator
     load_num, load_den = load.numerator, load.denominator
@@ -110,7 +107,7 @@ def _point(scheme, params, K, memory, load, F) -> SchemePoint:
     _require(load_num > 0, "load > 0")
     _require(F >= 1, "F >= 1")
     gain = Fraction(K * (mem_den - mem_num) * load_den, mem_den * load_num)
-    return SchemePoint(scheme, dict(params), K, memory, load, int(F), gain)
+    return SchemePoint(scheme, params, K, memory, load, int(F), gain)
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -119,17 +116,20 @@ def _as_int(x: Fraction, what: str) -> int:
     return x.numerator
 
 
-def _mn(p: Mapping) -> SchemePoint:
+def _users_and_t(p: Mapping) -> tuple[int, int]:
     K, t = int(p["K"]), int(p["t"])
     _require(1 <= t < K, "1 <= t < K")
-    return _point(
-        "MN",
-        {"K": K, "t": t},
-        K,
-        Fraction(t, K),
-        Fraction(K - t, t + 1),
-        binomial(K, t),
-    )
+    return K, t
+
+
+def _mn(p: Mapping) -> SchemePoint:
+    K, t = _users_and_t(p)
+    return _mn_at(K, t, binomial(K, t))
+
+
+def _mn_at(K: int, t: int, F: int) -> SchemePoint:
+    """MN at 1 <= t < K, given its subpacketization F = C(K, t)."""
+    return _point("MN", {"K": K, "t": t}, K, Fraction(t, K), Fraction(K - t, t + 1), F)
 
 
 def _wclc(p: Mapping) -> SchemePoint:
@@ -254,8 +254,10 @@ def _zcw(p: Mapping) -> SchemePoint:
 
 
 def _wcwl(p: Mapping) -> SchemePoint:
-    K, t = int(p["K"]), int(p["t"])
-    _require(1 <= t < K, "1 <= t < K")
+    return _wcwl_at(*_users_and_t(p))
+
+
+def _wcwl_at(K: int, t: int) -> SchemePoint:
     gap = K - t
     half = K // (gap + 1)
     if K % (gap + 1) == 0 or gap == 1:
@@ -288,10 +290,12 @@ def _ast(p: Mapping) -> SchemePoint:
 
 
 def _mr(p: Mapping) -> SchemePoint:
-    K, t = int(p["K"]), int(p["t"])
-    _require(1 <= t < K, "1 <= t < K")
+    return _mr_at(*_users_and_t(p))
+
+
+def _mr_at(K: int, t: int) -> SchemePoint:
     denom = 2 + t // (K - t + 1) + (t - 1) // (K - t + 1)
-    load = Fraction(math.ceil(Fraction(K * (K - t), denom)), K)
+    load = Fraction(-(K * (t - K) // denom), K)  # ceil(K(K - t) / denom) / K
     return _point("MR", {"K": K, "t": t}, K, Fraction(t, K), load, K)
 
 
@@ -414,7 +418,24 @@ def ratio_report(point_a: SchemePoint, point_b: SchemePoint) -> RatioReport:
     )
 
 
+def _t_row(scheme: str, K: int) -> list[SchemePoint]:
+    """MN, WCWL or MR at K users, one point for each t = 1, ..., K - 1."""
+    if scheme != "MN":
+        at = _wcwl_at if scheme == "WCWL" else _mr_at
+        return [at(K, t) for t in range(1, K)]
+    row = []
+    F = K  # C(K, 1); C(K, t + 1) = C(K, t) (K - t) / (t + 1) is exact
+    for t in range(1, K):
+        row.append(_mn_at(K, t, F))
+        F = F * (K - t) // (t + 1)
+    return row
+
+
 def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
+    """Parameters of a scheme whose user count may lie within slack of K.
+
+    MN, WCWL and MR have every point at K itself and are walked by _t_row.
+    """
     lo, hi = max(1, K - slack), K + slack
     if scheme in ("NHSDP", "NHSDP_CONJ"):
         for v in range(lo | 1, hi + 1, 2):
@@ -428,9 +449,6 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
                     break
                 yield {"v": v, "n": n}
                 n += 1
-    elif scheme in ("MN", "WCWL", "MR"):
-        for t in range(1, K):
-            yield {"K": K, "t": t}
     elif scheme == "XXGL":
         yield {"K": K}
     elif scheme == "ZCW":
@@ -491,9 +509,10 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
         raise ValueError(f"no default parameter grid for scheme {scheme!r}")
 
 
-# Largest K + slack tradeoff_sweep accepts.  Over all 15 schemes the sweep
-# took at most 1.5 s within it (K = 4096, or K = slack = 2048) on one core of
-# a 2-vCPU x86-64 VM, and 3.1 s at K = 6000.
+# Largest K + slack tradeoff_sweep accepts.  Over all 15 schemes, on one core
+# of a 2-vCPU x86-64 VM, the sweep took at most 1.1 s within it (K = slack =
+# 2048, nearly all of it NHSDP and NHSDP_CONJ at every odd v up to 4096) and
+# 0.10-0.15 s at K = 4096 with slack 0 or 8; K = 6000 took 0.15 s.
 SWEEP_MAX_K = 4096
 
 
@@ -506,10 +525,10 @@ def _sweep_key(point: SchemePoint) -> tuple:
     """
     memory, load = point.memory_ratio, point.load
     try:
-        load_key = float(load)
+        load_key = load.numerator / load.denominator  # float(load), without its dispatch
     except OverflowError:
         load_key = math.inf
-    return (float(memory), memory, load_key, load, point.scheme)
+    return (memory.numerator / memory.denominator, memory, load_key, load, point.scheme)
 
 
 def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[SchemePoint]:
@@ -519,9 +538,11 @@ def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[Schem
     user count differs from K by at most ``slack`` and evaluated exactly;
     combinations violating the scheme's constraints are dropped.  Points
     are ordered by (memory ratio, load, scheme name), grid order breaking
-    ties.  K must be at least 1, slack non-negative and K + slack at most
-    SWEEP_MAX_K; the MN grid alone evaluates K binomials of K bits, so the
-    sweep's cost grows faster than K.
+    ties.  K must be at least 1, slack non-negative, K + slack at most
+    SWEEP_MAX_K and no scheme named twice.  MN, WCWL and MR put one point
+    at K itself for each t < K; the MN walk carries C(K, t) from one t to
+    the next with a small-integer multiply and divide, so no point
+    evaluates a binomial of its own.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -534,8 +555,16 @@ def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[Schem
             f"slack={slack} puts K + slack = {K + slack} over the limit of "
             f"SWEEP_MAX_K = {SWEEP_MAX_K}"
         )
+    for i, scheme in enumerate(schemes):
+        if scheme not in _BUILDERS:
+            raise ValueError(f"no default parameter grid for scheme {scheme!r}")
+        if scheme in schemes[:i]:
+            raise ValueError(f"scheme {scheme!r} is named twice")
     points: list[SchemePoint] = []
     for scheme in schemes:
+        if scheme in ("MN", "WCWL", "MR"):
+            points += _t_row(scheme, K)
+            continue
         for params in _default_grid(scheme, K, slack):
             try:
                 point = evaluate_scheme(scheme, params)

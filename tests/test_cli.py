@@ -578,6 +578,7 @@ class TestFailures:
             (("ntap", "--n", 40), "--n", "2^40 elements is over the limit of MAX_CELLS"),
             (("compare", "--schemes", "BOGUS", "--K", 100), "--schemes", "'BOGUS'"),
             (("compare", "--schemes", ",", "--K", 15), "--schemes", "scheme ''"),
+            (("compare", "--schemes", "MN,MN", "--K", 5, "--slack", 0), "--schemes", "scheme 'MN' is named twice"),
             (("compare", "--schemes", "MN", "--K", 0), "--K", "K must be at least 1, got 0"),
             (
                 ("compare", "--schemes", "MN", "--K", 1000, "--slack", -1),
@@ -601,7 +602,7 @@ class TestFailures:
         ],
         ids=[
             "mn_t", "mn_cells", "even_v", "zero_m", "small_v", "ntap_n", "ntap_cells",
-            "scheme", "no_scheme", "compare_K", "compare_slack",
+            "scheme", "no_scheme", "repeated_scheme", "compare_K", "compare_slack",
             "compare_K_bound", "compare_slack_bound", "ds_q10", "ds_q12", "ds_q14", "ds_q15",
         ],
     )

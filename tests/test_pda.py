@@ -577,6 +577,18 @@ class TestDropColumns:
         with pytest.raises(ValueError):
             drop_columns(ex4_pda, ())
 
+    def test_symbols_are_the_ranks_of_those_kept(self):
+        arr = pda_from_nhsdp(construct_nhsdp(15, (2, 1)))
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            keep = sorted(rng.choice(15, size=int(rng.integers(1, 16)), replace=False).tolist())
+            sub = arr.grid[:, keep]
+            kept = np.unique(sub[sub != STAR])  # sorted: symbol kept[i] becomes i + 1
+            expected = np.where(sub == STAR, STAR, np.searchsorted(kept, sub) + 1)
+            dropped = drop_columns(arr, keep)
+            assert dropped.grid.tolist() == expected.tolist(), keep
+            assert (dropped.Z, dropped.S) == (arr.Z, kept.size)
+
     def test_huge_declared_s_needs_no_dense_remap(self):
         sub = drop_columns(Pda([[1, 0]], Z=0, S=10**30), [0])
         assert sub.params() == (1, 1, 0, 1) and sub.grid.tolist() == [[1]]

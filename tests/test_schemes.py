@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,8 @@ def _reference_sweep(K, names, slack):
     for scheme in names:
         if scheme in ("CKSM1", "CKSM2"):
             raw = [pt for pt in _raw_cksm_points() if pt.scheme == scheme]
+        elif scheme in ("MN", "WCWL", "MR"):
+            raw = [evaluate_scheme(scheme, {"K": K, "t": t}) for t in range(1, K)]
         else:
             raw = []
             for params in schemes._default_grid(scheme, K, slack):
@@ -390,3 +393,49 @@ class TestSweepPruning:
             tradeoff_sweep(1, ["BOGUS"], slack=10**9)
         top = schemes.SWEEP_MAX_K
         assert tradeoff_sweep(top - 8, ["XXGL"], slack=8)[0].K == top - 8
+
+
+class TestTRows:
+    """MN, WCWL and MR, walked along t by the sweep, against evaluate_scheme."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("scheme", ["MN", "WCWL", "MR"])
+    def test_each_point_equals_evaluate_scheme(self, scheme, K):
+        row = tradeoff_sweep(K, [scheme], slack=0)
+        assert row == [evaluate_scheme(scheme, {"K": K, "t": t}) for t in range(1, K)]
+        for pt in row:
+            assert type(pt.memory_ratio) is type(pt.load) is type(pt.gain) is Fraction
+            assert type(pt.K) is type(pt.subpacketization) is int
+
+    def test_mn_walk_calls_no_binomial_per_t(self, monkeypatch):
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+        row = tradeoff_sweep(1000, ["MN"], slack=0)
+        assert len(row) == 999 and len(calls) <= 1
+        walked = len(calls)
+        # The spy sees the binomial that one evaluate_scheme asks for.
+        assert evaluate_scheme("MN", {"K": 1000, "t": 500}) == row[499]
+        assert calls[walked:] == [(1000, 500)]
+
+    def test_mn_is_exact_at_the_top(self):
+        top = schemes.SWEEP_MAX_K
+        row = {pt.params["t"]: pt for pt in tradeoff_sweep(top, ["MN"], slack=0)}
+        assert sorted(row) == list(range(1, top))
+        for t in (1, top // 2, top - 1):
+            assert row[t].subpacketization == math.comb(top, t)
+            assert row[t] == evaluate_scheme("MN", {"K": top, "t": t})
+
+    def test_mr_load_is_the_rational_ceiling(self):
+        for K in range(2, 60):
+            for t in range(1, K):
+                denom = 2 + t // (K - t + 1) + (t - 1) // (K - t + 1)
+                ceiling = math.ceil(Fraction(K * (K - t), denom))
+                assert evaluate_scheme("MR", {"K": K, "t": t}).load == Fraction(ceiling, K)
+
+    def test_repeated_scheme_is_refused_before_any_grid(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_t_row", None)  # any walk would raise TypeError
+        with pytest.raises(ValueError, match="scheme 'MN' is named twice"):
+            tradeoff_sweep(5, ["MN", "XXGL", "MN"], slack=0)
+        with pytest.raises(ValueError, match="no default parameter grid for scheme 'BOGUS'"):
+            tradeoff_sweep(5, ["MN", "BOGUS", "BOGUS"], slack=0)
