@@ -84,9 +84,10 @@ class SymbolGroups(NamedTuple):
     Only the P symbols present have a group: group g owns cells
     ``start[g]:start[g+1]``, all of symbol ``present[g]``, and ``start[P]``
     is the number of non-star cells.  So ``start`` rises strictly from 0
-    and ``present`` strictly from 1.  ``tiles`` is the one walk over the
-    ordered pairs of a group's cells, for ``verify_pda`` and the decoder
-    alike.
+    and ``present`` strictly from 1.  ``size_classes`` lists the groups of
+    each size, for the payload kernel, ``verify_pda`` and the decoder
+    alike, and ``tiles`` walks the ordered pairs of cells of the groups
+    it lists.
     """
 
     row: np.ndarray
@@ -106,17 +107,12 @@ class SymbolGroups(NamedTuple):
         return self.present[g0 - 1 : g1].repeat(bounds[1:] - bounds[:-1])
 
     def size_classes(self) -> list[tuple[int, np.ndarray]]:
-        """(g, first) for each group size g >= 2, ascending: the first cells
-        of the groups of that size, in order of start."""
+        """(g, groups) for each group size g, ascending: the indices of the
+        groups of that size, ascending."""
         size = np.diff(self.start)
         order = np.argsort(size, kind="stable")
-        size = size[order]
-        cut = np.flatnonzero(np.diff(size, prepend=-1, append=-1)).tolist()
-        return [
-            (int(size[lo]), self.start[order[lo:hi]])
-            for lo, hi in zip(cut, cut[1:])
-            if size[lo] >= 2
-        ]
+        cut = np.flatnonzero(np.diff(size[order], prepend=-1, append=-1)).tolist()
+        return [(int(size[order[lo]]), order[lo:hi]) for lo, hi in zip(cut, cut[1:])]
 
     def tiles(self, width: int, classes: list[tuple[int, np.ndarray]]):
         """Yield (rec, oth, shift) tiles of at most ``_TILE // width`` cross
@@ -135,8 +131,10 @@ class SymbolGroups(NamedTuple):
         exactly once.
         """
         budget = max(1, _TILE // width)
-        for g, first in classes:
-            first, col = first[:, None], np.arange(g)
+        for g, groups in classes:
+            if g < 2:
+                continue
+            first, col = self.start[groups][:, None], np.arange(g)
             n, r, b = max(1, budget // (g * g)), min(g, max(1, budget // g)), min(g, budget)
             for x in range(0, len(first), n):
                 for i in range(0, g, r):
@@ -154,17 +152,19 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     one entry per non-star cell and the grid is never copied.  When the
     largest symbol would push the key past int64, the sort runs on each
     symbol's rank among those present and maps back after.  The key is
-    built, sorted and split back in place; once the groups are cut, the
-    users overwrite its symbols.
+    built, sorted and split back in place, the positions a piece of
+    ``_TILE`` cells at a time; once the groups are cut, the users
+    overwrite its symbols.
     """
     F, K = pda.F, pda.K
     size = F * K
     cell = np.flatnonzero(pda.grid)
     key = pda.grid.ravel()[cell]
-    row, cell = np.divmod(cell, K, out=(None, cell))
-    cell *= F
-    cell += row
-    del row
+    for lo in range(0, cell.size, _TILE):  # one piece's rows at a time, not every cell's
+        piece = cell[lo : lo + _TILE]
+        row, _ = np.divmod(piece, K, out=(None, piece))
+        piece *= F
+        piece += row
     rank = (int(key.max(initial=0)) + 1) * size > 2**63
     if rank:
         ranked, key = np.unique(key, return_inverse=True)
@@ -315,14 +315,14 @@ def conjugate_pda(pda: Pda) -> Pda:
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
     _check_cells("conjugate", S, K)
-    groups = symbol_groups(pda)
-    empty = np.flatnonzero(np.bincount(groups.row, minlength=F) == 0)
+    row, user = np.nonzero(pda.grid)
+    empty = np.flatnonzero(np.bincount(row, minlength=F) == 0)
     if empty.size:
         raise ValueError(
             f"row {int(empty[0])} is all stars; compact rows before conjugating"
         )
     out = np.zeros((S, K), dtype=np.int64)
-    out[groups.symbols(0, groups.row.size) - 1, groups.user] = groups.row + 1
+    out[pda.grid[row, user] - 1, user] = row + 1
     return Pda(out, Z=S - (F - Z), S=F)
 
 

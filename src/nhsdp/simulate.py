@@ -216,8 +216,8 @@ class _Workspace:
     name, so a short last chunk reuses them; an array is replaced only when
     a request outgrows it, which the first (largest) chunk does.  The rest
     depends only on the array and the cache and is built on first use:
-    ``kernel`` for the payload kernel, and ``classes`` and ``receivers``
-    for the decoder.
+    ``classes`` for the payload kernel and the decoder's tile walk, and
+    ``receivers`` for the decoder.
     ``blocked`` is filled by the decoder's first tile walk.
     """
 
@@ -235,22 +235,9 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
     @cached_property
-    def kernel(self) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """(first, counts, places): each group's first cell, largest groups
-        first, so the cells at offset t are ``first[:counts[t]] + t``; and
-        per symbol its group's place in that order (len(first) if absent)."""
-        start = self.groups.start
-        sizes = np.diff(start)
-        order = np.argsort(-sizes, kind="stable")
-        counts = np.searchsorted(-sizes[order], -np.arange(sizes.max(initial=0)))
-        places = np.full(self.S, len(order), dtype=np.int64)
-        places[self.groups.present[order] - 1] = np.arange(len(order))
-        return start[order], counts.tolist(), places
-
-    @cached_property
     def classes(self) -> list[tuple[int, np.ndarray]]:
         """The groups of each size, as ``groups.size_classes`` gives them,
-        for every tile walk of the sweep."""
+        for every payload kernel and tile walk of the sweep."""
         return self.groups.size_classes()
 
     @cached_property
@@ -274,7 +261,7 @@ class _Workspace:
 
 
 # The payload kernel loops over the offset within a symbol group, so each
-# numpy call moves whole (B, W) blocks for every group at once.
+# numpy call moves whole (B, W) blocks for every group of a size at once.
 # np.bitwise_xor.reduceat over the same gathers would make one inner-loop
 # call per (group, demand, word), which dominates when groups hold a few
 # cells.
@@ -292,25 +279,28 @@ def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
     XOR of the demanded packets of its cells (zero for an absent symbol).
 
-    The groups with an offset-t cell lead the kernel's order, so offset t
-    XORs into a leading slice of one accumulator, and one gather puts its
-    rows in symbol order."""
+    The groups of each size g, ``ws.classes``, XOR their cells at offset
+    t = 0 .. g-1 into one accumulator, which then fills their symbols' rows."""
     N, F, W = data.shape
     B, flat = len(d), data.reshape(-1, W)
-    first, counts, places = ws.kernel
+    groups = ws.groups
     dF = ws.buffer("dF", d.T.shape, np.int64)
     np.multiply(d.T, F, out=dF)
-    acc = ws.buffer("acc", (len(first) + 1, B, W))
-    acc.fill(0)
-    for t, n in enumerate(counts):
-        c = first[:n] + t
+    payloads = ws.buffer("payloads", (ws.S, B, W))
+    payloads.fill(0)
+    for g, members in ws.classes:
+        first, n = groups.start[members], len(members)
+        acc, read = ws.buffer("acc", (n, B, W)), ws.buffer("read", (n, B, W))
         index = ws.buffer("index", (n, B), np.int64)
-        np.take(dF, ws.groups.user[c], axis=0, out=index, mode="clip")
-        index += ws.groups.row[c, None]
-        read = ws.buffer("read", (n, B, W))
-        np.take(flat, index, axis=0, out=read, mode="clip")
-        np.bitwise_xor(acc[:n], read, out=acc[:n])
-    return np.take(acc, places, axis=0, out=ws.buffer("payloads", (ws.S, B, W)), mode="clip")
+        acc.fill(0)
+        for t in range(g):
+            c = first + t
+            np.take(dF, groups.user[c], axis=0, out=index, mode="clip")
+            index += groups.row[c, None]
+            np.take(flat, index, axis=0, out=read, mode="clip")
+            np.bitwise_xor(acc, read, out=acc)
+        payloads[groups.present[members] - 1] = acc
+    return payloads
 
 
 def _decode(
@@ -617,9 +607,9 @@ def exhaustive_demand_check(
     expected files, the comparison mask, gather indices, tile reads) are
     allocated on the first, largest chunk, and later chunks write into
     leading slices of them; what depends only on the array and the cache
-    (the payload kernel's group order, ``_decode``'s receivers and blocked
-    users) is worked out once.  So memory does not grow with the number
-    of chunks, and no chunk allocates an array that scales with F*K*B.
+    (the groups of each size, ``_decode``'s receivers and blocked users)
+    is worked out once.  So memory does not grow with the number of
+    chunks, and no chunk allocates an array that scales with F*K*B.
     ``groups`` is the array's symbol index, ``symbol_groups(pda)``, for a
     caller that has built it already; it is checked against the array.
     """

@@ -120,6 +120,23 @@ class TestPipelines:
         assert code == 0 and "256/256 demands decoded" in stdout
         assert builds == [(4, 4, 2, 4)]
 
+    @pytest.mark.parametrize(
+        "command, builds",
+        [("verify-pda", 1), ("conjugate", 1), ("group", 1), ("build-pda", 0), ("mn-pda", 0)],
+    )
+    def test_pda_commands_build_the_index_at_most_once(
+        self, ex4_file, tmp_path, capsys, monkeypatch, command, builds
+    ):
+        # verify-pda, conjugate and group to verify the file; build-pda and
+        # mn-pda verify no array.
+        if command == "verify-pda":
+            argv = (command, ex4_file)
+        else:
+            argv = (*_pda_command(command, tmp_path, ex4_file)[0], "--out", tmp_path / "out.txt")
+        seen, _ = self.count_index_builds(monkeypatch)
+        assert run(capsys, *argv)[0] == 0
+        assert seen == [(4, 4, 2, 4)] * builds
+
     def test_conjugate_and_group(self, ex4_file, tmp_path, capsys):
         conj = tmp_path / "conj.txt"
         code, stdout, _ = run(capsys, "conjugate", ex4_file, "--out", conj)

@@ -14,6 +14,7 @@ from nhsdp import (
     Pda,
     UnrecoverablePacketError,
     conjugate_pda,
+    construct_nhsdp,
     decode,
     deliver,
     drop_columns,
@@ -48,6 +49,13 @@ def ex15_pda(ex15_packing) -> Pda:
 def irregular_pda(ex15_pda) -> Pda:
     """ex15 with its last user dropped: symbol groups of 3 and 4."""
     return drop_columns(ex15_pda, range(14))
+
+
+@pytest.fixture
+def mixed_pda() -> Pda:
+    """The (2,1) lift at v=15 with users 8..14 dropped, an (8,15,7,29) PDA:
+    symbol groups of 1, 2, 3 and 4 cells."""
+    return drop_columns(pda_from_nhsdp(construct_nhsdp(15, (2, 1))), range(8))
 
 
 def corrupt_place(monkeypatch, corrupt):
@@ -325,6 +333,7 @@ TRANSCRIPT_GOLDENS = {
     "ex4": "de775b22f225b5feacc63e00f62a0188840e22b56d48d8eb89a317637eeffcc9",
     "ex15": "6829e237aa586ff88292871bd7e6a5bf537636acc4002ccb386c7471e1e3aae1",
     "irregular": "b8e89fd353771b1fe288601eb1a3e1e123e22d2ed7d12f8b64c17f13601495ff",
+    "mixed": "38e328450b3705ac757544206275db2232e1a198270e194fd1ddc6acac85d3ba",
 }
 
 
@@ -334,6 +343,7 @@ TRANSCRIPT_GOLDENS = {
         ("ex4", 4, 0, (0, 1, 2, 3)),
         ("ex15", 2, 3, tuple(k % 2 for k in range(15))),
         ("irregular", 2, 3, tuple(k % 2 for k in range(14))),
+        ("mixed", 2, 3, tuple(k % 2 for k in range(8))),
     ],
 )
 def test_transcript_golden(request, name, n_files, seed, demand):
@@ -742,7 +752,7 @@ class TestTileBudgets:
         cache.slots[cleared] = -1
         cache.users.view(np.uint8)[flip][0] ^= 0x80
 
-    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    @pytest.mark.parametrize("name", ["ex15", "irregular", "mixed"])
     def test_sweep_failures(self, request, monkeypatch, name):
         arr = request.getfixturevalue(f"{name}_pda")
         current, reports = [], {}
@@ -757,7 +767,7 @@ class TestTileBudgets:
         reasons = " ".join(reason for failures in reports.values() for _, _, reason in failures)
         assert "lacks interfering packet" in reasons and "differ" in reasons
 
-    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    @pytest.mark.parametrize("name", ["ex15", "irregular", "mixed"])
     def test_decode_error(self, request, monkeypatch, name):
         arr = request.getfixturevalue(f"{name}_pda")
         library = FileLibrary.random(2, arr.F, seed=1)
@@ -780,7 +790,7 @@ class TestWorkspace:
     not depend on the chunk size, and its memory does not grow with the
     number of chunks."""
 
-    @pytest.mark.parametrize("name", ["ex15", "irregular"])
+    @pytest.mark.parametrize("name", ["ex15", "irregular", "mixed"])
     def test_sweep_is_chunk_invariant(self, request, monkeypatch, name):
         # 40 samples and the all-equal corner: 41 vectors, so chunks of 7
         # end on a short one and a default chunk is a leading slice.
@@ -802,7 +812,7 @@ class TestWorkspace:
                     report.loads_all_equal,
                 )
                 assert seen == reports.setdefault(i, seen)
-        assert reports[0] == ((), 41, 2, True)
+        assert reports[0] == ((), 41, Fraction(arr.S, arr.F), True)
         reasons = " ".join(r for i in range(1, 7) for _, _, r in reports[i][0])
         assert "lacks interfering packet" in reasons and "differ" in reasons
 
