@@ -368,24 +368,26 @@ def ds_search(q: int) -> Cdp | None:
     containing {0, 1} in its Singer orbit: its images t * D + s for every
     multiplier t prime to v and every translate s.  Backtracking finds the
     same set as the least planar difference set containing {0, 1} for every
-    prime power q <= 11; for q = 13 and 16 no backtracking reference exists,
-    as the search does not end in practice.
+    prime power q <= 11; the tests keep that search as the reference for
+    q <= 9.
 
-    q = 6 is searched by backtracking, which exhausts and returns None.
-    Other non-prime-power q (10, 12, 14, 15) are refused: their search does
-    not end in practice, and by theorem there is no set to find.
+    Nothing is searched: q = 6 returns None (Bruck-Ryser), and the other
+    non-prime-power q (10, 12, 14, 15) are refused (Gordon), both by theorem.
     """
     if not 2 <= q <= DS_SEARCH_MAX_Q:
         raise ValueError(f"q must lie in [2, {DS_SEARCH_MAX_Q}], got {q}")
     parts = prime_power_parts(q)
     if parts is None:
-        if q > 6:
-            raise ValueError(
-                f"q={q} is not a prime power, and no planar difference set of "
-                "non-prime-power order below 2,000,000 exists (a theorem: D. M. Gordon, "
-                "Electron. J. Combin. 1 (1994) R6)"
-            )
-        return _ds_backtrack(q)
+        if q == 6:
+            # The set's translates would form a projective plane of order 6.
+            # By Bruck-Ryser (Canad. J. Math. 1 (1949) 88-93) an order = 1 or
+            # 2 mod 4 is then a sum of two squares; 6 = 2 mod 4 is not.
+            return None
+        raise ValueError(
+            f"q={q} is not a prime power, and no planar difference set of "
+            "non-prime-power order below 2,000,000 exists (a theorem: D. M. Gordon, "
+            "Electron. J. Combin. 1 (1994) R6)"
+        )
     v = q * q + q + 1
     return Cdp.from_elements(v, _least_in_orbit(v, _singer_set(q, *parts)))
 
@@ -472,51 +474,3 @@ def _least_in_orbit(v: int, elements: Iterable[int]) -> tuple[int, ...]:
         if best is None or image < best:
             best = image
     return best
-
-
-def _ds_backtrack(q: int) -> Cdp | None:
-    """Backtracking search for the least (q^2 + q + 1, q + 1) difference set containing {0, 1}.
-
-    Elements are tried in ascending order, so the first set found is the
-    lexicographically least one.  Returns None when the search exhausts.
-    """
-    v = q * q + q + 1
-    k = q + 1
-
-    used = [False] * v
-    chosen = [0, 1]
-    used[1] = True
-    used[v - 1] = True
-
-    def place(e: int) -> list[int]:
-        diffs = []
-        for d in chosen:
-            for delta in ((e - d) % v, (d - e) % v):
-                if used[delta]:
-                    for back in diffs:
-                        used[back] = False
-                    return []
-                used[delta] = True
-                diffs.append(delta)
-        return diffs
-
-    def extend() -> bool:
-        if len(chosen) == k:
-            return True
-        lo = chosen[-1] + 1
-        # Need k - len(chosen) more ascending elements below v.
-        for e in range(lo, v - (k - len(chosen) - 1)):
-            diffs = place(e)
-            if not diffs:
-                continue
-            chosen.append(e)
-            if extend():
-                return True
-            chosen.pop()
-            for delta in diffs:
-                used[delta] = False
-        return False
-
-    if not extend():
-        return None
-    return Cdp.from_elements(v, chosen)

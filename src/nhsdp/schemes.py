@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .packing import block_params, choose_params_closed_form, solve_problem1_exact
+from .packing import choose_params_closed_form, solve_problem1_exact
 from .ringmath import binomial, gaussian_binomial, is_prime_power
 
 SCHEME_NAMES = (
@@ -299,6 +299,25 @@ def _mr_at(K: int, t: int) -> SchemePoint:
     return _point("MR", {"K": K, "t": t}, K, Fraction(t, K), load, K)
 
 
+def _nhsdp_blocks(v: int, n: int, solver: str) -> tuple[tuple[int, ...], int]:
+    """The scale parameters m and the block count prod(m) of the packing at (v, n).
+
+    An even v or v < 3 has no packing and is refused before either solver
+    runs.  prod(1 + 2 m_i) = 2 phi(m) + 1, so the bound reads off m directly.
+    """
+    if solver not in ("closed_form", "exact"):
+        raise ValueError(f"solver must be 'closed_form' or 'exact', not {solver!r}")
+    if v % 2 == 0 or v < 3:
+        raise ValueError(f"modulus must be odd and >= 3, got {v}")
+    if solver == "closed_form":
+        m = choose_params_closed_form(v, n)
+        product = math.prod(m)
+    else:
+        m, product = solve_problem1_exact(v, n)
+    _require(math.prod(1 + 2 * mi for mi in m) <= v, "phi(m) <= (v - 1) / 2")
+    return m, product
+
+
 def _nhsdp(p: Mapping) -> SchemePoint:
     return evaluate_nhsdp_scheme(int(p["v"]), int(p["n"]), p.get("solver", "closed_form"))
 
@@ -306,15 +325,11 @@ def _nhsdp(p: Mapping) -> SchemePoint:
 def _nhsdp_conj(p: Mapping) -> SchemePoint:
     v, n = int(p["v"]), int(p["n"])
     solver = p.get("solver", "closed_form")
-    base = evaluate_nhsdp_scheme(v, n, solver)
-    b = base.load  # block count
-    g = 2**n
-    _require(0 < base.memory_ratio < 1, "0 < Z < F on the base point")
-    memory = 1 - Fraction(g, v)
-    load = 1 / b
-    F = _as_int(b * v, "F")
+    _, b = _nhsdp_blocks(v, n, solver)
+    _require(2**n * b < v, "0 < Z < F on the base point")
+    memory = 1 - Fraction(2**n, v)
     return _point(
-        "NHSDP_CONJ", {"v": v, "n": n, "solver": solver}, v, memory, load, F
+        "NHSDP_CONJ", {"v": v, "n": n, "solver": solver}, v, memory, Fraction(1, b), b * v
     )
 
 
@@ -355,17 +370,9 @@ def evaluate_nhsdp_scheme(v: int, n: int, solver: str = "closed_form") -> Scheme
 
     ``closed_form`` uses the all-equal parameter choice; ``exact`` solves the
     block-count maximisation by exhaustion, which can beat the closed form
-    when v is not an odd n-th power.
+    when v is not an odd n-th power.  Either refuses an even v or v < 3.
     """
-    if solver == "closed_form":
-        m = choose_params_closed_form(v, n)
-        product = math.prod(m)
-    elif solver == "exact":
-        m, product = solve_problem1_exact(v, n)
-    else:
-        raise ValueError(f"solver must be 'closed_form' or 'exact', not {solver!r}")
-    params = block_params(m)
-    _require(params.phi <= (v - 1) // 2, "phi(m) <= (v - 1) / 2")
+    m, product = _nhsdp_blocks(v, n, solver)
     memory = 1 - Fraction(2**n * product, v)
     return _point(
         "NHSDP",
@@ -439,14 +446,8 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
     lo, hi = max(1, K - slack), K + slack
     if scheme in ("NHSDP", "NHSDP_CONJ"):
         for v in range(lo | 1, hi + 1, 2):
-            if v < 3:
-                continue
             n = 1
-            while True:
-                try:
-                    choose_params_closed_form(v, n)
-                except ValueError:
-                    break
+            while 3**n <= v:  # m = (1, ..., 1) fits: every n both solvers accept
                 yield {"v": v, "n": n}
                 n += 1
     elif scheme == "XXGL":
@@ -510,9 +511,9 @@ def _default_grid(scheme: str, K: int, slack: int) -> Iterable[dict]:
 
 
 # Largest K + slack tradeoff_sweep accepts.  Over all 15 schemes, on one core
-# of a 2-vCPU x86-64 VM, the sweep took at most 1.1 s within it (K = slack =
-# 2048, nearly all of it NHSDP and NHSDP_CONJ at every odd v up to 4096) and
-# 0.10-0.15 s at K = 4096 with slack 0 or 8; K = 6000 took 0.15 s.
+# of a 2-vCPU x86-64 VM, the widest sweep within it, K = slack = 2048, took
+# 0.65-0.9 s (0.33-0.54 s of it NHSDP and NHSDP_CONJ at every odd v up to
+# 4096), and K = 4096 with slack 0 or 8 took 0.10-0.17 s.
 SWEEP_MAX_K = 4096
 
 

@@ -185,11 +185,13 @@ class TestPipelines:
         code, stdout, _ = run(capsys, "phf", packing)
         assert code == 0 and "(3;21,7,3) PHF: valid" in stdout
 
-    def test_ds_search(self, capsys):
+    def test_ds_search(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "ds-search", "--q", 3)
         assert code == 0 and "(13,4) DS" in stdout and "0,1,3,9" in stdout
-        code, stdout, _ = run(capsys, "ds-search", "--q", 6)
-        assert code == 0 and "search space exhausted" in stdout
+        out = tmp_path / "d6.json"
+        code, stdout, _ = run(capsys, "ds-search", "--q", 6, "--out", out)
+        assert code == 0 and stdout == "no (43,7) difference set: search space exhausted\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("q", [13, 16])
     def test_ds_search_beyond_backtracking(self, tmp_path, capsys, q):

@@ -20,7 +20,7 @@ from nhsdp import (
     verify_cdp,
     verify_nhsdp,
 )
-from nhsdp.packing import _ds_backtrack, _least_in_orbit
+from nhsdp.packing import _least_in_orbit
 from conftest import EX15_BLOCKS
 
 def reference_problem1(v, n):
@@ -311,6 +311,54 @@ class TestCdp:
         assert verify_nhsdp(v, packing.blocks).ok
 
 
+def _ds_backtrack(q: int) -> Cdp | None:
+    """Backtracking search for the least (q^2 + q + 1, q + 1) difference set containing {0, 1}.
+
+    Elements are tried in ascending order, so the first set found is the
+    lexicographically least one.  Returns None when the search exhausts.
+    """
+    v = q * q + q + 1
+    k = q + 1
+
+    used = [False] * v
+    chosen = [0, 1]
+    used[1] = True
+    used[v - 1] = True
+
+    def place(e: int) -> list[int]:
+        diffs = []
+        for d in chosen:
+            for delta in ((e - d) % v, (d - e) % v):
+                if used[delta]:
+                    for back in diffs:
+                        used[back] = False
+                    return []
+                used[delta] = True
+                diffs.append(delta)
+        return diffs
+
+    def extend() -> bool:
+        if len(chosen) == k:
+            return True
+        lo = chosen[-1] + 1
+        # Need k - len(chosen) more ascending elements below v.
+        for e in range(lo, v - (k - len(chosen) - 1)):
+            diffs = place(e)
+            if not diffs:
+                continue
+            chosen.append(e)
+            if extend():
+                return True
+            chosen.pop()
+            for delta in diffs:
+                used[delta] = False
+        return False
+
+    if not extend():
+        return None
+    return Cdp.from_elements(v, chosen)
+
+
 class TestDsSearch:
     def test_small_orders(self):
         assert ds_search(2).elements == (0, 1, 3)
@@ -335,7 +383,25 @@ class TestDsSearch:
         assert _least_in_orbit(cdp.v, cdp.elements) == cdp.elements
 
     def test_non_prime_power_exhausts(self):
+        # The search and the theorem ds_search answers by agree at q = 6.
+        assert _ds_backtrack(6) is None
         assert ds_search(6) is None
+
+    @pytest.mark.parametrize("q", range(2, 17))
+    def test_every_order_in_range(self, q):
+        # A verified set at each prime power, None at 6 (Bruck-Ryser), and a
+        # refusal naming Gordon's theorem at the other non-prime-power orders.
+        if q in (10, 12, 14, 15):
+            with pytest.raises(ValueError, match=rf"q={q} is not a prime power.*D\. M\. Gordon"):
+                ds_search(q)
+            return
+        cdp = ds_search(q)
+        if q == 6:
+            assert cdp is None
+            return
+        assert cdp.v == q * q + q + 1 and cdp.k == q + 1 and cdp.is_difference_set
+        assert cdp.elements[:2] == (0, 1)
+        assert verify_cdp(cdp.v, cdp.elements).code == "ds"
 
     def test_bound(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,15 @@ from nhsdp import (
     SchemePoint,
     apply_grouping_formula,
     binomial,
+    block_params,
+    choose_params_closed_form,
     evaluate_nhsdp_scheme,
     evaluate_scheme,
     ratio_report,
+    solve_problem1_exact,
     tradeoff_sweep,
 )
-from nhsdp import schemes
+from nhsdp import packing, schemes
 from nhsdp.cli import main
 
 
@@ -185,6 +188,79 @@ class TestNhsdpScheme:
     def test_bad_solver(self):
         with pytest.raises(ValueError):
             evaluate_nhsdp_scheme(125, 3, "guess")
+
+    @pytest.mark.parametrize("v", [16, 2, 1, 0, -3])
+    @pytest.mark.parametrize("solver", ["closed_form", "exact"])
+    @pytest.mark.parametrize("scheme", ["NHSDP", "NHSDP_CONJ"])
+    def test_no_point_over_an_even_or_small_modulus(self, monkeypatch, scheme, solver, v):
+        # No packing exists there, so neither solver is asked.
+        def unasked(*args):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(schemes, "choose_params_closed_form", unasked)
+        monkeypatch.setattr(schemes, "solve_problem1_exact", unasked)
+        with pytest.raises(ValueError, match=f"^modulus must be odd and >= 3, got {v}$"):
+            evaluate_scheme(scheme, {"v": v, "n": 1, "solver": solver})
+
+    def test_points_match_the_derivation_from_the_base_point(self):
+        expected = [(v, n) for v in range(1, 401, 2) for n in _reference_n_range(v)]
+        for scheme in ("NHSDP", "NHSDP_CONJ"):
+            grid = schemes._default_grid(scheme, 200, 200)
+            assert [(p["v"], p["n"]) for p in grid] == expected
+        for v, n in expected:
+            for solver in ("closed_form", "exact"):
+                base, conj = _reference_nhsdp_points(v, n, solver)
+                params = {"v": v, "n": n, "solver": solver}
+                assert evaluate_scheme("NHSDP", params) == base
+                assert evaluate_scheme("NHSDP_CONJ", params) == conj
+
+    def test_sweep_derives_no_block_params(self, monkeypatch):
+        calls = []
+        closed_form = schemes.choose_params_closed_form
+        monkeypatch.setattr(packing, "block_params", lambda m: calls.append(("block_params", m)))
+        monkeypatch.setattr(
+            schemes,
+            "choose_params_closed_form",
+            lambda v, n: calls.append(("closed_form", v, n)) or closed_form(v, n),
+        )
+        points = tradeoff_sweep(255, ["NHSDP", "NHSDP_CONJ"], slack=255)
+        assert {pt.scheme for pt in points} == {"NHSDP", "NHSDP_CONJ"}
+        assert not hasattr(schemes, "block_params")
+        assert all(call[0] == "closed_form" for call in calls)
+        assert len(calls) <= len(points)
+
+
+def _reference_n_range(v):
+    """Every n the closed form accepts at v, found by asking it until it refuses."""
+    n = 1
+    while True:
+        try:
+            choose_params_closed_form(v, n)
+        except ValueError:
+            return range(1, n)
+        n += 1
+
+
+def _reference_nhsdp_points(v, n, solver):
+    """NHSDP at (v, n), its m checked through block_params' phi, and NHSDP_CONJ
+    read off that point's load and memory ratio."""
+    if solver == "closed_form":
+        m = choose_params_closed_form(v, n)
+        product = math.prod(m)
+    else:
+        m, product = solve_problem1_exact(v, n)
+    assert block_params(m).phi <= (v - 1) // 2
+
+    def point(scheme, params, memory, load, subpacketization):
+        gain = v * (1 - memory) / load
+        return SchemePoint(scheme, params, v, memory, load, subpacketization, gain)
+
+    params = {"v": v, "n": n, "m": m, "solver": solver}
+    base = point("NHSDP", params, 1 - F(2**n * product, v), F(product), v)
+    assert 0 < base.memory_ratio < 1
+    params = {"v": v, "n": n, "solver": solver}
+    conj = point("NHSDP_CONJ", params, 1 - F(2**n, v), 1 / base.load, int(base.load * v))
+    return base, conj
 
 
 class TestGrouping:
