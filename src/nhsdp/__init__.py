@@ -37,6 +37,7 @@ from .packing import (
 )
 from .pda import (
     STAR,
+    CheckedPda,
     Pda,
     PdaStats,
     conjugate_pda,

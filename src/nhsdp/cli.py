@@ -105,14 +105,14 @@ def _load(path: str, parse):
         raise _UsageError(f"{path}: {exc}")
 
 
-def _load_valid_pda(path: str) -> tuple[pda_mod.Pda, pda_mod.SymbolGroups]:
-    """A PDA file that passes verify_pda, and the symbol index it was verified
-    with; an invalid array exits 1."""
+def _load_valid_pda(path: str) -> pda_mod.CheckedPda:
+    """A PDA file that passes verify_pda, as the CheckedPda it returns, which
+    holds the symbol index it was verified with; an invalid array exits 1."""
     arr = _load(path, serialize.load_pda)
     verdict = pda_mod.verify_pda(arr)
     if not verdict.ok:
         raise ValueError(f"{path} is not a valid PDA [{verdict.code}]: {verdict.detail}")
-    return arr, verdict.info["groups"]
+    return verdict.info["checked"]
 
 
 def _report_pda(what: str, arr: pda_mod.Pda, out: str | None) -> int:
@@ -183,13 +183,13 @@ def _cmd_verify_pda(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    arr, _ = _load_valid_pda(args.file)
+    arr = _load_valid_pda(args.file)
     conj = _flagged(args.file, pda_mod.conjugate_pda, arr)
     return _report_pda("conjugate is a", conj, args.out)
 
 
 def _cmd_group(args) -> int:
-    arr, _ = _load_valid_pda(args.file)
+    arr = _load_valid_pda(args.file)
     grouped = _flagged("--K", pda_mod.group_pda_divisible, arr, args.K)
     return _report_pda("grouped to a", grouped, args.out)
 
@@ -216,7 +216,7 @@ def _cmd_simulate(args) -> int:
             budget = int(spec.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"--demands: bad sample count in {spec!r}")
-    arr, groups = _load_valid_pda(args.file)
+    arr = _load_valid_pda(args.file)
     sizes = "--N, --packet-len"  # they size the file library and the caches
     if sweep:
         total = args.N**arr.K
@@ -227,7 +227,7 @@ def _cmd_simulate(args) -> int:
         report = _flagged(
             "--demands" if budget < 0 else sizes, simulate.exhaustive_demand_check,
             arr, args.N, args.packet_len,
-            demand_budget=budget, seed=args.seed, groups=groups,
+            demand_budget=budget, seed=args.seed,
         )
         load = float(report.nominal_load)
         print(f"{report.checked}/{report.total_demands} demands decoded, load = {load:g}")
@@ -248,7 +248,7 @@ def _cmd_simulate(args) -> int:
     _flagged(sizes, simulate._check_sizes, arr, args.N, args.packet_len)
     library = simulate.FileLibrary.random(args.N, arr.F, args.packet_len, args.seed)
     cache = simulate.place(arr, library)
-    transcript = simulate.deliver(arr, library, demand, groups)
+    transcript = simulate.deliver(arr, library, demand)
     files = simulate.decode(cache, transcript)
     bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
     load = transcript.payloads.size / (arr.F * args.packet_len)

@@ -144,6 +144,30 @@ class SymbolGroups(NamedTuple):
                         yield rec, oth, i - j if j <= i < j + b else None
 
 
+@dataclass(frozen=True, eq=False)
+class CheckedPda(Pda):
+    """A Pda that ``verify_pda`` found valid, with the symbol index it
+    checked, ``symbol_groups`` of the same grid.
+
+    Only ``verify_pda`` makes one, on the grid buffer of the array it
+    verified: a direct call, ``dataclasses.replace`` and ``from_grid`` all
+    raise.  So ``deliver`` and ``exhaustive_demand_check`` take ``groups``
+    as it is, and anything that takes a Pda takes this one.
+    """
+
+    groups: SymbolGroups
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("only verify_pda makes a CheckedPda")
+
+    @classmethod
+    def _of(cls, pda: Pda, groups: SymbolGroups) -> "CheckedPda":
+        checked = object.__new__(cls)  # past __init__: no copy, no second scan
+        for name, value in (("grid", pda.grid), ("Z", pda.Z), ("S", pda.S), ("groups", groups)):
+            object.__setattr__(checked, name, value)
+        return checked
+
+
 def symbol_groups(pda: Pda) -> SymbolGroups:
     """Index the cells of each symbol present with one scan and one sort.
 
@@ -195,8 +219,9 @@ def verify_pda(pda: Pda) -> Verdict:
     indexed, so no work follows the declared S.  C3a is reported before
     C3b; either witness is the first violating pair by (symbol, cells in
     row-major order), the least over all tiles.  A valid verdict's info
-    holds the symbol index it was checked with, ``symbol_groups(pda)``, as
-    "groups", for a caller that goes on to use it.
+    holds, as "checked", the array as a ``CheckedPda``: the same grid
+    buffer with the symbol index it was checked with, for a caller that
+    goes on to deliver it.
     """
     groups = symbol_groups(pda)
     row, user, present, start = groups
@@ -254,7 +279,7 @@ def verify_pda(pda: Pda) -> Verdict:
             {"missing": listed},
         )
     K, F, Z, S = pda.params()
-    info = {"params": pda.params(), "groups": groups}
+    info = {"params": pda.params(), "checked": CheckedPda._of(pda, groups)}
     return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", info)
 
 

@@ -569,7 +569,7 @@ def tradeoff_sweep(K: int, schemes: Sequence[str], slack: int = 8) -> list[Schem
         for params in _default_grid(scheme, K, slack):
             try:
                 point = evaluate_scheme(scheme, params)
-            except (SchemeConstraintError, ValueError):
+            except SchemeConstraintError:
                 continue
             if abs(point.K - K) <= slack:
                 points.append(point)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pda import STAR, Pda, SymbolGroups, _check_cells, symbol_groups
+from .pda import STAR, CheckedPda, Pda, SymbolGroups, _check_cells, symbol_groups
 
 DEFAULT_PACKET_LEN = 16
 DEFAULT_DEMAND_BUDGET = 1_000_000
@@ -401,45 +401,6 @@ def _decode(
     return files.reshape(K, F, B, W), ws.blocked
 
 
-def _grouped(groups: SymbolGroups) -> bool:
-    """Whether ``start`` rises strictly from 0 to the cell count, one entry
-    longer than ``present``, which rises strictly from 1."""
-    row, user, present, start = groups
-    return bool(
-        len(start) == len(present) + 1
-        and start[0] == 0
-        and start[-1] == len(row) == len(user)
-        and (np.diff(start) > 0).all()
-        and (np.diff(present, prepend=0) > 0).all()
-    )
-
-
-def _index_of(pda: Pda, groups: SymbolGroups | None) -> SymbolGroups:
-    """``symbol_groups(pda)``, built, or a caller's ``groups`` once checked
-    to be it: grouped as ``_grouped`` asks, as many cells as the array has
-    non-stars, each group's cells in ascending u*F + r, and each holding
-    its group's symbol in the grid.  The check is O(cells), with no sort,
-    a piece of at most ``_CHUNK_WORDS`` cells at a time."""
-    if groups is None:
-        return symbol_groups(pda)
-    row, user, present, start = groups
-    F, K, n = pda.F, pda.K, len(row)
-    ok = _grouped(groups) and n == np.count_nonzero(pda.grid)
-    ok = ok and (n == 0 or (min(row.min(), user.min()) >= 0 and row.max() < F and user.max() < K))
-    for lo in range(0, n if ok else 0, _CHUNK_WORDS):
-        hi, a = min(lo + _CHUNK_WORDS, n), max(lo - 1, 0)
-        key = user[a:hi] * F
-        key += row[a:hi]
-        rise = key[1:] > key[:-1]  # cells a+1..hi-1 over the one before
-        rise[start[np.searchsorted(start, a + 1) : np.searchsorted(start, hi)] - (a + 1)] = True
-        ok = rise.all() and np.array_equal(pda.grid[row[lo:hi], user[lo:hi]], groups.symbols(lo, hi))
-        if not ok:
-            break
-    if not ok:
-        raise ValueError("groups is not the symbol index of this array, symbol_groups(pda)")
-    return groups
-
-
 def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
     row, u, symbol = witness
     if symbol:
@@ -451,19 +412,16 @@ def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
 
 
 def deliver(
-    pda: Pda,
-    library: FileLibrary,
-    demands: tuple[int, ...] | list[int],
-    groups: SymbolGroups | None = None,
+    pda: Pda, library: FileLibrary, demands: tuple[int, ...] | list[int]
 ) -> DeliveryTranscript:
     """Broadcast, for each symbol s, the XOR of the demanded packets it marks.
 
     The server reads only the array and the library.  The transcript's
     payloads are the rows the XOR kernel emitted, so bytes_on_wire counts the
     bytes it broadcast, and its groups are the symbol index they were XORed
-    over: all that decode needs of the array.  ``groups`` is that index,
-    ``symbol_groups(pda)``, for a caller that has built it already; it is
-    checked against the array.
+    over: all that decode needs of the array.  That index is the one
+    ``verify_pda`` checked when pda is its ``CheckedPda``, else
+    ``symbol_groups(pda)``, built here.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -473,7 +431,7 @@ def deliver(
     if library.F != pda.F:
         raise ValueError("library packet count does not match the PDA")
 
-    groups = _index_of(pda, groups)
+    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
     out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
@@ -504,7 +462,13 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
         raise ValueError(f"transcript demands must be file indices below N={N}")
     if L != cache.packet_len:
         raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
-    if not _grouped(groups):
+    if not (
+        len(start) == len(present) + 1
+        and start[0] == 0
+        and start[-1] == len(row) == len(user)
+        and (np.diff(start) > 0).all()
+        and (np.diff(present, prepend=0) > 0).all()
+    ):
         raise ValueError(
             "transcript groups.start must rise strictly from 0 to the cell count, one entry "
             "longer than groups.present, which must rise strictly from 1"
@@ -593,7 +557,6 @@ def exhaustive_demand_check(
     packet_len: int = DEFAULT_PACKET_LEN,
     demand_budget: int = DEFAULT_DEMAND_BUDGET,
     seed: int = 0,
-    groups: SymbolGroups | None = None,
 ) -> DemandCheckReport:
     """Run place/deliver/decode over all N^K demands (or a seeded sample).
 
@@ -609,14 +572,14 @@ def exhaustive_demand_check(
     leading slices of them; what depends only on the array and the cache
     (the groups of each size, ``_decode``'s receivers and blocked users)
     is worked out once.  So memory does not grow with the number of
-    chunks, and no chunk allocates an array that scales with F*K*B.
-    ``groups`` is the array's symbol index, ``symbol_groups(pda)``, for a
-    caller that has built it already; it is checked against the array.
+    chunks, and no chunk allocates an array that scales with F*K*B.  The
+    symbol index is the one ``verify_pda`` checked when pda is its
+    ``CheckedPda``, else ``symbol_groups(pda)``, built here.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
     _check_sizes(pda, N, packet_len)
-    groups = _index_of(pda, groups)
+    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
     ws = _Workspace(groups, pda.S, cache)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nhsdp import pda as pda_mod
 from nhsdp import (
+    CheckedPda,
     Nhsdp,
     Pda,
     STAR,
@@ -153,6 +155,27 @@ class TestSymbolGroups:
             assert len(steps) == classes
 
 
+class TestCheckedPda:
+    def test_holds_the_verified_grid_buffer(self, ex15_packing):
+        arr = pda_from_nhsdp(ex15_packing)
+        checked = verify_pda(arr).info["checked"]
+        assert isinstance(checked, CheckedPda) and isinstance(checked, Pda)
+        assert checked.grid is arr.grid and checked.params() == arr.params()
+        assert same_pda(conjugate_pda(checked), conjugate_pda(arr))
+        assert pda_stats(checked) == pda_stats(arr)
+
+    @pytest.mark.parametrize("how", ["call", "replace", "from_grid"])
+    def test_only_verify_pda_makes_one(self, ex4_pda, how):
+        checked = verify_pda(ex4_pda).info["checked"]
+        make = {
+            "call": lambda: CheckedPda(ex4_pda.grid, ex4_pda.Z, ex4_pda.S, checked.groups),
+            "replace": lambda: dataclasses.replace(checked, grid=ex4_pda.grid[::-1]),
+            "from_grid": lambda: CheckedPda.from_grid(ex4_pda.grid),
+        }[how]
+        with pytest.raises(TypeError, match="^only verify_pda makes a CheckedPda$"):
+            make()
+
+
 class TestVerify:
     def test_worked_4x4(self, ex4_pda):
         verdict = verify_pda(ex4_pda)
@@ -164,9 +187,9 @@ class TestVerify:
         arr = pda_from_nhsdp(ex15_packing)
         verdict = verify_pda(arr)
         assert verdict.ok and verdict.info["params"] == arr.params()
-        for got, want in zip(verdict.info["groups"], symbol_groups(arr)):
+        for got, want in zip(verdict.info["checked"].groups, symbol_groups(arr)):
             assert np.array_equal(got, want)
-        assert "groups" not in verify_pda(Pda(arr.grid, Z=arr.Z, S=arr.S + 1)).info  # C2
+        assert "checked" not in verify_pda(Pda(arr.grid, Z=arr.Z, S=arr.S + 1)).info  # C2
 
     def test_star_to_symbol_mutation(self, ex4_pda):
         grid = np.array(ex4_pda.grid)

@@ -387,7 +387,7 @@ def _reference_sweep(K, names, slack):
             for params in schemes._default_grid(scheme, K, slack):
                 try:
                     raw.append(evaluate_scheme(scheme, params))
-                except (SchemeConstraintError, ValueError):
+                except SchemeConstraintError:
                     pass
         points += [pt for pt in raw if abs(pt.K - K) <= slack]
     points.sort(key=lambda pt: (pt.memory_ratio, pt.load, pt.scheme))
@@ -426,6 +426,14 @@ def _ratio(x):
 
 
 class TestSweepPruning:
+    def test_out_of_range_grid_point_raises(self, monkeypatch):
+        # A grid that yields an even modulus is a bug in the grid, not a
+        # constraint violation, so the sweep does not drop the point.
+        monkeypatch.setattr(schemes, "_default_grid", lambda scheme, K, slack: [{"v": 16, "n": 1}])
+        with pytest.raises(ValueError, match="^modulus must be odd and >= 3, got 16$") as caught:
+            tradeoff_sweep(15, ["NHSDP"], slack=1)
+        assert caught.type is ValueError
+
     @pytest.mark.parametrize("slack", [0, 8])
     @pytest.mark.parametrize("K", [31, 85, 127, 156, 255, 364])
     def test_sweep_matches_unpruned_reference(self, K, slack):

@@ -28,7 +28,6 @@ from nhsdp import (
     verify_pda,
 )
 from nhsdp import pda as pda_mod
-from nhsdp.pda import SymbolGroups
 from conftest import packet_bytes, peak_mib
 from nhsdp.packing import Nhsdp
 
@@ -266,65 +265,59 @@ class TestDelivery:
         assert short.bytes_on_wire == 29 * 5
 
 
-class TestGivenIndex:
-    """deliver and the sweep take a caller's symbol index only once it is
-    checked against the array."""
+class TestCheckedIndex:
+    """deliver and the sweep take a CheckedPda's index as it is, and build
+    symbol_groups for a plain Pda; both give the same bytes."""
 
-    MESSAGE = r"^groups is not the symbol index of this array, symbol_groups\(pda\)$"
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The params of each array simulate's symbol_groups indexes."""
+        builds, real = [], simulate.symbol_groups
 
-    @pytest.fixture
-    def wrong(self, ex15_pda, ex4_pda):
-        groups = symbol_groups(ex15_pda)
-        user, row = groups.user.copy(), groups.row.copy()
-        c = groups.start[1]  # the first cell of symbol 2 becomes symbol 1's first cell
-        user[c], row[c] = user[0], row[0]
+        def spy(pda):
+            builds.append(pda.params())
+            return real(pda)
 
-        def cells(*first):  # the index with its first cells replaced by cells `first`
-            order = np.arange(len(groups.row))
-            order[: len(first)] = first
-            return groups._replace(user=groups.user[order], row=groups.row[order])
+        monkeypatch.setattr(simulate, "symbol_groups", spy)
+        return builds
 
-        return {
-            # the index of the valid column-reversed array: every symbol's cells move
-            "reversed": symbol_groups(Pda(ex15_pda.grid[:, ::-1], Z=ex15_pda.Z, S=ex15_pda.S)),
-            "twice": groups._replace(user=user, row=row),
-            "swapped": cells(1, 0),  # symbol 1's first two cells out of order
-            "repeated": cells(0, 0),  # symbol 1's first cell in place of its second
-            "split": groups._replace(  # symbol 1 in two groups of 2 cells
-                start=np.insert(groups.start, 1, 2), present=np.insert(groups.present, 0, 1)
-            ),
-            "other": symbol_groups(ex4_pda),
-            "short": SymbolGroups(  # all but the last symbol's cells
-                groups.row[: groups.start[-2]], groups.user[: groups.start[-2]],
-                groups.present[:-1], groups.start[:-1],
-            ),
-        }
+    # Groups of 2 (ex4, ex15), of 3 and 4 (irregular), and of 1 to 4 (mixed).
+    NAMES = ["ex4", "ex15", "irregular", "mixed"]
 
-    @pytest.mark.parametrize(
-        "name", ["reversed", "twice", "swapped", "repeated", "split", "other", "short"]
-    )
-    def test_deliver_and_sweep_refuse_another_index(self, ex15_pda, wrong, name):
-        library = FileLibrary.random(2, 15, seed=0)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            deliver(ex15_pda, library, (0, 1) * 7 + (0,), wrong[name])
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            exhaustive_demand_check(ex15_pda, N=2, groups=wrong[name])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_deliver(self, request, monkeypatch, name):
+        arr = request.getfixturevalue(f"{name}_pda")
+        checked = verify_pda(arr).info["checked"]
+        builds = self.count_builds(monkeypatch)
+        library = FileLibrary.random(2, arr.F, seed=0)
+        d = [k % 2 for k in range(arr.K)]
+        given = deliver(checked, library, d)
+        assert builds == [] and given.groups is checked.groups
+        built = deliver(arr, library, d)
+        assert builds == [arr.params()]
+        assert given.payloads.tobytes() == built.payloads.tobytes()
 
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7])
-    def test_check_runs_across_pieces(self, irregular_pda, monkeypatch, piece):
-        # Groups of 3 and 4 cut by pieces of 1, 2, 3 and 7 cells: the index
-        # passes, and so does no swap of two neighbouring cells.
-        monkeypatch.setattr(simulate, "_CHUNK_WORDS", piece)
-        library = FileLibrary.random(2, irregular_pda.F, seed=0)
-        d = (0, 1) * 7
-        groups = symbol_groups(irregular_pda)
-        assert deliver(irregular_pda, library, d, groups).groups is groups
-        for c in range(len(groups.row) - 1):
-            order = np.arange(len(groups.row))
-            order[[c, c + 1]] = c + 1, c
-            swapped = groups._replace(user=groups.user[order], row=groups.row[order])
-            with pytest.raises(ValueError, match=self.MESSAGE):
-                deliver(irregular_pda, library, d, swapped)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_sweep(self, request, monkeypatch, name):
+        arr = request.getfixturevalue(f"{name}_pda")
+        checked = verify_pda(arr).info["checked"]
+        builds = self.count_builds(monkeypatch)
+        emitted, real = [], simulate._payloads
+
+        def payloads(*args):
+            out = real(*args)
+            emitted.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(simulate, "_payloads", payloads)
+        given = exhaustive_demand_check(checked, N=2, demand_budget=50)
+        assert builds == []
+        given_payloads = emitted.copy()
+        emitted.clear()
+        built = exhaustive_demand_check(arr, N=2, demand_budget=50)
+        assert builds == [arr.params()]
+        assert given.ok and given == built
+        assert given_payloads and given_payloads == emitted
 
 
 # sha256 of each transcript's JSON, parsed and re-dumped with sorted keys, as
