@@ -174,7 +174,7 @@ def _cmd_verify_pda(args) -> int:
     arr = _load(args.file, serialize.load_pda)
     verdict = pda_mod.verify_pda(arr)
     if verdict.ok:
-        stats = pda_mod.pda_stats(arr)
+        stats = pda_mod.pda_stats(verdict.info["checked"])
         regular = f", {stats.regular_g}-regular" if stats.regular_g else ""
         print(f"{verdict.detail}: valid{regular}")
         return 0

@@ -215,13 +215,15 @@ def verify_pda(pda: Pda) -> Verdict:
     other) must be a star, which also rules out a shared row or column.
     A tile passes when its only non-stars are its receivers' own cells, so
     the cost is O(F*K + sum_s occ(s)^2) time for any group sizes, and the
-    memory is the symbol index plus one tile.  Only the symbols present are
-    indexed, so no work follows the declared S.  C3a is reported before
-    C3b; either witness is the first violating pair by (symbol, cells in
-    row-major order), the least over all tiles.  A valid verdict's info
-    holds, as "checked", the array as a ``CheckedPda``: the same grid
-    buffer with the symbol index it was checked with, for a caller that
-    goes on to deliver it.
+    memory is the symbol index plus one tile: every tile writes its cross
+    cells and their star test into leading slices of an int64 and a bool
+    buffer of ``_TILE`` entries, made once per call.
+    Only the symbols present are indexed, so no work follows the declared
+    S.  C3a is reported before C3b; either witness is the first violating
+    pair by (symbol, cells in row-major order), the least over all tiles.
+    A valid verdict's info holds, as "checked", the array as a
+    ``CheckedPda``: the same grid buffer with the symbol index it was
+    checked with, for a caller that goes on to deliver it.
     """
     groups = symbol_groups(pda)
     row, user, present, start = groups
@@ -229,9 +231,15 @@ def verify_pda(pda: Pda) -> Verdict:
     symbolic = (grid != STAR).ravel()
     cell = None
     first: dict[str, tuple[int, int, int]] = {}
+    # take writes into out= unbuffered with mode="clip", and every cross
+    # cell is in range, since row < F and user < K.
+    index = np.empty(_TILE, dtype=np.int64)
+    hits = np.empty(_TILE, dtype=bool)
     for rec, oth, shift in groups.tiles(1, groups.size_classes()):
         # (b, n, a): is the cross cell (row of receiver, user of other) a symbol?
-        bad = symbolic.take(row[rec] * K + user[oth].T[:, :, None])
+        shape, size = (oth.shape[1], *rec.shape), oth.shape[1] * rec.size
+        cross = np.add(row[rec] * K, user[oth].T[:, :, None], out=index[:size].reshape(shape))
+        bad = symbolic.take(cross, out=hits[:size].reshape(shape), mode="clip")
         if np.count_nonzero(bad) == (0 if shift is None else rec.size):
             continue
         if shift is not None:
@@ -437,20 +445,16 @@ def pda_stats(pda: Pda) -> PdaStats:
     """Memory ratio Z/F, load S/F, gain K(1-Z/F)/(S/F), and g-regularity.
 
     All ratios are exact ``Fraction`` values; gain is None for the
-    degenerate all-star array (S = 0).
+    degenerate all-star array (S = 0).  The group sizes come from the
+    symbol index: the one a ``CheckedPda`` holds, else ``symbol_groups``.
     """
     K, F, Z, S = pda.params()
     memory = Fraction(Z, F)
     load = Fraction(S, F)
     gain = Fraction(K * (F - Z), S) if S else None
+    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
+    sizes = np.diff(groups.start)
     regular: int | None = None
-    if 0 < S <= np.count_nonzero(pda.grid):  # else some symbol is missing
-        # A band of rows at a time: bincount copies a read-only input whole.
-        sizes = np.zeros(S + 1, dtype=np.int64)
-        band = max(1, max(_TILE, S) // K)
-        for lo in range(0, F, band):
-            sizes += np.bincount(pda.grid[lo : lo + band].ravel(), minlength=S + 1)
-        sizes = sizes[1:]
-        if sizes[0] and (sizes == sizes[0]).all():
-            regular = int(sizes[0])
+    if 0 < S == sizes.size and (sizes == sizes[0]).all():  # else some symbol is missing
+        regular = int(sizes[0])
     return PdaStats(K, F, Z, S, memory, load, gain, regular)

@@ -124,31 +124,39 @@ def params_to_json(v: int, n: int, solver: str, m: Sequence[int], product: int, 
 # a chunk of rows at a time, so no step runs Python code per cell and the
 # working set beside the grid and the text stays bounded.  The writer looks
 # each cell's bytes up in a table of decimals; the reader reads digits only
-# where a token has them, so the stars of a sparse array cost one pass.
+# where a token has them, eight at a time, so the stars of a sparse array
+# cost one pass.
 
-# Byte classes of the reader.  A token is a maximal run of classes >= _DIGIT.
-_SPACE, _COMMA, _CLOSE, _ROW, _DIGIT, _SIGN, _OTHER = range(7)
+# Byte classes of the reader, from one bytes.translate table per dialect.
+# A digit's class is its value, 0-9, so the classes are the digits to read.
+# A token is a maximal run of classes <= _OTHER; the star's bytes have
+# classes of their own, and the item classes of a JSON grid come last.
+_ASTERISK, _QUOTE, _SIGN, _OTHER, _SPACE, _COMMA, _CLOSE, _ROW = range(10, 18)
 _CHUNK = 1 << 18  # characters read, or cells written, per chunk
+_PAD = b" " * 8  # before a chunk: the 8 classes that end at any token are a word
 _INT64_MAX = np.uint64(2**63 - 1)
-_TEN = np.uint64(10)
+# The bits of a token's last d = 0..8 digits in the little-endian word of
+# the 8 classes that end at the token: the word's top d bytes.
+_LAST_DIGITS = np.array([(2**64 - 1) >> 8 * (8 - d) << 8 * (8 - d) for d in range(9)], dtype=np.uint64)
 
 
 class _Dialect(NamedTuple):
     star: bytes  # the star cell
     sep: bytes  # between two cells of a row
     row_end: bytes  # after the last cell of a row
-    classes: np.ndarray  # reader: byte value -> class
+    classes: bytes  # reader: bytes.translate table, byte value -> class
     cut: str  # reader: chunks end just after this character
     bracketed: bool  # reader: rows are JSON lists; else every non-blank line is a row
     spaces: dict  # reader: str.translate table for non-ASCII whitespace
 
 
-def _classes(groups: dict[int, str]) -> np.ndarray:
-    table = np.full(256, _OTHER, dtype=np.uint8)
-    table[ord("0") : ord("9") + 1] = _DIGIT
+def _classes(groups: dict[int, str]) -> bytes:
+    table = bytearray([_OTHER]) * 256
+    table[ord("0") : ord("9") + 1] = range(10)
     for cls, chars in groups.items():
-        table[[ord(c) for c in chars]] = cls
-    return table
+        for c in chars:
+            table[ord(c)] = cls
+    return bytes(table)
 
 
 # str.split() and str.splitlines() also split at these non-ASCII characters.
@@ -162,7 +170,7 @@ _TEXT = _Dialect(
     star=b"*",
     sep=b" ",
     row_end=b"\n",
-    classes=_classes({_SPACE: " \t\x1f", _ROW: "\n\r\v\f\x1c\x1d\x1e"}),
+    classes=_classes({_SPACE: " \t\x1f", _ROW: "\n\r\v\f\x1c\x1d\x1e", _ASTERISK: "*"}),
     cut="\n",
     bracketed=False,
     spaces=_UNICODE_SPACES,
@@ -171,7 +179,9 @@ _JSON = _Dialect(
     star=b'"*"',
     sep=b",",
     row_end=b"],[",
-    classes=_classes({_SPACE: " \t\n\r", _COMMA: ",", _ROW: "[", _CLOSE: "]", _SIGN: "-"}),
+    classes=_classes(
+        {_SPACE: " \t\n\r", _COMMA: ",", _ROW: "[", _CLOSE: "]", _SIGN: "-", _ASTERISK: "*", _QUOTE: '"'}
+    ),
     cut="]",
     bracketed=True,
     spaces={},
@@ -237,73 +247,118 @@ class _Malformed(Exception):
     """A token or a bracket the format does not allow; args[0] is the token."""
 
 
-def _tokens(buf: np.ndarray, cls: np.ndarray, d: _Dialect):
+def _tokens(cls: np.ndarray, d: _Dialect):
     """Token bounds of one chunk, and the index of its first invalid token.
 
+    ``cls`` holds the chunk's classes between two spaces, so every token
+    starts at a rising edge of the token mask and ends at a falling one.
     A valid token is the star, or ASCII digits: at most the interpreter's
     int digit limit, and in JSON without a leading zero and with an optional
-    '-' in front.  Returns (start, end, digits, negative, first_bad).
+    '-' in front.  Returns (start, end, digits, negative, first_bad), where
+    negative is None in a dialect without a sign.
     """
-    edge = np.flatnonzero(np.diff(cls >= _DIGIT, prepend=False, append=False))
+    token = cls <= _OTHER
+    edge = np.flatnonzero(token[1:] != token[:-1])
+    edge += 1
     start, end = edge[::2], edge[1::2]
-    length = end - start
-    is_star = length == len(d.star)
-    for i, byte in enumerate(d.star):
-        is_star &= buf.take(start + i, mode="clip") == byte
-    negative = (cls.take(start, mode="clip") == _SIGN) & (length > 1)
-    digits = length - np.where(is_star, length, negative)
-    # The stars and signs hold every non-digit byte of a chunk without a bad token.
-    bad = np.zeros(start.size, dtype=bool)
-    if np.count_nonzero(cls > _DIGIT) != is_star.sum() * len(d.star) + negative.sum():
-        odd = np.add.reduceat(cls > _DIGIT, start, dtype=np.intp)
-        bad = odd != length - digits
+    digits = end - start
+    star = d.star.translate(d.classes)
+    is_star = digits == len(star)
+    for i, c in enumerate(star):
+        is_star &= cls.take(start + i, mode="clip") == c
+    negative = None
+    if _SIGN in d.classes:
+        negative = (cls.take(start) == _SIGN) & (digits > 1)
+        digits -= negative
+    digits[is_star] = 0
+    zero = None
     if d.bracketed:  # JSON numbers have no leading zero
-        bad |= (digits > 1) & (buf.take(end - digits, mode="clip") == ord("0"))
+        zero = (digits > 1) & (cls.take(end - digits) == 0)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    # No token holds more digit bytes than ``digits`` says, and every digit
+    # byte is in a token, so the sums agree only if every token does.
+    if (
+        digits.sum() == np.count_nonzero(cls < 10)
+        and not (limit and digits.max(initial=0) > limit)
+        and not (zero is not None and zero.any())
+    ):
+        return start, end, digits, negative, None
+    bad = np.add.reduceat(cls < 10, start, dtype=np.intp) != digits
     if limit:
         bad |= digits > limit
-    first_bad = int(np.argmax(bad)) if bad.any() else None
-    return start, end, digits, negative, first_bad
+    if zero is not None:
+        bad |= zero
+    return start, end, digits, negative, int(np.argmax(bad))
 
 
-def _values(buf: np.ndarray, end, digits, negative) -> tuple[np.ndarray, bool]:
-    """The int64 value of every token, and whether one overflows.
+def _word_values(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The number in the last min(digits, 8) digit classes before each end.
 
-    Only tokens with digits are read, by digit position; the stars stay 0.
+    The 8 classes that end there are one little-endian word, so its last
+    digit is its top byte; the word is masked to the token's digits, and
+    three multiply-shift steps each join neighbouring runs of digits in
+    place: bytes into pairs, pairs into fours, fours into the number.
     """
-    value = np.zeros(end.size, dtype=np.int64)
-    num = np.flatnonzero(digits)
-    end, digits, negative = end[num], digits[num], negative[num]
-    width = min(int(digits.max(initial=0)), 19)  # 19 digits fit in uint64
-    got = np.zeros(num.size, dtype=np.uint64)
-    pos = end - width
-    for j in range(width):
-        digit = buf.take(pos, mode="clip") - np.uint8(ord("0"))
-        digit[digits < width - j] = 0
-        got *= _TEN
-        got += digit
-        pos += 1
-    over = got > _INT64_MAX + negative
-    long = np.flatnonzero(digits > 19)
-    if long.size:  # more than 19 digits fit only after leading zeros
-        nonzero = np.r_[0, np.cumsum(buf > ord("0"))]
-        over[long] |= nonzero[end[long] - 19] > nonzero[end[long] - digits[long]]
+    w = words[end - 8]
+    w &= _LAST_DIGITS.take(digits, mode="clip")  # over 8 digits: the whole word
+    w *= 10 << 8 | 1
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 100 << 16 | 1
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 10000 << 32 | 1
+    w >>= 32
+    return w
+
+
+def _values(cls: np.ndarray, end, digits, negative, out: np.ndarray) -> bool:
+    """Write the int64 value of every token into ``out``, which holds
+    zeros, and return whether one overflows.
+
+    Digits are read a word of 8 at a time, and a star reads as 0.  When
+    half the tokens or more are stars, only the others are read.  19
+    digits fit in uint64, in three words; more fit int64 only after
+    leading zeros.
+    """
+    num = slice(None)  # each star is one masked word
+    if 2 * np.count_nonzero(digits) <= digits.size:
+        num = np.flatnonzero(digits != 0)
+    end, digits = end[num], digits[num]
+    words = np.ndarray((cls.size - 7,), dtype="<u8", buffer=cls, strides=(1,))
+    got = _word_values(words, end, digits)
+    top = min(int(digits.max(initial=0)), 19)
+    for k in range(1, (top + 7) // 8):
+        more = np.flatnonzero(digits > 8 * k)
+        part = _word_values(words, end[more] - 8 * k, np.minimum(digits[more], 19) - 8 * k)
+        got[more] += part * np.uint64(10 ** (8 * k))
+    if negative is not None:
+        negative = negative[num]
+    over = False
+    if top == 19:
+        long = np.flatnonzero(digits >= 19)
+        over = bool((got[long] > _INT64_MAX + (0 if negative is None else negative[long])).any())
+        long = long[digits[long] > 19]
+        if long.size:  # more than 19 digits fit only after leading zeros
+            nonzero = np.r_[0, np.cumsum(cls > 0)]
+            over |= bool((nonzero[end[long] - 19] > nonzero[end[long] - digits[long]]).any())
     got = got.view(np.int64)
-    got[negative] = -got[negative]
-    value[num] = got
-    return value, bool(over.any())
+    if negative is not None:
+        np.negative(got, out=got, where=negative)
+    out[num] = got
+    return over
 
 
 def _check_brackets(cls: np.ndarray, start: np.ndarray, before: int) -> int:
     """Check the JSON list syntax of a chunk of rows; returns its last item.
 
-    Items are the tokens (as _DIGIT) and the bytes ',', ']' and '['; a valid
+    Items are the tokens (as _OTHER) and the bytes ',', ']' and '['; a valid
     sequence is rows '[' (cell (',' cell)*)? ']' joined by ','.  ``before``
     is the last item of the previous chunk, or -1 at the start of the grid.
     """
-    mark = (cls - np.uint8(_COMMA)) <= _ROW - _COMMA
+    mark = cls >= _COMMA
     mark[start] = True
-    item = np.r_[np.int8(before), np.minimum(cls[mark], _DIGIT).astype(np.int8)]
+    item = np.r_[np.int8(before), np.maximum(cls[mark], _OTHER).astype(np.int8)]
     comma = np.flatnonzero(item[1:-1] == _COMMA) + 1
     ok = _ITEM_PAIRS[item[:-1] + 1, item[1:]].all()
     ok &= ((item[comma - 1] == _CLOSE) == (item[comma + 1] == _ROW)).all()
@@ -314,9 +369,9 @@ def _check_brackets(cls: np.ndarray, start: np.ndarray, before: int) -> int:
 
 # The item pairs of a valid JSON grid: from the start (-1) to '[', '[' to
 # a cell or ']', a cell to ',' or ']', ',' to a cell or '[', and ']' to ','.
-_ITEM_PAIRS = np.zeros((_DIGIT + 2, _DIGIT + 1), dtype=bool)
-for _a, _b in ((-1, _ROW), (_ROW, _DIGIT), (_ROW, _CLOSE), (_DIGIT, _COMMA),
-               (_DIGIT, _CLOSE), (_COMMA, _DIGIT), (_COMMA, _ROW), (_CLOSE, _COMMA)):
+_ITEM_PAIRS = np.zeros((_ROW + 2, _ROW + 1), dtype=bool)
+for _a, _b in ((-1, _ROW), (_ROW, _OTHER), (_ROW, _CLOSE), (_OTHER, _COMMA),
+               (_OTHER, _CLOSE), (_COMMA, _OTHER), (_COMMA, _ROW), (_CLOSE, _COMMA)):
     _ITEM_PAIRS[_a + 1, _b] = True
 
 # The two faults that show only once every token is read, worded as
@@ -332,10 +387,17 @@ _TOO_LARGE = "Python int too large to convert to C long"
 def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, str | None]:
     """The int64 grid held by text[lo:hi], and a ragged or overflow fault, if any.
 
-    The text is read in chunks that end just after ``d.cut``.  Raises
-    _Malformed at the first token (in text order) the format does not allow.
+    The text is read in chunks that end just after ``d.cut``.  A chunk's
+    bytes become classes with one ``bytes.translate``, and its values go
+    straight into one flat grid, so the grid is held once.  It starts
+    zeroed, so stars take no write, with room for the rest of the text at
+    the cells per byte read so far; it grows when the text runs denser,
+    and is cut to the cells read at the end, both in place.  Raises
+    _Malformed at the first token (in text order) the format does not
+    allow.
     """
-    blocks, rows, K, ragged, over, item = [], 0, None, False, False, -1
+    grid = np.zeros(0, dtype=np.int64)
+    cells, rows, K, ragged, over, item = 0, 0, None, False, False, -1
     a = lo
     while a < hi:
         b = text.find(d.cut, min(a + _CHUNK, hi), hi)
@@ -345,11 +407,11 @@ def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, st
             raw = chunk.encode("ascii")
         else:
             raw = chunk.translate(d.spaces).encode("utf-8", "surrogatepass")
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        cls = d.classes.take(buf)
-        start, end, digits, negative, bad = _tokens(buf, cls, d)
+        cls = np.frombuffer(b"".join((_PAD, raw, b" ")).translate(d.classes), dtype=np.uint8)
+        start, end, digits, negative, bad = _tokens(cls, d)
         if bad is not None:
-            raise _Malformed(raw[start[bad] : end[bad]].decode("utf-8", "surrogatepass"))
+            token = raw[start[bad] - len(_PAD) : end[bad] - len(_PAD)]
+            raise _Malformed(token.decode("utf-8", "surrogatepass"))
         if d.bracketed:
             item = _check_brackets(cls, start, item)
         counts = np.diff(np.r_[0, np.searchsorted(start, np.flatnonzero(cls == _ROW)), start.size])
@@ -359,8 +421,15 @@ def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, st
         rows += counts.size
         ragged |= bool((counts != K).any())  # then only count rows and check tokens
         if counts.size and not (ragged or over):
-            value, over = _values(buf, end, digits, negative)
-            blocks.append(value.reshape(counts.size, K))
+            need = cells + start.size
+            if need > grid.size:
+                size = need + need * (hi - b) // (b - lo)
+                if grid.size:  # realloc: no view of the grid is held here
+                    grid.resize(size, refcheck=False)
+                else:
+                    grid = np.zeros(size, dtype=np.int64)
+            over = _values(cls, end, digits, negative, grid[cells:need])
+            cells = need
         a = b
     if d.bracketed and item not in (-1, _CLOSE):
         raise _Malformed(None)
@@ -368,7 +437,8 @@ def _read_rows(text: str, lo: int, hi: int, d: _Dialect) -> tuple[np.ndarray, st
         return np.empty(0, dtype=np.int64), _RAGGED.format(rows)
     if over:
         return np.empty(0, dtype=np.int64), _TOO_LARGE
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64), None
+    grid.resize(cells, refcheck=False)
+    return grid.reshape(rows, K) if rows else grid, None
 
 
 # -- PDA files --------------------------------------------------------------------

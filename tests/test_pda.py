@@ -396,6 +396,78 @@ class TestTileBudgets:
         assert peak_mib(verify_pda, arr) <= 8  # MiB; the whole group would take 128
 
 
+def bad_tiles(arr):
+    """Indices in the walk of the tiles holding a pair whose cross cell is
+    a symbol, and the entries of every tile."""
+    groups = symbol_groups(arr)
+    bad, steps = [], []
+    for t, (rec, oth, _) in enumerate(groups.tiles(1, groups.size_classes())):
+        c, o = np.broadcast_arrays(rec[:, :, None], oth[:, None, :])
+        pair = c != o
+        if (arr.grid[groups.row[c[pair]], groups.user[o[pair]]] != STAR).any():
+            bad.append(t)
+        steps.append(c.size)
+    return bad, steps
+
+
+def c3_faults(arr, code):
+    """Arrays with one C3a or C3b fault in arr's groups, last groups first,
+    each with the group sizes of arr.
+
+    C3a moves a cell of a group into the row of another of its cells; C3b
+    writes a new symbol, a group of one, into a cross cell of a group.
+    """
+    groups = symbol_groups(arr)
+    row, user = groups.row.tolist(), groups.user.tolist()
+    bounds = groups.start.tolist()
+    for a, b in reversed(list(zip(bounds, bounds[1:]))):
+        for x, y in itertools.permutations(range(a, b), 2):
+            grid = np.array(arr.grid)
+            if code == "C3a":
+                for u in np.flatnonzero(grid[row[x]] == STAR).tolist():
+                    moved = np.array(grid)
+                    moved[row[x], u], moved[row[y], user[y]] = moved[row[y], user[y]], STAR
+                    yield Pda(moved, Z=arr.Z, S=arr.S)
+            elif grid[row[x], user[y]] == STAR:
+                grid[row[x], user[y]] = arr.S + 1
+                yield Pda(grid, Z=arr.Z, S=arr.S + 1)
+
+
+class TestWalkBuffers:
+    """verify_pda writes each tile into leading slices of two buffers made
+    once per call, so a short tile after a longer one that passed must read
+    nothing of the longer one's entries."""
+
+    @pytest.fixture
+    def arrays(self, ex15_packing):
+        lift = pda_from_nhsdp(ex15_packing)
+        return {"lift": lift, "dropped": drop_columns(lift, range(14))}
+
+    # 3: single receivers against other cells 0-2, then 3; 12: receivers
+    # 0-2, then 3; 64: whole groups, four of size 4 (or seven of size 3) a tile.
+    @pytest.mark.parametrize("budget", [3, 12, 64])
+    @pytest.mark.parametrize("code", ["C3a", "C3b"])
+    @pytest.mark.parametrize("kind", ["lift", "dropped"])
+    def test_fault_in_a_short_tile_after_a_passing_one(self, arrays, monkeypatch, kind, code, budget):
+        monkeypatch.setattr(pda_mod, "_TILE", budget)
+        for arr in c3_faults(arrays[kind], code):
+            bad, steps = bad_tiles(arr)
+            t = bad[0]
+            if t > 0 and steps[t] < steps[t - 1] and first_c3_violation(arr)[0] == code:
+                break
+        else:
+            pytest.fail("no fault lands first in a tile shorter than the one before it")
+        verdict = verify_pda(arr)
+        code, s, ((r1, c1), (r2, c2)) = first_c3_violation(arr)
+        assert not verdict.ok and not naive_verify_pda(arr)
+        assert verdict.code == code and verdict.info == {"symbol": s, "cells": ((r1, c1), (r2, c2))}
+        assert verdict.detail == (
+            f"symbol {s} repeats at cells ({r1},{c1}) and ({r2},{c2})"
+            if code == "C3a"
+            else f"cells ({r1},{c1}) and ({r2},{c2}) share symbol {s} but a cross cell is not a star"
+        )
+
+
 class TestPairWalkMemory:
     """tracemalloc peaks of the symbol index and of verify_pda on the v=1331
     lift, its grid already built."""
@@ -656,7 +728,8 @@ class TestStats:
 
     @pytest.mark.parametrize("budget", [1, 7, 1000])
     def test_regularity_is_band_invariant(self, monkeypatch, ex15_packing, budget):
-        # Counted a band of max(_TILE, S) // K rows at a time; 1 gives one-row bands.
+        # Read off the symbol index, which symbol_groups builds a piece of
+        # _TILE cells at a time; 1 gives one-cell pieces.
         lift = pda_from_nhsdp(ex15_packing)
         arrays = [
             lift,

@@ -522,6 +522,31 @@ class TestCellCodec:
         assert_reads_like(serialize.pda_from_text, reference_pda_from_text, scrambled)
         assert_reads_like(serialize.pda_from_json, reference_pda_from_json, json.dumps(reference_pda_doc(arr)))
 
+    def test_grid_grows_past_the_first_chunk_density(self, chunk):
+        # The first row holds 2 cells in 203 bytes and the others 2 in 4, so
+        # a grid sized by the first chunk's cells per byte must grow; it is
+        # then cut to the cells read.
+        text = "1" + " " * 200 + "2\n" + "3 4\n" * 300
+        assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+        grid = serialize.pda_from_text(text).grid
+        assert grid.shape == (301, 2) and grid.base.nbytes == grid.nbytes
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_every_digit_count(self, chunk, sign):
+        # One row per count of digits 1..19, across the reader's 8-digit
+        # words, each value with 0 to 9 leading zeros in the text.
+        rng = np.random.default_rng(11)
+        rows = []
+        for d in range(1, 20):
+            lo, hi = 10 ** (d - 1), min(10**d - 1, 2**63 - 1)
+            rows.append([lo, hi, *rng.integers(lo, hi, size=8, endpoint=True).tolist()])
+        if not sign:
+            text = "".join(" ".join("0" * z + str(v) for z, v in enumerate(row)) + "\n" for row in rows)
+            assert_reads_like(serialize.pda_from_text, reference_pda_from_text, text)
+        grid = json.dumps([[int(sign + str(v)) for v in row] for row in rows])  # negatives: a cell error
+        doc = '{"F": 19, "K": 10, "Z": 0, "S": ' + str(2**63 - 1) + ', "grid": ' + grid + "}"
+        assert_reads_like(serialize.pda_from_json, reference_pda_from_json, doc)
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -546,8 +571,18 @@ class TestCodecMemory:
     def test_reader_and_writer_peaks(self, golden_arrays):
         arr = golden_arrays["a1331"]
         text = serialize.pda_to_text(arr)
-        assert peak_mib(serialize.pda_from_text, text) <= 72  # MiB, the per-cell reader's peak
+        # One grid filled in place: 17.3 MiB measured, the 13.5 MiB grid
+        # and one chunk's work.  Blocks joined by np.concatenate took 27.1,
+        # the per-cell reader 72.
+        assert peak_mib(serialize.pda_from_text, text) <= 22  # MiB
         assert peak_mib(serialize.pda_to_text, arr) <= 40  # MiB; the per-cell writer took 27
+
+    def test_star_dense_reader_peak(self, golden_arrays):
+        # The (343,9261,9045,343) conjugate: a 24.2 MiB grid, 97.7 % stars.
+        # One grid filled in place: 32.4 MiB measured; blocks joined by
+        # np.concatenate took 51.1.
+        text = serialize.pda_to_text(golden_arrays["c343"])
+        assert peak_mib(serialize.pda_from_text, text) <= 40  # MiB
 
     def test_transcript_chunks_peak(self, golden_arrays):
         # The one-demand transcript of the lift is 25.7 MiB.  Its chunks,
