@@ -38,6 +38,7 @@ from .packing import (
 from .pda import (
     STAR,
     CheckedPda,
+    InvalidNhsdpError,
     Pda,
     PdaStats,
     conjugate_pda,

@@ -163,10 +163,13 @@ def _cmd_solve_params(args) -> int:
 
 def _cmd_build_pda(args) -> int:
     packing_obj = _load(args.file, serialize.nhsdp_from_json)
-    verdict = _flagged(args.file, packing_obj.verify)
-    if not verdict.ok:
-        raise ValueError(f"{args.file} is not a valid NHSDP [{verdict.code}]: {verdict.detail}")
-    arr = _flagged(args.file, pda_mod.pda_from_nhsdp, packing_obj)
+    try:  # the lift verifies the packing: a failure exits 1, a refusal 2
+        arr = pda_mod.pda_from_nhsdp(packing_obj)
+    except pda_mod.InvalidNhsdpError as exc:
+        verdict = exc.verdict
+        raise ValueError(f"{args.file} is not a valid NHSDP [{verdict.code}]: {verdict.detail}") from None
+    except ValueError as exc:
+        raise _UsageError(f"{args.file}: {exc}")
     return _report_pda("built", arr, args.out)
 
 

@@ -171,31 +171,37 @@ class CheckedPda(Pda):
 def symbol_groups(pda: Pda) -> SymbolGroups:
     """Index the cells of each symbol present with one scan and one sort.
 
-    The sort key is symbol * F*K plus the cell's position u*F + r in the
-    transposed grid, mapped from its row-major position, so every array is
-    one entry per non-star cell and the grid is never copied.  When the
-    largest symbol would push the key past int64, the sort runs on each
-    symbol's rank among those present and maps back after.  The key is
-    built, sorted and split back in place, the positions a piece of
-    ``_TILE`` cells at a time; once the groups are cut, the users
-    overwrite its symbols.
+    The sort key packs (symbol, user, row) into one int64 as bit fields:
+    the row r in the low rb = (F-1).bit_length() bits, the user u in the
+    next (K-1).bit_length() and the symbol above them, so every array is
+    one entry per non-star cell and the grid is never copied.  One division
+    by the scalar K turns a cell's row-major position p into its fields:
+    r = p // K and u = p - r*K, so (u << rb) + r = (p << rb) - r*((K << rb) - 1),
+    a piece of ``_TILE`` cells at a time.  Shifts and masks split the
+    sorted key.  When the largest symbol would push the key past int64,
+    the sort runs on each symbol's rank among those present and maps back
+    after.  The key is built, sorted and split in place; once the groups
+    are cut, the users overwrite its symbols.
     """
     F, K = pda.F, pda.K
-    size = F * K
+    rb = (F - 1).bit_length()
+    shift = rb + (K - 1).bit_length()
     cell = np.flatnonzero(pda.grid)
     key = pda.grid.ravel()[cell]
     for lo in range(0, cell.size, _TILE):  # one piece's rows at a time, not every cell's
         piece = cell[lo : lo + _TILE]
-        row, _ = np.divmod(piece, K, out=(None, piece))
-        piece *= F
-        piece += row
-    rank = (int(key.max(initial=0)) + 1) * size > 2**63
+        row = piece // K
+        row *= (K << rb) - 1
+        piece <<= rb
+        piece -= row
+    rank = (int(key.max(initial=0)) + 1) << shift > 2**63
     if rank:
         ranked, key = np.unique(key, return_inverse=True)
-    key *= size
-    key += cell
+    key <<= shift
+    key |= cell
     key.sort()
-    symbol, cell = np.divmod(key, size, out=(key, cell))
+    np.bitwise_and(key, (1 << shift) - 1, out=cell)
+    symbol = np.right_shift(key, shift, out=key)
     edge = np.ones(symbol.size + 1, dtype=bool)
     np.not_equal(symbol[1:], symbol[:-1], out=edge[1:-1])
     start = np.flatnonzero(edge)
@@ -203,7 +209,8 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     present = symbol[start[:-1]]
     if rank:
         present = ranked[present]
-    user, row = np.divmod(cell, F, out=(symbol, cell))
+    user = np.right_shift(cell, rb, out=symbol)
+    row = np.bitwise_and(cell, (1 << rb) - 1, out=cell)
     return SymbolGroups(row, user, present, start)
 
 
@@ -305,19 +312,29 @@ def _least_pair(cell, groups, rec, oth, hit) -> tuple[int, int, int]:
     return int(groups.symbols(c, c + 1)[0]), int(least), int(hi.min())
 
 
+class InvalidNhsdpError(ValueError):
+    """The packing handed to ``pda_from_nhsdp`` fails ``verify_nhsdp``;
+    ``verdict`` is the failing verdict."""
+
+    def __init__(self, verdict: Verdict):
+        super().__init__(f"input is not a valid NHSDP: {verdict.detail}")
+        self.verdict = verdict
+
+
 def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
     """Lift a (v, g, b) packing to the (v, v, v - b*g, b*v) PDA.
 
     Cell (f, k) carries the pair (c, i) with c = (f + k) mod v whenever
     (k - f) mod v lies in block i, and a star otherwise; pairs are encoded
     as symbols s = (i - 1) * v + c + 1 so that [1, b*v] stays contiguous.
-    The input is re-verified, since the lift is only sound for true packings.
-    Requires v * v <= MAX_CELLS.
+    The input is verified first, since the lift is only sound for true
+    packings: a packing that fails raises InvalidNhsdpError.  Requires
+    v * v <= MAX_CELLS.
     """
-    _check_cells("lifted", nhsdp.v, nhsdp.v)
     verdict = verify_nhsdp(nhsdp.v, nhsdp.blocks)
     if not verdict.ok:
-        raise ValueError(f"input is not a valid NHSDP: {verdict.detail}")
+        raise InvalidNhsdpError(verdict)
+    _check_cells("lifted", nhsdp.v, nhsdp.v)
     v = nhsdp.v
     grid = np.zeros((v, v), dtype=np.int64)
     f = np.arange(v)

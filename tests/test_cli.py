@@ -17,6 +17,7 @@ from nhsdp import (
     verify_cdp,
 )
 from nhsdp import cli
+from nhsdp import packing as packing_mod
 from nhsdp import pda as pda_mod
 from nhsdp import serialize, simulate
 from nhsdp.cli import main
@@ -703,6 +704,16 @@ class TestFailures:
             f"error: {packing} is not a valid NHSDP [disjoint]: "
             "element 1 appears in blocks 0 and 1\n"
         )
+
+    def test_build_pda_verifies_the_packing_once(self, tmp_path, capsys, monkeypatch):
+        packing = tmp_path / "p.json"
+        assert run(capsys, "construct-nhsdp", "--v", 15, "--m", 2, "--out", packing)[0] == 0
+        calls = []
+        real = pda_mod.verify_nhsdp
+        monkeypatch.setattr(pda_mod, "verify_nhsdp", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(packing_mod, "verify_nhsdp", lambda *a: calls.append(a) or real(*a))
+        assert run(capsys, "build-pda", packing, "--out", tmp_path / "out.txt")[0] == 0
+        assert len(calls) == 1
 
     def test_build_pda_refusals_are_usage_errors(self, tmp_path, capsys, monkeypatch):
         packing = tmp_path / "p.json"

@@ -114,7 +114,8 @@ class TestSymbolGroups:
         "top, ranked", [(5, False), (2**61 - 1, False), (2**61, True), (2**63 - 1, True)]
     )
     def test_ranks_only_past_the_int64_key(self, monkeypatch, top, ranked):
-        # On a 2 x 2 grid the key symbol * 4 + cell fits int64 while (top + 1) * 4 <= 2**63.
+        # On a 2 x 2 grid the key is the symbol above a row bit and a user bit:
+        # it fits int64 while (top + 1) << 2 <= 2**63.
         calls = []
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
@@ -153,6 +154,79 @@ class TestSymbolGroups:
         assert len(steps) <= classes + 2 * squares / budget
         if squares <= budget:  # each size class in one tile
             assert len(steps) == classes
+
+
+def reference_symbol_groups(arr):
+    """The symbol index by np.lexsort of (symbol, user, row) over the non-star cells."""
+    row, user = np.nonzero(arr.grid)
+    symbol = arr.grid[row, user]
+    order = np.lexsort((row, user, symbol))
+    present, sizes = np.unique(symbol, return_counts=True)
+    return row[order], user[order], present, np.r_[0, np.cumsum(sizes)]
+
+
+def index_grid(rng, F, K, top):
+    """An F x K grid, about a third stars, of symbols drawn from the
+    smallest of top - F*K/3 .. top, so groups of many sizes form."""
+    alphabet = max(1, F * K // 3)
+    grid = rng.integers(max(1, top - alphabet + 1), top, size=(F, K), endpoint=True)
+    grid[rng.random((F, K)) < 0.35] = STAR
+    return grid
+
+
+class TestSymbolIndexReference:
+    """symbol_groups against np.lexsort, its bit-field key at every width."""
+
+    def assert_matches(self, arr):
+        got = symbol_groups(arr)
+        for part, want in zip(got, reference_symbol_groups(arr)):
+            assert part.dtype == np.int64 and part.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("tile", [3, 64, pda_mod._TILE])
+    @pytest.mark.parametrize("shape", ["grid", "one_row", "one_column", "one_cell"])
+    def test_random_grids(self, monkeypatch, shape, tile):
+        # F = 1 gives the row no bits, K = 1 the user; pieces of 3 and 64
+        # cells split the positions as a large grid does.
+        monkeypatch.setattr(pda_mod, "_TILE", tile)
+        rng = np.random.default_rng([14, len(shape), tile])
+        for _ in range(40):
+            F, K = {
+                "grid": rng.integers(2, 40, size=2),
+                "one_row": (1, rng.integers(1, 80)),
+                "one_column": (rng.integers(1, 80), 1),
+                "one_cell": (1, 1),
+            }[shape]
+            top = int(rng.choice([1, 9, 10**6, 2**40, 2**63 - 1]))
+            self.assert_matches(Pda.from_grid(index_grid(rng, int(F), int(K), top)))
+
+    @pytest.mark.parametrize("F, K", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 64), (65, 3)])
+    def test_ranks_only_past_the_bit_fields(self, monkeypatch, F, K):
+        # The key holds (top + 1) << (rb + ub) <= 2**63: the largest top
+        # that fits is sorted by value, the next by rank.
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+        shift = (F - 1).bit_length() + (K - 1).bit_length()
+        rng = np.random.default_rng([15, F, K])
+        for top, ranked in ((2**63 >> shift) - 1, False), (2**63 >> shift, True):
+            if top >= 2**63:  # F = K = 1: no field bits, so every int64 symbol fits
+                continue
+            grid = index_grid(rng, F, K, top)
+            grid.flat[0] = top
+            arr = Pda.from_grid(grid)
+            calls.clear()
+            symbol_groups(arr)
+            assert bool(calls) == ranked
+            self.assert_matches(arr)
+
+    def test_mixed_group_sizes(self):
+        # The (2,1) lift at v=15 with users 8..14 dropped: groups of 1 to 4 cells.
+        arr = drop_columns(pda_from_nhsdp(construct_nhsdp(15, (2, 1))), range(8))
+        assert set(np.diff(symbol_groups(arr).start).tolist()) == {1, 2, 3, 4}
+        self.assert_matches(arr)
+
+    def test_golden_arrays(self, golden_arrays):
+        for arr in golden_arrays.values():
+            self.assert_matches(arr)
 
 
 class TestCheckedPda:
@@ -516,9 +590,15 @@ class TestLift:
         with pytest.raises(ValueError, match=r"15 x 15 = 225 cells"):
             pda_from_nhsdp(ex15_packing)
 
-    def test_rejects_invalid_packing(self):
-        with pytest.raises(ValueError):
+    def test_rejects_invalid_packing(self, monkeypatch):
+        # The packing is checked before the size: an invalid one is named as
+        # such even where the lift would be refused for its size.
+        monkeypatch.setattr(pda_mod, "MAX_CELLS", 1)
+        with pytest.raises(pda_mod.InvalidNhsdpError) as caught:
             pda_from_nhsdp(Nhsdp.from_blocks(15, [(1, 2, 3)]))
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.verdict.code == "half-sum"
+        assert str(caught.value) == f"input is not a valid NHSDP: {caught.value.verdict.detail}"
 
     @settings(max_examples=40, deadline=None)
     @given(

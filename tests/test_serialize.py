@@ -565,6 +565,73 @@ class TestCellCodec:
         assert_reads_like(serialize.pda_from_json, reference_pda_from_json, doc)
 
 
+def digit_values(rng, size, digits):
+    """size random values of the given count of decimal digits, 1 to 19."""
+    return [int(rng.integers(10 ** (d - 1), min(10**d - 1, 2**63 - 1), endpoint=True))
+            for d in rng.integers(digits[0], digits[1], size=size, endpoint=True).tolist()]
+
+
+def writer_grid(rng, shape, path):
+    """A random grid for the writer, with stars and rows of stars only.
+
+    ``path`` "dense" keeps every value below F*K, so the writer builds one
+    table of all values; "sparse" puts a 19-digit value in, so each chunk
+    builds its own, and its other values have 1 to 19 digits.
+    """
+    F, K = {
+        "grid": (int(rng.integers(1, 12)), int(rng.integers(1, 40))),
+        "one_column": (int(rng.integers(1, 60)), 1),
+        "one_row": (1, int(rng.integers(1, 60))),
+    }[shape]
+    if path == "dense":
+        grid = rng.integers(0, F * K, size=(F, K))
+    else:
+        grid = np.array(digit_values(rng, F * K, (1, 19)), dtype=np.int64).reshape(F, K)
+    grid[rng.random((F, K)) < 0.3] = STAR
+    grid[rng.random(F) < 0.2] = STAR
+    if path == "sparse":
+        grid.flat[rng.integers(F * K)] = digit_values(rng, 1, (19, 19))[0]
+    return grid
+
+
+class TestWriterReference:
+    """pda_text_chunks and pda_json_chunks write what a per-cell writer writes."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The sizes of the cell tables the writers build, in order."""
+        sizes, build = [], serialize._cell_table
+        monkeypatch.setattr(
+            serialize, "_cell_table", lambda values, *rest: sizes.append(values.size) or build(values, *rest)
+        )
+        return sizes
+
+    def assert_writes_like_reference(self, arr):
+        assert b"".join(serialize.pda_text_chunks(arr)) == reference_pda_to_text(arr).encode()
+        assert b"".join(serialize.pda_json_chunks(arr)) == reference_pda_to_json(arr).encode()
+
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", ["grid", "one_column", "one_row"])
+    def test_random_grids(self, chunk, tables, shape, path):
+        rng = np.random.default_rng([12, len(shape), len(path)])
+        for _ in range(30):
+            arr = Pda.from_grid(writer_grid(rng, shape, path))
+            tables.clear()
+            self.assert_writes_like_reference(arr)
+            if path == "dense":  # one table of 0..top per writer
+                assert tables == [int(arr.grid.max()) + 1] * 2
+            else:  # a table per chunk, of the values it holds
+                assert len(tables) == 2 * -(-arr.F // max(1, chunk // arr.K))
+
+    def test_every_digit_count(self, chunk):
+        # Rows of values of d = 1..19 digits, each after a row of stars.
+        rng = np.random.default_rng(13)
+        rows = []
+        for d in range(1, 20):
+            rows += [[STAR] * 9, digit_values(rng, 9, (d, d))]
+        self.assert_writes_like_reference(Pda.from_grid(np.array(rows, dtype=np.int64)))
+
+
 class TestCodecMemory:
     """tracemalloc peaks of the codec on the v=1331 lift, its input already built."""
 
