@@ -218,8 +218,8 @@ def verify_phf(phf: PhfArray) -> Verdict:
     the smallest such column outright.  The row-0 pairs come bucket by
     bucket, about PHF_CHUNK at a time, so the working set is O(r*m) per
     set of separating rows met plus O(2^r * PHF_CHUNK), whatever the pair
-    count.  Any other strength sweeps all C(m, t) subsets.  Either way the witness is the lexicographically first
-    unseparated subset.
+    count.  Any other strength sweeps all C(m, t) subsets.  Either way the
+    witness is the lexicographically first unseparated subset.
     """
     r, m = phf.r, phf.m
     t = phf.t

@@ -392,9 +392,8 @@ def group_pda_divisible(pda: Pda, K: int) -> Pda:
     return Pda(np.hstack(copies), Z=pda.Z, S=h * pda.S)
 
 
-def _colex_rank(subset: tuple[int, ...]) -> int:
-    """Rank of an ascending subset in colexicographic order (0-based)."""
-    return sum(binomial(e, i + 1) for i, e in enumerate(subset))
+# Cells per (rows, t, users) working array of mn_pda: 512 KiB of int64.
+_MN_PIECE = 1 << 16
 
 
 def mn_pda(K: int, t: int) -> Pda:
@@ -404,20 +403,28 @@ def mn_pda(K: int, t: int) -> Pda:
     a star when k is in T, otherwise the colex rank of T + {k} among the
     (t+1)-subsets.  Each symbol occurs exactly t + 1 times.  Requires
     C(K,t) * K <= MAX_CELLS.
+
+    The colex rank of T = {e_0 < e_1 < ...} is the sum of C(e_i, i+1); in
+    T + {k} the e_i above k take C(e_i, i+2), and k adds C(k, p+1), p the
+    count below it.  Rows go a piece at a time, so the work stays near 1 MiB.
     """
     if not (1 <= t < K):
         raise ValueError(f"require 1 <= t < K, got t={t}, K={K}")
     F = binomial(K, t)
     _check_cells("subset", F, K)
+    C = np.array([[binomial(e, j) for j in range(t + 2)] for e in range(K)], dtype=np.int64)
+    users, place = np.arange(K), np.arange(t)
     grid = np.zeros((F, K), dtype=np.int64)
-    for T in itertools.combinations(range(K), t):
-        row = _colex_rank(T)
-        members = set(T)
-        for k in range(K):
-            if k in members:
-                continue
-            union = tuple(sorted(members | {k}))
-            grid[row, k] = _colex_rank(union) + 1
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(K), t))
+    piece = max(1, _MN_PIECE // (t * K)) * t
+    while (T := np.fromiter(itertools.islice(subsets, piece), np.int64)).size:
+        T = T.reshape(-1, t)
+        keep, move = C[T, place + 1], C[T, place + 2]
+        below = T[:, :, None] < users  # (rows, t, K)
+        rank = np.where(below, keep[..., None], move[..., None]).sum(axis=1)
+        rank += C[users, below.sum(axis=1) + 1] + 1
+        rank[np.arange(len(T))[:, None], T] = STAR
+        grid[keep.sum(axis=1)] = rank
     return Pda(grid, Z=binomial(K - 1, t - 1), S=binomial(K, t + 1))
 
 

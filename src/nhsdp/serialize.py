@@ -607,8 +607,9 @@ def transcript_chunks(transcript: DeliveryTranscript):
     group, and ']},'.  The cells are written from two tables of decimals,
     '[user,' and 'row],', and go into the leading cell slots of their
     record with one scatter; an absent symbol fills none, and the comma
-    after a record's last cell is cleared.  The 0 slots are then dropped,
-    so no Python code runs per symbol or per cell.  A chunk holds as many
+    after a record's last cell is cleared.  The 0 slots are then dropped
+    from its bytes by one ``bytes.translate``, as in the PDA writer, so no
+    Python code runs per symbol or per cell.  A chunk holds as many
     records as fit ``_CHUNK`` bytes at the previous chunk's width, cut
     back to fit at its own, so its table holds about ``_CHUNK`` bytes, or
     one record, and one wide group widens only the chunk it is in.
@@ -675,8 +676,8 @@ def transcript_chunks(transcript: DeliveryTranscript):
         place = np.arange(a, b) - np.repeat(bounds[:-1], counts)  # of each cell in its group
         slots[np.repeat(recs, counts), place] = cells.view(cell)[:, 0]
         table[recs, cell0 + counts * cell.itemsize - 1] = 0
-        text = table[table != 0]  # a mask: bytes.translate measured slower at v=343
-        yield (text if hi < S else text[:-1]).tobytes()  # the last record ends with '}'
+        text = table.tobytes().translate(None, b"\0")
+        yield text if hi < S else text[:-1]  # the last record ends with '}'
         lo = hi
     yield b"]}\n"
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from nhsdp import (
     symbol_groups,
     verify_pda,
 )
+from nhsdp.serialize import pda_to_text
 from conftest import EX4_GRID, EX15_BLOCKS, naive_verify_pda, peak_mib, same_pda
 
 
@@ -685,7 +687,37 @@ class TestGrouping:
             group_pda_divisible(ex4_pda, 16)
 
 
+def reference_mn_pda(K, t):
+    """The t-subset PDA cell by cell: row colex(T), cell k a star when k is
+    in T, else colex(T + {k}) + 1."""
+
+    def colex(subset):
+        return sum(binomial(e, i + 1) for i, e in enumerate(subset))
+
+    grid = np.zeros((binomial(K, t), K), dtype=np.int64)
+    for T in itertools.combinations(range(K), t):
+        for k in set(range(K)) - set(T):
+            grid[colex(T), k] = colex(sorted({*T, k})) + 1
+    return grid
+
+
+# sha256 of pda_to_text(mn_pda(20, 5)), pinned from the per-cell constructor.
+MN_20_5_SHA256 = "484ecab1fd4bfa4462f5373e46055ac7bc7e4c5ad755f2cb513227c93b51cad9"
+
+
 class TestMnPda:
+    @pytest.mark.parametrize(
+        "K, t", [(K, t) for K in range(2, 10) for t in range(1, K)] + [(12, 4)]
+    )
+    def test_grid_matches_reference(self, K, t):
+        arr = mn_pda(K, t)
+        assert np.array_equal(arr.grid, reference_mn_pda(K, t))
+        assert arr.params() == (K, binomial(K, t), binomial(K - 1, t - 1), binomial(K, t + 1))
+
+    def test_text_of_k20_t5_is_pinned(self):
+        text = pda_to_text(mn_pda(20, 5))
+        assert hashlib.sha256(text.encode()).hexdigest() == MN_20_5_SHA256
+
     def test_rejects_output_over_cell_limit(self, monkeypatch):
         monkeypatch.setattr(pda_mod, "MAX_CELLS", 6 * 4)
         assert mn_pda(4, 2).params() == (4, 6, 3, 4)
