@@ -10,8 +10,10 @@ The strength-3 PHF check is an array join rather than a triple sweep: every
 unseparated triple holds a pair that collides in row 0, so the row-0 pairs
 are generated bucket by bucket, in chunks of PHF_CHUNK, and each chunk is
 joined against the columns grouped by their values on the rows where the
-pair separates.  The working set is bounded by the chunk, not by the
-number of pairs.
+pair separates.  A third column that equals the same one of the pair on
+all those rows is read per column; only the patterns that mix the pair's
+two columns take a binary search.  The working set is bounded by the
+chunk, not by the number of pairs.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ BOUND_LINEAR = LN3 - LN2                        # ~= 0.4055
 BOUND_SQRT = TWO_SQRT_LOG2_24_7 * LN2 * LOG2_3  # ~= 2.9293
 
 # Row-0 colliding column pairs that verify_phf joins per array pass.
-PHF_CHUNK = 2**10
-_PAD = (np.iinfo(np.int64).max,) * 2  # sorted-key padding past the last column
+PHF_CHUNK = 2**12
+_PAD = np.iinfo(np.int64).max  # sorted-key padding past the last column
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,8 @@ class PhfArray:
     grid: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
+            raise ValueError(f"strength 't' must be an int >= 1, got {self.t!r}")
         grid = np.asarray(self.grid, dtype=np.int64)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("PHF grid must be a non-empty 2-D array")
@@ -212,10 +216,13 @@ def verify_phf(phf: PhfArray) -> Verdict:
     Strength 3 is a chunked array join.  An unseparated triple has a pair
     (a, b) colliding in row 0, and on each later row where a and b differ
     its third column c equals a or b.  So the columns are grouped by their
-    values on each set of separating rows, and for each of the 2^|rows|
-    a/b patterns of a pair the first three columns of the matching group
-    hold its smallest c not in {a, b}; a pair colliding in every row takes
-    the smallest such column outright.  The row-0 pairs come bucket by
+    values on each set of separating rows, and each of the 2^|rows| a/b
+    patterns of a pair names at most one group.  The all-a and all-b groups
+    are those of a and b, whose least other columns are read per column.
+    The mixed patterns are binary-searched from the row where they first
+    switch between a and b; a mixed group holds neither, so its first
+    column is its least.  A pair colliding in every row takes the least
+    column outside {a, b}.  The row-0 pairs come bucket by
     bucket, about PHF_CHUNK at a time, so the working set is O(r*m) per
     set of separating rows met plus O(2^r * PHF_CHUNK), whatever the pair
     count.  Any other strength sweeps all C(m, t) subsets.  Either way the
@@ -234,14 +241,14 @@ def verify_phf(phf: PhfArray) -> Verdict:
         return Verdict(True, "valid", "PHF")
 
     # Each row's values as dense ranks, so that keys over several rows stay
-    # below m * m whatever q is.  Ranks and column orders are int32 where m
-    # allows, to keep the working set small.
+    # below m * m whatever q is.  Ranks are int32 where m allows, to keep
+    # the working set small.
     ranks = np.empty((r, m), dtype=np.int32 if m < 2**31 else np.int64)
     widths = []
     for j in range(r):
         values, ranks[j] = np.unique(phf.grid[j], return_inverse=True)
         widths.append(len(values))
-    groups: dict[tuple[int, ...], tuple[np.ndarray, list[np.ndarray]]] = {}
+    groups: dict[tuple[int, ...], tuple] = {}
     first: tuple[int, ...] | None = None
     for a, b in _colliding_pairs(ranks[0]):
         # Sort the pairs by their separating rows, then join run by run.
@@ -302,51 +309,72 @@ def _colliding_pairs(row: np.ndarray):
 def _column_groups(ranks, widths, rows):
     """The columns sorted by their values on rows, ties by column index.
 
-    Returns that order and one nondecreasing key per row of rows: the key of
-    row rows[i] is (start of the position's group on rows[:i]) * width +
-    rank.  A group is a run of equal keys, so the start that searchsorted
-    finds names it.  Both are padded by two entries (column m, key int64
-    max), so three reads from any group start stay in range.
+    Returns that order, then:
+    - per column, the position where its group on rows[:i] starts, for each
+      prefix length i from 1 to len(rows) - 1;
+    - per column, its mate: the least other column of its group on rows, or
+      m when the group holds it alone;
+    - one nondecreasing key per position for each row rows[i] after the
+      first: (start of the position's group on rows[:i]) * width + rank.
+      A group is a run of equal keys, so the start that searchsorted finds
+      names it.  Each key array is padded by one entry, int64 max, so a read
+      at any position searchsorted returns stays in range.
     """
     m = ranks.shape[1]
     order = np.lexsort(ranks[list(rows[::-1])]) if rows else np.arange(m)
     start = np.zeros(m, dtype=np.int64)
-    levels = []
-    for j in rows:
+    starts, levels = [], []
+    for i, j in enumerate(rows):
         key = start * widths[j] + ranks[j, order]
+        if i:
+            starts.append(np.empty(m, dtype=np.int64))
+            starts[-1][order] = start
+            levels.append(np.append(key, _PAD))
         runs = np.flatnonzero(key[1:] != key[:-1]) + 1
         start[:] = 0
         start[runs] = runs
         np.maximum.accumulate(start, out=start)
-        levels.append(np.append(key, _PAD))
-    return np.append(order, (m, m)).astype(ranks.dtype), levels
+    # A group lists its columns in ascending order: the mate of its first
+    # column is its second, and the mate of any other is its first.
+    second = np.append(order[1:], m)
+    second[np.append(start[1:] != start[:-1], True)] = m
+    mates = np.empty(m, dtype=np.int64)
+    mates[order] = np.where(start == np.arange(m), second, order[start])
+    return order, starts, mates, levels
 
 
-def _smallest_third(ranks, widths, rows, order, levels, a, b):
-    """Per pair (a, b), the smallest c not in {a, b} that equals a or b on
-    every one of rows, or m when there is none."""
-    m = ranks.shape[1]
-    pair = np.arange(len(a))
-    start = np.zeros(len(a), dtype=np.int64)
-    for j, level in zip(rows, levels):
-        # Each a/b pattern so far branches on row j; unmatched ones drop out.
-        base = start * widths[j]
-        key = np.concatenate((base + ranks[j, a[pair]], base + ranks[j, b[pair]]))
-        pair = np.concatenate((pair, pair))
-        start = np.searchsorted(level, key)
-        found = level[start] == key
+def _smallest_third(ranks, widths, rows, order, starts, mates, levels, a, b):
+    """Per pair (a, b) that differs on rows and on no other row, the smallest
+    c not in {a, b} that equals a or b on every one of rows, or m when there
+    is none.
+
+    The all-a and all-b patterns are the groups of a and b themselves, so
+    the mates give their least other columns.  A mixed pattern is looked up
+    from the row where it first switches between a and b; a group it finds
+    holds neither a nor b, so its first column is its least.
+    """
+    if not rows:  # a < b are equal everywhere: any other column is a third
+        return np.where(a > 0, 0, np.where(b == 1, 2, 1))
+    third = np.minimum(mates[a], mates[b])
+    every = np.arange(len(a))
+    pair = np.empty(0, dtype=every.dtype)
+    start = np.empty(0, dtype=np.int64)
+    for i in range(1, len(rows)):
+        j, w = rows[i], widths[rows[i]]
+        ra, rb = ranks[j, a], ranks[j, b]
+        # Mixed patterns branch on row j; the pure ones turn mixed here.
+        base = start * w
+        key = np.concatenate((
+            base + ra[pair],
+            base + rb[pair],
+            starts[i - 1][b] * w + ra,
+            starts[i - 1][a] * w + rb,
+        ))
+        pair = np.concatenate((pair, pair, every, every))
+        start = np.searchsorted(levels[i - 1], key)
+        found = levels[i - 1][start] == key
         pair, start = pair[found], start[found]
-    # A group lists its columns in ascending order, so the least of its first
-    # three not in {a, b}, over every pattern, is the pair's smallest third.
-    third = np.full(len(a), m, dtype=order.dtype)
-    a, b = a[pair], b[pair]
-    for d in range(3):
-        cand = order[start + d]
-        other = (cand == a) | (cand == b)
-        if levels:  # with no rows every column is in the one group
-            other |= levels[-1][start + d] != levels[-1][start]
-        cand[other] = m
-        np.minimum.at(third, pair, cand)
+    np.minimum.at(third, pair, order[start])
     return third
 
 

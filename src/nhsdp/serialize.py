@@ -576,7 +576,7 @@ def phf_to_json(phf: PhfArray) -> str:
         "m": phf.m,
         "q": phf.q,
         "t": phf.t,
-        "grid": [[int(v) for v in row] for row in phf.grid],
+        "grid": phf.grid.tolist(),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 

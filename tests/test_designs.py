@@ -260,6 +260,11 @@ class TestPhf:
         phf = PhfArray(q=5, t=5, grid=[[0, 1, 2, 3, 4]])
         assert verify_phf(phf).ok
 
+    @pytest.mark.parametrize("t", [-1, 0, 2.5, True])
+    def test_strength_must_be_a_positive_int(self, t):
+        with pytest.raises(ValueError, match="'t'"):
+            PhfArray(q=3, t=t, grid=[[0, 1, 2]])
+
     def test_strength_exceeding_columns_rejected(self):
         from nhsdp import PhfArray
 
@@ -365,6 +370,21 @@ class TestPhfJoin:
     def test_agrees_with_reference_on_degenerate_grids(self, phf):
         assert_same_verdict(phf)
         assert verify_phf(phf).ok == brute_phf_ok(phf.grid.tolist(), 3)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, designs.PHF_CHUNK])
+    def test_verdict_does_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(designs, "PHF_CHUNK", chunk)
+        # Up to 6 rows and 40 columns: row-0 pairs that separate on 3 to 5
+        # rows, and witnesses whose third column mixes the pair's values.
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            r, m, q = rng.integers(1, 7), rng.integers(3, 41), rng.integers(2, 13)
+            assert_same_verdict(PhfArray(q=int(q), t=3, grid=rng.integers(0, q, size=(r, m))))
+        # Shifts 0, 1, 2 form a progression.  Column 19 equals column 0 on
+        # row 1 and column 7 on row 2: a mixed pattern of the pair (0, 7).
+        progression = phf_columns_from_elements(7, (0, 1, 2))
+        assert_same_verdict(progression)
+        assert verify_phf(progression).info == {"columns": (0, 7, 19)}
 
     def test_n6_shift_family_is_valid(self):
         verdict = verify_phf(phf_from_ntap(ntap_construct(6)))

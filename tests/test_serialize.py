@@ -101,7 +101,12 @@ class TestFieldChecks:
 
     @pytest.mark.parametrize(
         "change, field",
-        [({"q": 9.0}, "'q'"), ({"grid": [[0, "*"]]}, "'grid'"), ({"m": 35}, "'m'")],
+        [
+            ({"q": 9.0}, "'q'"),
+            ({"grid": [[0, "*"]]}, "'grid'"),
+            ({"m": 35}, "'m'"),
+            ({"t": 0}, "'t'"),
+        ],
     )
     def test_phf(self, change, field):
         doc = {**json.loads(serialize.phf_to_json(phf_from_ntap(ntap_construct(2)))), **change}
@@ -697,6 +702,13 @@ class TestPhfAndTranscript:
         again = serialize.phf_from_json(text)
         assert (again.grid == phf.grid).all()
         assert serialize.phf_to_json(again) == text
+
+    def test_phf_bytes_at_n5(self):
+        # Pinned from the writer that converted each cell with int().
+        text = serialize.phf_to_json(phf_from_ntap(ntap_construct(5)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3f950090bfdaa27714bdf71ceace659291148d4624fcfb3ed25fcaf90f9c61ee"
+        )
 
     def test_transcript_records_seed_and_payloads(self, ex4_pda):
         library = FileLibrary.random(4, 4, packet_len=8, seed=99)
