@@ -28,7 +28,7 @@ def _write(path: str | None, payload) -> None:
     or is left as it was.  Anything else at path (a symlink, a device, a
     FIFO), and a regular file whose directory takes no new file, is written
     through in place.  A path that cannot be written is a usage error
-    naming it.
+    naming it and the OS's reason, not the temporary file's name.
     """
     if path is None:
         return
@@ -55,7 +55,7 @@ def _write(path: str | None, payload) -> None:
         finally:
             Path(temp).unlink(missing_ok=True)  # left only if the rename did not happen
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _temp_beside(target: Path) -> tuple[int, str] | None:

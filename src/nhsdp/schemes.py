@@ -98,6 +98,14 @@ def _require(cond: bool, constraint: str) -> None:
         raise SchemeConstraintError(f"constraint violated: {constraint}")
 
 
+# Under uncoded placement and N >= K, no load lies below the lower convex
+# envelope of MN's points (t/K, (K - t)/(t + 1)), t = 0..K; a PDA places
+# uncoded and serves any N.  A formula's point under it is refused.
+_CONVERSE = (
+    "the uncoded-placement converse (Yu, Maddah-Ali, Avestimehr, IEEE Trans. IT 64(2), 2018)"
+)
+
+
 def _point(scheme, params: dict, K, memory: Fraction, load: Fraction, F) -> SchemePoint:
     """The checked point; params is a fresh dict the point keeps."""
     # Fraction denominators are positive, so the bounds read off numerators.
@@ -247,6 +255,7 @@ def _zcw(p: Mapping) -> SchemePoint:
     # formula-table row for this scheme is inconsistent with those numbers.
     m, w = int(p["m"]), int(p["w"])
     _require(1 <= w < m, "1 <= w < m")
+    _require(w != m - 1, f"w != m - 1, whose load m / 2^m lies under {_CONVERSE}")
     K = 2**m
     memory = 1 - Fraction(binomial(m, w), K)
     load = Fraction(binomial(m, w), 2 ** (w + 1))
@@ -275,6 +284,7 @@ def _wcwl_at(K: int, t: int) -> SchemePoint:
 def _xxgl(p: Mapping) -> SchemePoint:
     K = int(p["K"])
     _require(K >= 3, "K >= 3")
+    _require(K != 3, f"K != 3, whose load 2/3 lies under {_CONVERSE}")
     return _point(
         "XXGL", {"K": K}, K, Fraction(K - 2, K), Fraction(K - 1, K), K
     )

@@ -153,6 +153,10 @@ class DeliveryTranscript:
     (S, packet_len) uint8 array, one row per symbol.  ``groups`` is the
     symbol index of the PDA delivered, which names the (user, row) cells
     XORed into each payload.
+
+    Only ``deliver`` makes one, so its groups index the cells of one Pda
+    and its payloads hold a row for each of that Pda's symbols: a direct
+    call and ``dataclasses.replace`` both raise.
     """
 
     demands: tuple[int, ...]
@@ -160,6 +164,16 @@ class DeliveryTranscript:
     groups: SymbolGroups
     packet_len: int  # the library's, which decode requires of a transcript
     seed: int | None
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("only deliver makes a DeliveryTranscript")
+
+    @classmethod
+    def _of(cls, **fields) -> "DeliveryTranscript":
+        transcript = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(transcript, name, value)
+        return transcript
 
     @property
     def bytes_on_wire(self) -> int:
@@ -269,9 +283,11 @@ class _Workspace:
 # Every take below writes into a workspace buffer with mode="clip", which
 # numpy does not buffer as it does "raise".  Each index is in range:
 # demands are below N (deliver and decode check them, the sweep makes
-# them), cells lie in the F x K grid, symbols are at most len(payloads)
-# (decode checks it; in the sweep the kernel's buffer has S rows) and slots
-# lie in [-1, Z) (place writes them, decode checks them).  The one
+# them), cells lie in the F x K grid (decode checks a transcript's rows
+# against the cache's F; its users are below len(demands) == K), every
+# symbol has a payload row (deliver and the sweep write one for each
+# symbol 1..S of the Pda) and slots lie in [-1, Z) (place writes them,
+# decode checks them).  The one
 # exception, a read through slot -1, belongs to a receiver that the
 # decoder reports blocked, whose bytes are never returned.
 
@@ -435,7 +451,10 @@ def deliver(
     out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
-    return DeliveryTranscript(d, payloads, groups, library.packet_len, library.seed)
+    return DeliveryTranscript._of(
+        demands=d, payloads=payloads, groups=groups,
+        packet_len=library.packet_len, seed=library.seed,
+    )
 
 
 def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
@@ -445,14 +464,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     packets of s, read from its cache; the cells come from the index deliver
     XORed over (``transcript.groups``), and star rows come from the cache.
     So each packet is exact, whatever array was delivered, or an uncached
-    interferer blocks its user (UnrecoverablePacketError).  A transcript
-    whose ``groups.start`` does not rise strictly from 0 to the cell count,
-    one entry longer than ``groups.present``, or whose ``groups.present``
-    does not rise strictly from 1, is refused, and so is one that names a
-    cell twice.  Entry k of the result is user k's file.
+    interferer blocks its user (UnrecoverablePacketError).  Only deliver
+    makes a transcript, so its index and payloads are those of one Pda;
+    decode checks only that the transcript fits the cache: slots in
+    [-1, Z), K demands, each below N, the cache's packet_len, and cell rows
+    below the cache's F.  Entry k of the result is user k's file.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
-    row, user, present, start = groups = transcript.groups
+    groups = transcript.groups
     (K, N, Z, W), F = cache.users.shape, cache.slots.shape[1]
     if cache.slots.size and (cache.slots.min() < -1 or cache.slots.max() >= Z):
         raise ValueError(f"cache slots must lie in [-1, {Z})")
@@ -462,38 +481,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
         raise ValueError(f"transcript demands must be file indices below N={N}")
     if L != cache.packet_len:
         raise ValueError(f"transcript packet_len={L} is not the cache's {cache.packet_len}")
-    if not (
-        len(start) == len(present) + 1
-        and start[0] == 0
-        and start[-1] == len(row) == len(user)
-        and (np.diff(start) > 0).all()
-        and (np.diff(present, prepend=0) > 0).all()
-    ):
-        raise ValueError(
-            "transcript groups.start must rise strictly from 0 to the cell count, one entry "
-            "longer than groups.present, which must rise strictly from 1"
-        )
-    if row.size and (min(row.min(), user.min()) < 0 or row.max() >= F or user.max() >= K):
+    if groups.row.size and groups.row.max() >= F:  # users are below len(d) == K
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
-    seen = np.zeros(K * F, dtype=bool)
-    seen[user * F + row] = True
-    if np.count_nonzero(seen) != user.size:  # each decodes into its own (user, row)
-        raise ValueError("transcript cells must be distinct (user, row) pairs")
-    del seen
-    array = isinstance(payloads, np.ndarray)
-    S = max(int(present.max(initial=0)), len(payloads) if array and payloads.ndim == 2 else 0)
-    if not (array and payloads.dtype == np.uint8 and payloads.shape == (S, L)):
-        got = f"{payloads.dtype} {payloads.shape}" if array else type(payloads).__name__
-        raise ValueError(
-            f"payloads must be one transmission per symbol 1..S={S}: "
-            f"a uint8 ({S}, {L}) array, got {got}"
-        )
 
-    wire = np.zeros((S, 1, 8 * W), dtype=np.uint8)
+    wire = np.zeros((len(payloads), 1, 8 * W), dtype=np.uint8)
     wire[:, 0, :L] = payloads
     # The workspace goes with the call, before the K files are copied out.
     files, blocked = _decode(
-        _Workspace(groups, S, cache), wire.view(np.uint64), np.array([d], dtype=np.int64)
+        _Workspace(groups, len(wire), cache), wire.view(np.uint64), np.array([d], dtype=np.int64)
     )
     if blocked:
         k = min(blocked)

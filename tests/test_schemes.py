@@ -154,6 +154,39 @@ class TestEvaluateScheme:
             assert point.gain * point.load == point.K * (1 - point.memory_ratio)
 
 
+def mn_envelope(K, memory):
+    """The lower convex envelope of MN's points (t/K, (K - t)/(t + 1)),
+    t = 0..K, at memory: (K + 1)/(t + 1) - 1 is convex in t, so the
+    envelope joins consecutive points."""
+    x = memory * K
+    t = math.floor(x)
+    if t == K:
+        return F(0)
+    return F(K - t, t + 1) + (x - t) * (F(K - t - 1, t + 2) - F(K - t, t + 1))
+
+
+class TestConverse:
+    @pytest.mark.parametrize(
+        "scheme, params, K, memory, load, bound",
+        [
+            ("ZCW", {"m": 2, "w": 1}, 4, F(1, 2), F(1, 2), F(2, 3)),
+            ("ZCW", {"m": 7, "w": 6}, 128, F(121, 128), F(7, 128), F(7, 122)),
+            ("XXGL", {"K": 3}, 3, F(1, 3), F(2, 3), F(1)),
+        ],
+    )
+    def test_points_under_the_envelope_are_refused(self, scheme, params, K, memory, load, bound):
+        # The formula's (memory, load) at these parameters, and MN's envelope there.
+        assert mn_envelope(K, memory) == bound > load
+        with pytest.raises(SchemeConstraintError, match=r"uncoded-placement converse \(Yu"):
+            evaluate_scheme(scheme, params)
+
+    @pytest.mark.parametrize("scheme", ["ZCW", "XXGL"])
+    def test_sweep_points_lie_on_or_above_the_envelope(self, scheme):
+        for K in range(1, schemes.SWEEP_MAX_K + 1):
+            for point in tradeoff_sweep(K, [scheme], slack=0):
+                assert point.load >= mn_envelope(K, point.memory_ratio), point
+
+
 class TestNhsdpScheme:
     def test_closed_form_reference_rows(self):
         point = evaluate_nhsdp_scheme(125, 3)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,6 +11,7 @@ import pytest
 
 from nhsdp import (
     STAR,
+    DeliveryTranscript,
     FileLibrary,
     Pda,
     UnrecoverablePacketError,
@@ -407,40 +409,26 @@ class TestDecode:
         ):
             decode(cache, transcript)
 
+    @pytest.mark.parametrize("how", ["call", "replace"])
+    def test_only_deliver_makes_one(self, ex4_pda, how):
+        library = FileLibrary.random(2, 4, seed=0)
+        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
+        make = {
+            "call": lambda: DeliveryTranscript(
+                (0, 1, 0, 1), transcript.payloads, transcript.groups, 16, 0
+            ),
+            "replace": lambda: dataclasses.replace(transcript, payloads=transcript.payloads[:-1]),
+        }[how]
+        with pytest.raises(TypeError, match="^only deliver makes a DeliveryTranscript$"):
+            make()
+
     def test_rejects_bad_user(self, ex4_pda):
+        # A transcript of ex4's first three users against ex4's cache of four.
         library = FileLibrary.random(2, 4, seed=0)
         cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, (0, 0, 0, 0))
-        too_many = dataclasses.replace(transcript, demands=(0, 0, 0, 0, 0))
-        with pytest.raises(ValueError, match="serves 5 users"):
-            decode(cache, too_many)
-
-    def test_rejects_transcript_missing_a_symbol(self, ex4_pda):
-        library = FileLibrary.random(2, 4, seed=0)
-        cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
-        short = dataclasses.replace(transcript, payloads=transcript.payloads[:-1])
-        with pytest.raises(ValueError, match="one transmission per symbol"):
-            decode(cache, short)
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            lambda p: p.astype(np.uint16),
-            lambda p: p[:, None, :],
-            lambda p: p.ravel(),
-            lambda p: p[:, :-1],
-            lambda p: p.tolist(),
-        ],
-        ids=["uint16", "3-D", "1-D", "short-rows", "list"],
-    )
-    def test_rejects_malformed_payloads(self, ex4_pda, change):
-        library = FileLibrary.random(2, 4, seed=0)
-        cache = place(ex4_pda, library)
-        transcript = deliver(ex4_pda, library, (0, 1, 0, 1))
-        bad = dataclasses.replace(transcript, payloads=change(transcript.payloads))
-        with pytest.raises(ValueError, match=r"^payloads must be .* a uint8 \(4, 16\) array"):
-            decode(cache, bad)
+        transcript = deliver(drop_columns(ex4_pda, range(3)), library, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^transcript serves 3 users, cache has K=4$"):
+            decode(cache, transcript)
 
     def test_rejects_other_packet_len(self, ex15_pda):
         # 9-byte packets fit the 16-byte cache's two words, but would decode
@@ -485,46 +473,35 @@ class TestDecode:
         with pytest.raises(ValueError, match=r"cells must lie in the cache's 15 rows x 15 users"):
             decode(cache, transcript)
 
-    @pytest.mark.parametrize("edit", ["merge", "split", "unsorted", "empty", "zero"])
-    def test_rejects_groups_split_off_their_symbols(self, ex15_pda, edit):
-        # Each edit, if decoded, gives some user wrong bytes and no error,
-        # or ("empty") blocks users whose caches are whole: the payload of a
-        # symbol is the XOR over all of its cells.
-        arr = Pda(np.array([[1, STAR], [STAR, 2]]), Z=1, S=2) if edit == "merge" else ex15_pda
-        library = FileLibrary.random(2, arr.F, seed=1)
-        cache = place(arr, library)
-        transcript = deliver(arr, library, tuple(k % 2 for k in range(arr.K)))
-        groups = transcript.groups
-        present, start = groups.present, groups.start
-        bad = {
-            # symbol 1's group takes symbol 2's cell: a bound fewer than symbols
-            "merge": groups._replace(start=np.array([0, 2])),
-            # symbol 1 in two groups of 2 cells
-            "split": groups._replace(start=np.insert(start, 1, 2), present=np.insert(present, 0, 1)),
-            "unsorted": groups._replace(present=present[::-1]),
-            # symbol 1's group empty, its cells in symbol 2's
-            "empty": groups._replace(start=np.insert(start[2:], 0, [0, 0])),
-            "zero": groups._replace(present=present - 1),
-        }[edit]
-        with pytest.raises(
-            ValueError,
-            match=r"^transcript groups\.start must rise strictly from 0 to the cell count, one "
-            r"entry longer than groups\.present, which must rise strictly from 1$",
-        ):
-            decode(cache, dataclasses.replace(transcript, groups=bad))
-
-    def test_rejects_a_cell_named_twice(self, ex15_pda):
-        # Every cell decodes into its own (user, row) of the output.
-        library = FileLibrary.random(2, ex15_pda.F, seed=1)
+    @pytest.mark.parametrize(
+        "symbol, outcome, count",
+        [(STAR, "blocked", 60), (1, "blocked", 113), (7, "blocked", 111), (30, "blocked", 109),
+         (31, True, 53)],
+    )
+    def test_invalid_array_transcript_is_exact_or_blocked(self, ex15_pda, symbol, outcome, count):
+        # Single-cell edits of ex15 to one symbol (or the star) that
+        # verify_pda rejects, on the cells with j + k even, delivered and
+        # decoded against ex15's cache: each decodes exactly (True) or blocks,
+        # and none returns wrong bytes (False).  A new symbol 31 gives its
+        # cell a group of its own; the other edits block a user.
+        library = FileLibrary.random(2, 15, seed=1)
         cache = place(ex15_pda, library)
-        transcript = deliver(ex15_pda, library, (1,) * 15)
-        groups = transcript.groups
-        user, row = groups.user.copy(), groups.row.copy()
-        c = groups.start[1]  # the first cell of symbol 2 becomes symbol 1's first cell
-        user[c], row[c] = user[0], row[0]
-        twice = groups._replace(user=user, row=row)
-        with pytest.raises(ValueError, match=r"cells must be distinct"):
-            decode(cache, dataclasses.replace(transcript, groups=twice))
+        d = tuple(k % 2 for k in range(15))
+        want = [library.file_bytes(n) for n in d]
+        outcomes = collections.Counter()
+        for j, k in itertools.product(range(15), repeat=2):
+            if (j + k) % 2 or ex15_pda.grid[j, k] == symbol:
+                continue
+            grid = ex15_pda.grid.copy()
+            grid[j, k] = symbol
+            arr = Pda(grid, Z=ex15_pda.Z, S=max(ex15_pda.S, symbol))
+            if verify_pda(arr).ok:
+                continue
+            try:
+                outcomes[list(decode(cache, deliver(arr, library, d))) == want] += 1
+            except UnrecoverablePacketError:
+                outcomes["blocked"] += 1
+        assert outcomes == {outcome: count}
 
     @pytest.mark.parametrize("slot", [-2, "Z"])
     def test_rejects_cache_slots_out_of_range(self, ex4_pda, slot):
