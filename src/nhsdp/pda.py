@@ -365,7 +365,7 @@ def conjugate_pda(pda: Pda) -> Pda:
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
     _check_cells("conjugate", S, K)
-    row, user = np.nonzero(pda.grid)
+    row, user = np.divmod(np.flatnonzero(pda.grid), K)
     empty = np.flatnonzero(np.bincount(row, minlength=F) == 0)
     if empty.size:
         raise ValueError(

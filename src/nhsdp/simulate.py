@@ -210,7 +210,7 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
     N, W = library.N, library.data.shape[2]
     star = np.ascontiguousarray((pda.grid == STAR).T)  # (K, F), row-major for _decode's take
     slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
-    ks, js = np.nonzero(star)
+    ks, js = np.divmod(np.flatnonzero(star), pda.F)
     users = np.zeros((pda.K, N, zmax, W), dtype=np.uint64)
     # Each file's cached packets go to their cache rows k*N*Z + n*Z + slot
     # in one scatter, a packet of W words moved as one item.
@@ -231,7 +231,8 @@ class _Workspace:
     a request outgrows it, which the first (largest) chunk does.  The rest
     depends only on the array and the cache and is built on first use:
     ``classes`` for the payload kernel and the decoder's tile walk, and
-    ``receivers`` for the decoder.
+    ``receivers`` for decode's cached rows, the sweep's cache check and
+    the decoder's blocked users.
     ``blocked`` is filled by the decoder's first tile walk.
     """
 
@@ -255,23 +256,22 @@ class _Workspace:
         return self.groups.size_classes()
 
     @cached_property
-    def receivers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """(cached, bases, targets, unset): the output row k*F + j of each
-        cached packet and its cache row at file 0, k*N*Z + slot; the output
-        row of each non-star cell; and per user with a star row it has no
-        slot for, its first such row as a blocked witness."""
+    def receivers(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(cached, bases, unset): the output row k*F + j of each packet
+        user k caches outside its own cells and its cache row at file 0,
+        k*N*Z + slot; and per user with a star row it has no slot for, its
+        first such row as a blocked witness.  Cell rows are decoded, so a
+        slot on one is never read as the user's copy."""
         users, slots = self.cache.users, self.cache.slots
         _, N, Z, _ = users.shape
         F = slots.shape[1]
-        user, row = self.groups.user, self.groups.row
-        cached = np.flatnonzero(slots >= 0)
+        star = np.ones(slots.shape, dtype=bool)
+        star[self.groups.user, self.groups.row] = False
+        cached = np.flatnonzero(star & (slots >= 0))
         bases = cached // F * (N * Z) + slots.ravel()[cached]
-        targets = user * F + row
-        unset = slots < 0
-        unset[user, row] = False
-        ks, js = np.nonzero(unset)
+        ks, js = np.divmod(np.flatnonzero(star & (slots < 0)), F)
         first = np.unique(ks, return_index=True)[1]
-        return cached, bases, targets, {int(ks[i]): (int(js[i]), int(ks[i]), 0) for i in first}
+        return cached, bases, {int(ks[i]): (int(js[i]), int(ks[i]), 0) for i in first}
 
 
 # The payload kernel loops over the offset within a symbol group, so each
@@ -286,10 +286,12 @@ class _Workspace:
 # them), cells lie in the F x K grid (decode checks a transcript's rows
 # against the cache's F; its users are below len(demands) == K), every
 # symbol has a payload row (deliver and the sweep write one for each
-# symbol 1..S of the Pda) and slots lie in [-1, Z) (place writes them,
-# decode checks them).  The one
-# exception, a read through slot -1, belongs to a receiver that the
-# decoder reports blocked, whose bytes are never returned.
+# symbol 1..S of the Pda), slots lie in [-1, Z) (place writes them,
+# decode checks them) and each cell's ``dest`` row lies in the decoder's
+# output (decode's user*F + row is below K*F, the sweep's cell index
+# below the number of cells).  The one exception, a read through slot
+# -1, belongs to a receiver that the decoder reports blocked: decode
+# returns none of its bytes, and the sweep reports it as blocked.
 
 def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
@@ -320,14 +322,17 @@ def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _decode(
-    ws: _Workspace, payloads: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, dict[int, tuple[int, int, int]]]:
-    """(K, F, B, W) files every user of ``ws.cache`` recovers from payloads
-    (S, B, W), and the users blocked by a packet their cache has no slot for.
+    ws: _Workspace, d: np.ndarray, out: np.ndarray, dest: np.ndarray
+) -> dict[int, tuple[int, int, int]]:
+    """Cancel the interference for B demand vectors d: for each non-star
+    cell c, XOR into row ``dest[c]`` of out, (rows, B, W), the other
+    packets of c's symbol, each read from c's user's cache through the
+    slot map.  Return the users blocked by a packet their cache has no
+    slot for.
 
-    Cached rows are the user's own copy; any other row is its symbol's
-    payload XOR the group's other packets, each read from the receiver's
-    cache through the slot map; a read with no slot blocks the receiver.
+    The caller fills out: with each cell's payload, so its row becomes
+    the decoded packet (decode), or with its payload XOR the packet its
+    user wants, so a correctly decoded row becomes zero (the sweep).
     The reads follow the tiles of ``groups.tiles`` (the cross entries
     ``verify_pda`` checks): a turn table lists each receiver's other cells
     after its own, other cell first, so one gather per tile reads them
@@ -340,15 +345,12 @@ def _decode(
     file, symbol) is its least blocked (receiver cell, other cell) pair,
     else its first row neither cached nor in a cell, with symbol 0.
 
-    The work that depends only on the array and the cache is done once per
-    workspace: the cells' output rows, the cached rows' cache positions,
-    the star-row screen (``ws.receivers``) and, on the first tile walk,
-    the blocked users.  Each call runs only the demand-dependent gathers
-    and XORs, with ``out=`` into the workspace's buffers: the output, the
-    gather indices and the tile reads, and the cached and payload rows
-    copied in pieces of at most ``_CHUNK_WORDS`` words.  Each call walks
-    the tiles afresh, one at a time, so no table of all cross entries is
-    kept.
+    The blocked users depend only on the array and the cache, so the
+    first tile walk of a workspace finds them and adds the star-row screen
+    of ``ws.receivers``.  Each call runs only the demand-dependent gathers
+    and XORs, with ``out=`` into the workspace's buffers: the gather
+    indices and the tile reads.  Each call walks the tiles afresh, one at
+    a time, so no table of all cross entries is kept.
     """
     users, slots = ws.cache.users, ws.cache.slots
     K, N, Z, W = users.shape
@@ -356,26 +358,8 @@ def _decode(
     B, flat = len(d), users.reshape(-1, W)
     groups = ws.groups
     user, row = groups.user, groups.row
-    cached, bases, targets, unset = ws.receivers
     dZ = ws.buffer("dZ", d.T.shape, np.int64)
     np.multiply(d.T, Z, out=dZ)
-
-    # Cached rows are copied from the cache, then each cell's row starts as
-    # its symbol's payload; both in pieces of at most _CHUNK_WORDS words,
-    # the cells' symbols expanded from their groups a piece at a time.
-    files = ws.buffer("files", (K * F, B, W))
-    step = max(1, _CHUNK_WORDS // (B * W))
-    for lo in range(0, len(cached), step):
-        hi = min(lo + step, len(cached))
-        index = ws.buffer("index", (hi - lo, B), np.int64)
-        np.take(dZ, cached[lo:hi] // F, axis=0, out=index, mode="clip")
-        index += bases[lo:hi, None]
-        read = ws.buffer("read", (hi - lo, B, W))
-        files[cached[lo:hi]] = np.take(flat, index, axis=0, out=read, mode="clip")
-    for lo in range(0, len(targets), step):
-        hi = min(lo + step, len(targets))
-        read = ws.buffer("read", (hi - lo, B, W))
-        files[targets[lo:hi]] = np.take(payloads, groups.symbols(lo, hi) - 1, axis=0, out=read, mode="clip")
 
     lost = [] if ws.blocked is None else None  # (receiver cells, other cells) with no slot
     for rec, oth, shift in groups.tiles(4 * B * W, ws.classes):
@@ -395,12 +379,12 @@ def _decode(
         np.take(dZ, user[other], axis=0, out=index, mode="clip")
         index += (slot + ur * (N * Z))[..., None]
         read = ws.buffer("read", (1 + len(slot), *slot.shape[1:], B, W))
-        dest = targets[rec]
-        np.take(files, dest, axis=0, out=read[0], mode="clip")
+        at = dest[rec]
+        np.take(out, at, axis=0, out=read[0], mode="clip")
         np.take(flat, index, axis=0, out=read[1:], mode="clip")
         for other_read in read[1:]:
             np.bitwise_xor(read[0], other_read, out=read[0])
-        files[dest] = read[0]
+        out[at] = read[0]
         if lost is not None and slot.min(initial=0) < 0:
             o, x, i = np.nonzero(slot < 0)
             lost.append((rec[x, i], other[o, x, i]))
@@ -412,9 +396,9 @@ def _decode(
             for i in order[np.unique(user[a[order]], return_index=True)[1]]:
                 c, o = int(a[i]), int(b[i])
                 ws.blocked[int(user[c])] = (int(row[o]), int(user[o]), int(groups.symbols(c, c + 1)[0]))
-        for k, witness in unset.items():
+        for k, witness in ws.receivers[2].items():
             ws.blocked.setdefault(k, witness)
-    return files.reshape(K, F, B, W), ws.blocked
+    return ws.blocked
 
 
 def _unrecoverable(k: int, witness: tuple[int, int, int], d) -> str:
@@ -469,6 +453,11 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     decode checks only that the transcript fits the cache: slots in
     [-1, Z), K demands, each below N, the cache's packet_len, and cell rows
     below the cache's F.  Entry k of the result is user k's file.
+
+    The K*F rows of one (K*F, 1, W) array start as each user's cached
+    copies and each cell's payload, and ``_decode`` cancels the cells'
+    interference in place; the workspace and its index arrays are dropped
+    before the K ``bytes`` are copied out.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
     groups = transcript.groups
@@ -484,16 +473,31 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     if groups.row.size and groups.row.max() >= F:  # users are below len(d) == K
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
 
-    wire = np.zeros((len(payloads), 1, 8 * W), dtype=np.uint8)
-    wire[:, 0, :L] = payloads
-    # The workspace goes with the call, before the K files are copied out.
-    files, blocked = _decode(
-        _Workspace(groups, len(wire), cache), wire.view(np.uint64), np.array([d], dtype=np.int64)
-    )
+    ws = _Workspace(groups, len(payloads), cache)
+    cached, bases, _ = ws.receivers
+    wire = np.zeros((len(payloads), 8 * W), dtype=np.uint8)
+    wire[:, :L] = payloads
+    wire = wire.view(np.uint64)
+    demand = np.array([d], dtype=np.int64)
+    flat, dZ = cache.users.reshape(-1, W), demand[0] * Z
+    # Each cached row is the user's own copy and each cell's row starts as
+    # its symbol's payload, in pieces of at most _CHUNK_WORDS words.
+    files = np.empty((K * F, 1, W), dtype=np.uint64)
+    step = max(1, _CHUNK_WORDS // W)
+    for lo in range(0, len(cached), step):
+        hi = lo + step
+        files[cached[lo:hi], 0] = flat.take(bases[lo:hi] + dZ[cached[lo:hi] // F], axis=0)
+    targets = groups.user * F + groups.row
+    for lo in range(0, len(targets), step):
+        hi = min(lo + step, len(targets))
+        files[targets[lo:hi], 0] = wire.take(groups.symbols(lo, hi) - 1, axis=0)
+    blocked = _decode(ws, demand, files, targets)
+    # The workspace and the index arrays go before the K files are copied out.
+    del ws, cached, bases, targets, demand, dZ
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
-    files = files[:, :, 0].view(np.uint8)[..., :L]
+    files = files.reshape(K, F, W).view(np.uint8)[..., :L]
     return tuple(files[k].tobytes() for k in range(K))
 
 
@@ -544,6 +548,23 @@ def _demand_chunks(N: int, K: int, budget: int, seed: int, size: int):
     return total, False, chunks()
 
 
+def _stale(ws: _Workspace, data: np.ndarray) -> np.ndarray:
+    """(K, N) bool: whether any packet user k caches outside its cells,
+    as its copy of file n, differs from the library's (N, F, W) data."""
+    users, slots = ws.cache.users, ws.cache.slots
+    K, N, Z, W = users.shape
+    F = slots.shape[1]
+    cached, bases, _ = ws.receivers
+    flat, stale = users.reshape(-1, W), np.zeros((K, N), dtype=bool)
+    step = max(1, _CHUNK_WORDS // W)
+    for lo in range(0, len(cached), step):
+        k, j = np.divmod(cached[lo : lo + step], F)
+        for n in range(N):
+            copies = flat.take(bases[lo : lo + step] + n * Z, axis=0)
+            stale[k[(copies != data[n].take(j, axis=0)).any(axis=1)], n] = True
+    return stale
+
+
 def exhaustive_demand_check(
     pda: Pda,
     N: int,
@@ -560,15 +581,22 @@ def exhaustive_demand_check(
     sample plus the all-equal and (when N >= K) all-distinct corners is used.
     Demand vectors run in chunks through the same kernels as deliver/decode.
 
-    The sweep runs in one workspace.  Its buffers (payloads, decoded and
-    expected files, the comparison mask, gather indices, tile reads) are
-    allocated on the first, largest chunk, and later chunks write into
-    leading slices of them; what depends only on the array and the cache
-    (the groups of each size, ``_decode``'s receivers and blocked users)
-    is worked out once.  So memory does not grow with the number of
-    chunks, and no chunk allocates an array that scales with F*K*B.  The
-    symbol index is the one ``verify_pda`` checked when pda is its
-    ``CheckedPda``, else ``symbol_groups(pda)``, built here.
+    The sweep runs in one workspace and checks as it decodes.  Before the
+    first chunk, each user's cached copies are compared with the library
+    once, into a (K, N) table of stale files.  A chunk then holds one
+    (P, B, W) buffer of its P non-star cells in symbol-index order: each
+    cell starts as its symbol's payload XOR the library packet its user
+    wants, and ``_decode`` XORs in the other packets as the user holds
+    them, so a correctly decoded cell is all zero words.  User k of vector
+    b is wrong when its file d[b, k] is stale, when one of its cells is
+    not zero, or when it is blocked.  The buffers (payloads, cells, gather
+    indices, tile reads) are allocated on the first, largest chunk, and
+    later chunks write into leading slices of them; what depends only on
+    the array and the cache (the groups of each size, the stale table,
+    ``_decode``'s blocked users) is worked out once.  So memory does not
+    grow with the number of chunks, and no chunk allocates an array that
+    scales with F*K*B.  The symbol index is the one ``verify_pda`` checked
+    when pda is its ``CheckedPda``, else ``symbol_groups(pda)``, built here.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
@@ -578,25 +606,38 @@ def exhaustive_demand_check(
     cache = place(pda, library)
     ws = _Workspace(groups, pda.S, cache)
     K, F, W = pda.K, pda.F, library.data.shape[2]
-    packets, rows = library.data.reshape(-1, W), np.arange(F)[:, None]
+    user, row, P = groups.user, groups.row, len(groups.row)
+    packets, cells = library.data.reshape(-1, W), np.arange(P)
+    stale = _stale(ws, library.data)
     size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (F * K * W)))
 
     total, exhaustive, chunks = _demand_chunks(N, K, demand_budget, seed, size)
     failures = []
     checked = 0
     for d in chunks:
-        checked += len(d)
-        files, blocked = _decode(ws, _payloads(ws, library.data, d), d)
-        index = ws.buffer("index", files.shape[:3], np.int64)
-        np.add(d.T[:, None] * F, rows, out=index)
-        expected = np.take(packets, index, axis=0, out=ws.buffer("expected", files.shape), mode="clip")
-        mask = np.not_equal(files, expected, out=ws.buffer("mask", files.shape, np.bool_))
-        user, word = np.nonzero(mask.any(axis=1).reshape(K, -1))  # word = b*W + w
-        wrong = np.zeros((K, len(d)), dtype=bool)
-        wrong[user, word // W] = True
-        wrong[list(blocked)] = True
-        for b, k in zip(*np.nonzero(wrong.T)):
-            v, k = tuple(d[b].tolist()), int(k)
+        B = len(d)
+        checked += B
+        payloads = _payloads(ws, library.data, d)
+        dF = ws.buffer("dF", d.T.shape, np.int64)
+        np.multiply(d.T, F, out=dF)
+        out = ws.buffer("cells", (P, B, W))
+        step = max(1, _CHUNK_WORDS // (B * W))
+        for lo in range(0, P, step):
+            hi = min(lo + step, P)
+            piece = out[lo:hi]
+            np.take(payloads, groups.symbols(lo, hi) - 1, axis=0, out=piece, mode="clip")
+            index = ws.buffer("index", (hi - lo, B), np.int64)
+            np.take(dF, user[lo:hi], axis=0, out=index, mode="clip")
+            index += row[lo:hi, None]
+            want = np.take(packets, index, axis=0, out=ws.buffer("read", piece.shape), mode="clip")
+            np.bitwise_xor(piece, want, out=piece)
+        blocked = _decode(ws, d, out, cells)
+        wrong = stale.take(d + np.arange(K) * N)  # (B, K)
+        c, b = np.divmod(np.flatnonzero(out) // W, B)
+        wrong[b, user[c]] = True
+        wrong[:, list(blocked)] = True
+        for i in np.flatnonzero(wrong).tolist():
+            v, k = tuple(d[i // K].tolist()), i % K
             reason = (
                 _unrecoverable(k, blocked[k], v)
                 if k in blocked

@@ -386,6 +386,7 @@ class TestDecode:
         groups = symbol_groups(arr)
         d = np.zeros((1, arr.K), dtype=np.int64)
         payloads = simulate._payloads(simulate._Workspace(groups, arr.S), library.data, d)
+        cells = np.arange(len(groups.row))
         rng = np.random.default_rng(7)
         for _ in range(40):
             slots = cache.slots.copy()
@@ -393,7 +394,8 @@ class TestDecode:
             clear = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
             slots[k[clear], j[clear]] = -1
             cleared = dataclasses.replace(cache, slots=slots)
-            _, blocked = simulate._decode(simulate._Workspace(groups, arr.S, cleared), payloads, d)
+            out = payloads[groups.symbols(0, len(cells)) - 1]
+            blocked = simulate._decode(simulate._Workspace(groups, arr.S, cleared), d, out, cells)
             assert blocked == reference_blocked(arr, slots)
 
     def test_uncached_star_rows_witness_the_first(self):
@@ -457,9 +459,17 @@ class TestDecode:
                 outcomes.add(list(decode(cache, transcript)) == want)
             except UnrecoverablePacketError:
                 outcomes.add("blocked")
-            wire = np.ascontiguousarray(transcript.payloads).view(np.uint64)[:, None]
-            ws = simulate._Workspace(transcript.groups, len(wire), cache)
-            files, blocked = simulate._decode(ws, wire, np.array([d]))
+            # Each user's rows outside its cells from its cache, each cell's
+            # from its symbol's payload, as decode fills them.
+            groups = transcript.groups
+            wire = np.ascontiguousarray(transcript.payloads).view(np.uint64)
+            files = np.zeros((15, 15, 1, 2), dtype=np.uint64)
+            for k, j in zip(*np.nonzero(cache.slots >= 0)):
+                files[k, j, 0] = cache.users[k, d[k], cache.slots[k, j]]
+            files[groups.user, groups.row, 0] = wire[groups.symbols(0, len(groups.row)) - 1]
+            ws = simulate._Workspace(groups, len(wire), cache)
+            targets = groups.user * 15 + groups.row
+            blocked = simulate._decode(ws, np.array([d]), files.reshape(-1, 1, 2), targets)
             for k in set(range(15)) - set(blocked):
                 assert files[k, :, 0].tobytes() == want[k]
         assert outcomes == {True, "blocked"}
@@ -790,13 +800,81 @@ class TestWorkspace:
         assert "lacks interfering packet" in reasons and "differ" in reasons
 
     def test_sweep_memory_is_one_chunk_of_buffers(self, ex15_pda):
-        # All 32,768 vectors in 128 chunks of 256.  One (K, F, B, W) array
-        # of a chunk is 0.88 MiB; the decoded files and the expected files
-        # are one each, and the tiles' reads, their indices and the rest
-        # stay within two more.  Freeing per-chunk temporaries instead
-        # peaked at 4.26 MiB.
-        K, F, B, W = 15, 15, 256, 2
+        # All 32,768 vectors in 128 chunks of 256.  The (P, B, W) buffer of
+        # a chunk's P = 120 cells is 0.47 MiB, and so is the read of the
+        # packets it is prefilled with; a tile's reads and their indices
+        # and the payloads stay within three more (2.11 MiB in all).  The
+        # decoded and expected (K, F, B, W) files of whole users peaked at
+        # 3.30 MiB under a bound of 3.52 MiB.
+        P, B, W = 120, 256, 2
+        assert len(symbol_groups(ex15_pda).row) == P
         full = peak_mib(exhaustive_demand_check, ex15_pda, 2)
         three = peak_mib(exhaustive_demand_check, ex15_pda, 2, 16, 600)  # 256 + 256 + 89
-        assert full <= 4 * K * F * B * W * 8 / 2**20
+        assert full <= 5 * P * B * W * 8 / 2**20
         assert full <= 1.1 * three
+
+
+def reference_sweep(arr, cache, library, vectors):
+    """The (vector, user, reason) failures of a sweep over vectors, from
+    public deliver and a cell-by-cell rebuild of each user's file out of
+    its own cache: a star row is the user's copy, any other cell its
+    symbol's payload XOR the symbol's other packets as the user holds them."""
+    grid, L = arr.grid, library.packet_len
+    blocked = reference_blocked(arr, cache.slots)
+    copies = cache.users.view(np.uint8)[..., :L]
+    cells = {
+        s: [(int(r), int(u)) for r, u in zip(*np.nonzero(grid == s))]
+        for s in np.unique(grid[grid != STAR]).tolist()
+    }
+    failures = []
+    for d in vectors:
+        payloads = deliver(arr, library, d).payloads
+        for k in range(arr.K):
+            if k in blocked:
+                failures.append((d, k, blocked_reason(k, blocked[k], d)))
+                continue
+            rebuilt = np.empty((arr.F, L), dtype=np.uint8)
+            for j in range(arr.F):
+                s = int(grid[j, k])
+                if s == STAR:
+                    rebuilt[j] = copies[k, d[k], cache.slots[k, j]]
+                    continue
+                rebuilt[j] = payloads[s - 1]
+                for r, u in cells[s]:
+                    if u != k:
+                        rebuilt[j] ^= copies[k, d[u], cache.slots[k, r]]
+            if rebuilt.tobytes() != library.file_bytes(d[k]):
+                failures.append((d, k, "decoded bytes differ from the library file"))
+    return tuple(failures)
+
+
+class TestSweepOracle:
+    """A sweep reports, vector by vector and user by user, what public
+    deliver and a plain rebuild from each user's cache report."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("name", ["ex15", "mn", "irregular", "mixed"])
+    def test_failures_match_the_reference(self, request, monkeypatch, name, N):
+        arr = mn_pda(5, 2) if name == "mn" else request.getfixturevalue(f"{name}_pda")
+        budget, seed = 12, 3
+        current, caches = [None], []
+
+        def corrupt(cache):
+            if current[-1] is not None:
+                TestTileBudgets.corrupt(cache, *current[-1])
+            caches.append(cache)
+
+        corrupt_place(monkeypatch, corrupt)
+        library = FileLibrary.random(N, arr.F, seed=seed)
+        rng = random.Random(seed)
+        vectors = [(0,) * arr.K] + ([tuple(range(arr.K))] if N >= arr.K else [])
+        vectors += [tuple(rng.randrange(N) for _ in range(arr.K)) for _ in range(budget)]
+        reasons = []
+        for corruption in [None, *TestTileBudgets.corruptions(arr, 4)]:
+            current.append(corruption)
+            report = exhaustive_demand_check(arr, N, demand_budget=budget, seed=seed)
+            assert not report.exhaustive and report.checked == len(vectors)
+            want = reference_sweep(arr, caches[-1], library, vectors)
+            assert report.failures == want
+            reasons += [reason for _, _, reason in want]
+        assert "lacks interfering packet" in " ".join(reasons) and "differ" in " ".join(reasons)
