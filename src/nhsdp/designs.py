@@ -250,18 +250,24 @@ def verify_phf(phf: PhfArray) -> Verdict:
         widths.append(len(values))
     groups: dict[tuple[int, ...], tuple] = {}
     first: tuple[int, ...] | None = None
+    # Row 0 never separates a pair that collides on it, so the separating
+    # rows index the later rows only.
+    later, widths = ranks[1:], widths[1:]
     for a, b in _colliding_pairs(ranks[0]):
         # Sort the pairs by their separating rows, then join run by run.
-        differ = ranks[:, a] != ranks[:, b]
-        order = np.lexsort(differ)
-        a, b, differ = a[order], b[order], differ[:, order]
-        starts = np.flatnonzero((differ[:, 1:] != differ[:, :-1]).any(axis=0)) + 1
+        # Pairs that all separate on one set of rows need no sort.
+        differ = later[:, a] != later[:, b]
+        starts = []
+        if not (differ == differ[:, :1]).all():
+            order = np.lexsort(differ)
+            a, b, differ = a[order], b[order], differ[:, order]
+            starts = (np.flatnonzero((differ[:, 1:] != differ[:, :-1]).any(axis=0)) + 1).tolist()
         third = np.empty(len(a), dtype=np.int64)
-        for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), len(a)]):
+        for lo, hi in zip([0, *starts], [*starts, len(a)]):
             rows = tuple(np.flatnonzero(differ[:, lo]).tolist())
             if rows not in groups:
-                groups[rows] = _column_groups(ranks, widths, rows)
-            third[lo:hi] = _smallest_third(ranks, widths, rows, *groups[rows], a[lo:hi], b[lo:hi])
+                groups[rows] = _column_groups(later, widths, rows)
+            third[lo:hi] = _smallest_third(later, widths, rows, *groups[rows], a[lo:hi], b[lo:hi])
         hit = third < m
         if hit.any():
             # Sorted triples: with a < b, c goes first, between or last.

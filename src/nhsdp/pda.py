@@ -220,11 +220,15 @@ def verify_pda(pda: Pda) -> Verdict:
     Each cell of a symbol group meets every other cell of it in the tiles
     of ``SymbolGroups.tiles``: the cross cell (row of one, user of the
     other) must be a star, which also rules out a shared row or column.
-    A tile passes when its only non-stars are its receivers' own cells, so
-    the cost is O(F*K + sum_s occ(s)^2) time for any group sizes, and the
-    memory is the symbol index plus one tile: every tile writes its cross
-    cells and their star test into leading slices of an int64 and a bool
-    buffer of ``_TILE`` entries, made once per call.
+    A tile passes when its only non-stars are its receivers' own cells.
+    That walk costs sum_s occ(s)^2 cross entries.  When the G symbols
+    present are at most F and sum_r n_r^2 + G*K is less, ``_row_faults``
+    checks C3 along the rows instead, and this walk runs over the groups
+    it flags only.  So the cost is O(F*K + min(sum_s occ(s)^2,
+    sum_r n_r^2 + G*K)) time for any group sizes, and the memory is the
+    symbol index plus one tile: every tile writes its cross cells and their
+    test into leading slices of an int64 and a bool buffer of ``_TILE``
+    entries, made once per call.
     Only the symbols present are indexed, so no work follows the declared
     S.  C3a is reported before C3b; either witness is the first violating
     pair by (symbol, cells in row-major order), the least over all tiles.
@@ -234,24 +238,19 @@ def verify_pda(pda: Pda) -> Verdict:
     """
     groups = symbol_groups(pda)
     row, user, present, start = groups
-    grid, K = pda.grid, pda.K
+    grid, F, K = pda.grid, pda.F, pda.K
     symbolic = (grid != STAR).ravel()
     cell = None
     first: dict[str, tuple[int, int, int]] = {}
-    # take writes into out= unbuffered with mode="clip", and every cross
-    # cell is in range, since row < F and user < K.
     index = np.empty(_TILE, dtype=np.int64)
     hits = np.empty(_TILE, dtype=bool)
-    for rec, oth, shift in groups.tiles(1, groups.size_classes()):
-        # (b, n, a): is the cross cell (row of receiver, user of other) a symbol?
-        shape, size = (oth.shape[1], *rec.shape), oth.shape[1] * rec.size
-        cross = np.add(row[rec] * K, user[oth].T[:, :, None], out=index[:size].reshape(shape))
-        bad = symbolic.take(cross, out=hits[:size].reshape(shape), mode="clip")
-        if np.count_nonzero(bad) == (0 if shift is None else rec.size):
-            continue
-        if shift is not None:
-            own = np.arange(rec.shape[1])
-            bad[own + shift, :, own] = False
+    classes = groups.size_classes()
+    if present.size <= F:
+        occ, per_row = np.diff(start), np.bincount(row, minlength=F)
+        if per_row @ per_row + present.size * K < occ @ occ:
+            flagged = _row_faults(pda, groups, symbolic, per_row, index, hits)
+            classes = [(g, x[flagged[x]]) for g, x in classes]
+    for rec, oth, bad in _cross_tiles(groups, classes, symbolic, K, index, hits):
         cell = row * K + user if cell is None else cell
         clash = (row[rec] == row[oth].T[:, :, None]) | (user[rec] == user[oth].T[:, :, None])
         for code, hit in (("C3a", bad & clash), ("C3b", bad)):
@@ -296,6 +295,60 @@ def verify_pda(pda: Pda) -> Verdict:
     K, F, Z, S = pda.params()
     info = {"params": pda.params(), "checked": CheckedPda._of(pda, groups)}
     return Verdict(True, "valid", f"({K},{F},{Z},{S}) PDA", info)
+
+
+def _cross_tiles(groups, classes, held, K, index, hits):
+    """Yield (rec, oth, bad) for each tile of ``groups.tiles(1, classes)``
+    in which ``held`` has a cross entry (row field of a receiver, user of
+    another cell) set beyond the receivers' own: ``bad`` is the (b, n, a)
+    test of those entries with the own ones cleared, written into the
+    buffers ``index`` and ``hits`` and so good until the next tile.
+    """
+    row, user = groups.row, groups.user
+    # take writes into out= unbuffered with mode="clip", and every cross
+    # entry is in range, since row * K + user < held.size.
+    for rec, oth, shift in groups.tiles(1, classes):
+        shape, size = (oth.shape[1], *rec.shape), oth.shape[1] * rec.size
+        cross = np.add(row[rec] * K, user[oth].T[:, :, None], out=index[:size].reshape(shape))
+        bad = held.take(cross, out=hits[:size].reshape(shape), mode="clip")
+        if np.count_nonzero(bad) == (0 if shift is None else rec.size):
+            continue
+        if shift is not None:
+            own = np.arange(rec.shape[1])
+            bad[own + shift, :, own] = False
+        yield rec, oth, bad
+
+
+def _row_faults(pda, groups, symbolic, per_row, index, hits) -> np.ndarray:
+    """Per symbol group, whether C3 may fail in it, from a walk of the rows.
+
+    This is the conjugate's symbol walk: each row's cells, in row-major
+    order, form one group (empty for a row of stars, which ``tiles``
+    skips), whose row field is the rank of a cell's symbol
+    in ``present``, and a cross entry (symbol of a receiver, user of
+    another cell of its row) is tested against a (rank, user) bitmap of the
+    cells.  Such an entry is set exactly when the receiver's symbol repeats
+    in its row or meets another cell of it at a non-star cross cell, so
+    the walk finds every pair that breaks C3 but a repeat within a column.
+    The index shows those as two adjacent equal (symbol, user) entries.
+    The receiver's symbol of each set entry and each symbol repeated in a
+    column are flagged; every violating pair lies in their groups.
+    """
+    G, K = groups.present.size, pda.K
+    fill = np.repeat(np.arange(G) * K, np.diff(groups.start))
+    fill += groups.user  # nondecreasing: the index is sorted by (symbol, user)
+    held = np.zeros(G * K, dtype=bool)
+    held[fill] = True
+    flagged = np.zeros(G, dtype=bool)
+    flagged[fill[1:][fill[1:] == fill[:-1]] // K] = True
+    del fill
+    cell = np.flatnonzero(symbolic)
+    rank = groups.present.searchsorted(pda.grid.ravel()[cell])
+    by_row = SymbolGroups(rank, cell % K, np.arange(pda.F), np.concatenate(([0], per_row.cumsum())))
+    del cell
+    for rec, _, bad in _cross_tiles(by_row, by_row.size_classes(), held, K, index, hits):
+        flagged[rank[rec][bad.any(axis=0)]] = True
+    return flagged
 
 
 def _least_pair(cell, groups, rec, oth, hit) -> tuple[int, int, int]:

@@ -67,6 +67,63 @@ def assert_matches_references(arr):
         assert (verdict.code, verdict.info["symbol"], verdict.info["cells"]) == expected
 
 
+def assert_matches_references_on_every_cell(arr, rng):
+    """assert_matches_references, and assert_matches_mutation_reference
+    too, on each array that differs from arr, a valid PDA, in one cell: a
+    symbol made a star, a star made a random symbol.  The codes."""
+    codes = set()
+    for j, k in itertools.product(range(arr.F), range(arr.K)):
+        grid = np.array(arr.grid)
+        grid[j, k] = STAR if grid[j, k] else int(rng.integers(1, arr.S + 1))
+        mutated = Pda(grid, Z=arr.Z, S=arr.S)
+        assert_matches_references(mutated)
+        codes.add(assert_matches_mutation_reference(mutated, j, k))
+    return codes
+
+
+def c3_violation_near(arr, j, k):
+    """first_c3_violation of arr, a valid PDA with cell (j, k) changed.
+
+    A pair that breaks C3 in arr and not before holds that cell, or has it
+    as a cross cell, one of its cells in row j and the other in column k.
+    So only those pairs are listed: O(F + K + occ) of them, not O(occ^2).
+    """
+    grid = arr.grid
+    s = int(grid[j, k])
+    if s == STAR:
+        return None
+    pairs = []
+    for r, u in zip(*(x.tolist() for x in np.divmod(np.flatnonzero(grid == s), arr.K))):
+        if (r, u) != (j, k):
+            code = "C3a" if r == j or u == k else "C3b" if grid[j, u] or grid[r, k] else None
+            pairs.append((code, s, tuple(sorted(((j, k), (r, u))))))
+    for u in np.flatnonzero(grid[j]).tolist():
+        for r in np.flatnonzero(grid[:, k] == grid[j, u]).tolist():
+            if u != k and r != j:
+                pairs.append(("C3b", int(grid[j, u]), ((j, u), (r, k)) if j < r else ((r, k), (j, u))))
+    for code in ("C3a", "C3b"):
+        found = [pair for pair in pairs if pair[0] == code]
+        if found:
+            return min(found)
+    return None
+
+
+def assert_matches_mutation_reference(arr, j, k):
+    """assert_matches_references for arr, a valid PDA with cell (j, k)
+    changed, through c3_violation_near: the verdict, and the code and
+    witness of a C3 fault.  The code."""
+    verdict = verify_pda(arr)
+    expected = c3_violation_near(arr, j, k)
+    stars = np.count_nonzero(arr.grid == STAR, axis=0)
+    symbols = np.unique(arr.grid[arr.grid != STAR]).size
+    assert verdict.ok == (expected is None and (stars == arr.Z).all() and symbols == arr.S)
+    if expected is None:
+        assert verdict.code in ("valid", "C1", "C2")
+    else:
+        assert (verdict.code, verdict.info["symbol"], verdict.info["cells"]) == expected
+    return verdict.code
+
+
 class TestSymbolGroups:
     def test_order_is_symbol_user_row(self, ex15_packing):
         for arr in (pda_from_nhsdp(ex15_packing), make_pda(EX4_GRID, Z=2, S=4)):
@@ -354,27 +411,20 @@ class TestVerify:
             assert_matches_references(sub)
 
     def test_matches_references_on_small_conjugates(self, ex15_packing):
+        # Both take the row orientation: 480 + 225 < 960 cross entries for ex15's.
         arr = pda_from_nhsdp(ex15_packing)
         for base in (arr, drop_columns(arr, range(14))):
             conj = conjugate_pda(base)
             assert conj.F == base.S and conj.S == base.F
             assert verify_pda(conj).ok
             assert_matches_references(conj)
-            grid = np.array(conj.grid)
-            j, k = np.argwhere(grid == STAR)[0]
-            grid[j, k] = 1
-            assert_matches_references(Pda(grid, Z=conj.Z, S=conj.S))
+            assert_matches_references_on_every_cell(conj, np.random.default_rng(conj.K))
+        conj = conjugate_pda(mn_pda(6, 2))
+        assert verify_pda(conj).ok
+        assert_matches_references(conj)
 
     def test_matches_references_on_single_cell_mutations(self, ex15_packing):
-        arr = pda_from_nhsdp(ex15_packing)
-        rng = np.random.default_rng(15)
-        codes = set()
-        for j, k in itertools.product(range(arr.F), range(arr.K)):
-            grid = np.array(arr.grid)
-            grid[j, k] = STAR if grid[j, k] else int(rng.integers(1, arr.S + 1))
-            mutated = Pda(grid, Z=arr.Z, S=arr.S)
-            assert_matches_references(mutated)
-            codes.add(verify_pda(mutated).code)
+        codes = assert_matches_references_on_every_cell(pda_from_nhsdp(ex15_packing), np.random.default_rng(15))
         assert {"C3a", "C3b", "C1"} <= codes
 
 
@@ -542,6 +592,46 @@ class TestWalkBuffers:
             if code == "C3a"
             else f"cells ({r1},{c1}) and ({r2},{c2}) share symbol {s} but a cross cell is not a star"
         )
+
+
+class TestC3Orientation:
+    """verify_pda checks C3 along the rows only when there are no more
+    symbols than rows and the row walk has fewer cross entries."""
+
+    @pytest.fixture
+    def row_walks(self, monkeypatch):
+        calls = []
+        row_faults = pda_mod._row_faults
+
+        def spy(pda, *args):
+            calls.append(pda.params())
+            return row_faults(pda, *args)
+
+        monkeypatch.setattr(pda_mod, "_row_faults", spy)
+        return calls
+
+    def test_only_star_dense_arrays_take_the_rows(self, row_walks, golden_arrays, lift343, ex15_packing):
+        lift = pda_from_nhsdp(ex15_packing)
+        for arr in (golden_arrays["a1331"], golden_arrays["e1330"], lift343, lift, group_pda_divisible(lift, 30)):
+            assert verify_pda(arr).ok
+        assert row_walks == []
+        for arr in (golden_arrays["c343"], conjugate_pda(lift)):
+            assert verify_pda(arr).ok
+        assert row_walks == [(343, 9261, 9045, 343), (15, 30, 22, 15)]
+
+    def test_star_dense_mutations(self, row_walks, golden_arrays):
+        # 40 stars made symbols and 40 symbols made stars of the v=343 conjugate.
+        arr = golden_arrays["c343"]
+        rng = np.random.default_rng(343)
+        codes = set()
+        for star in (True, False):
+            cells = np.flatnonzero((arr.grid == STAR).ravel() == star)
+            for cell in rng.choice(cells, size=40, replace=False).tolist():
+                j, k = divmod(cell, arr.K)
+                grid = np.array(arr.grid)
+                grid[j, k] = int(rng.integers(1, arr.S + 1)) if star else STAR
+                codes.add(assert_matches_mutation_reference(Pda(grid, Z=arr.Z, S=arr.S), j, k))
+        assert codes == {"C3a", "C3b", "C1"} and len(row_walks) == 80
 
 
 class TestPairWalkMemory:
