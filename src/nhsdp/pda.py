@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .packing import Nhsdp, Verdict, verify_nhsdp
 from .ringmath import binomial
@@ -174,10 +175,12 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     The sort key packs (symbol, user, row) into one int64 as bit fields:
     the row r in the low rb = (F-1).bit_length() bits, the user u in the
     next (K-1).bit_length() and the symbol above them, so every array is
-    one entry per non-star cell and the grid is never copied.  One division
-    by the scalar K turns a cell's row-major position p into its fields:
-    r = p // K and u = p - r*K, so (u << rb) + r = (p << rb) - r*((K << rb) - 1),
-    a piece of ``_TILE`` cells at a time.  Shifts and masks split the
+    one entry per non-star cell and the grid is never copied.  A piece of
+    ``_TILE`` cells at a time, the non-star cells are found from a bool mask
+    of the piece, their symbols gathered, and one division by the scalar K
+    turns a cell's row-major position p into its fields: r = p // K and
+    u = p - r*K, so (u << rb) + r = (p << rb) - r*((K << rb) - 1).  Both
+    arrays are sized by one count of the non-stars.  Shifts and masks split the
     sorted key.  When the largest symbol would push the key past int64,
     the sort runs on each symbol's rank among those present and maps back
     after.  The key is built, sorted and split in place; once the groups
@@ -186,14 +189,19 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     F, K = pda.F, pda.K
     rb = (F - 1).bit_length()
     shift = rb + (K - 1).bit_length()
-    cell = np.flatnonzero(pda.grid)
-    key = pda.grid.ravel()[cell]
-    for lo in range(0, cell.size, _TILE):  # one piece's rows at a time, not every cell's
-        piece = cell[lo : lo + _TILE]
-        row = piece // K
-        row *= (K << rb) - 1
-        piece <<= rb
-        piece -= row
+    flat = pda.grid.ravel()
+    cell = np.empty(np.count_nonzero(flat), dtype=np.int64)
+    key = np.empty_like(cell)
+    end = 0
+    for lo in range(0, flat.size, _TILE):  # one piece's mask and rows at a time, not the grid's
+        at = np.flatnonzero(flat[lo : lo + _TILE] != STAR)
+        at += lo
+        flat.take(at, out=key[end : end + at.size], mode="clip")
+        piece = np.floor_divide(at, K, out=cell[end : end + at.size])  # its rows, first
+        piece *= (K << rb) - 1
+        at <<= rb
+        np.subtract(at, piece, out=piece)
+        end += at.size
     rank = (int(key.max(initial=0)) + 1) << shift > 2**63
     if rank:
         ranked, key = np.unique(key, return_inverse=True)
@@ -230,7 +238,8 @@ def verify_pda(pda: Pda) -> Verdict:
     test into leading slices of an int64 and a bool buffer of ``_TILE``
     entries, made once per call.
     Only the symbols present are indexed, so no work follows the declared
-    S.  C3a is reported before C3b; either witness is the first violating
+    S, and C1 counts each column's non-stars among the index's users.
+    C3a is reported before C3b; either witness is the first violating
     pair by (symbol, cells in row-major order), the least over all tiles.
     A valid verdict's info holds, as "checked", the array as a
     ``CheckedPda``: the same grid buffer with the symbol index it was
@@ -270,7 +279,7 @@ def verify_pda(pda: Pda) -> Verdict:
             )
             return Verdict(False, code, detail, {"symbol": s, "cells": cells})
 
-    star_counts = pda.F - symbolic.reshape(grid.shape).sum(axis=0)
+    star_counts = F - np.bincount(user, minlength=K)
     bad = np.nonzero(star_counts != pda.Z)[0]
     if bad.size:
         k = int(bad[0])
@@ -380,21 +389,21 @@ def pda_from_nhsdp(nhsdp: Nhsdp) -> Pda:
     Cell (f, k) carries the pair (c, i) with c = (f + k) mod v whenever
     (k - f) mod v lies in block i, and a star otherwise; pairs are encoded
     as symbols s = (i - 1) * v + c + 1 so that [1, b*v] stays contiguous.
-    The input is verified first, since the lift is only sound for true
-    packings: a packing that fails raises InvalidNhsdpError.  Requires
-    v * v <= MAX_CELLS.
+    So row f is row 0 rotated by f, its symbols shifted by f: one add over
+    windows of row 0's labels (i - 1) * v + 1, written twice, and of f + k.
+    The packing is verified first, since the lift is only sound for true
+    packings: one that fails raises InvalidNhsdpError.  Needs v*v <= MAX_CELLS.
     """
     verdict = verify_nhsdp(nhsdp.v, nhsdp.blocks)
     if not verdict.ok:
         raise InvalidNhsdpError(verdict)
     _check_cells("lifted", nhsdp.v, nhsdp.v)
-    v = nhsdp.v
-    grid = np.zeros((v, v), dtype=np.int64)
-    f = np.arange(v)
+    v, window = nhsdp.v, sliding_window_view
+    label = np.zeros(2 * v, dtype=np.int64)  # row f reads its window v - f .. 2v - f
     for i, block in enumerate(nhsdp.blocks):
-        for d in block:
-            k = (f + d) % v
-            grid[f, k] = i * v + (f + k) % v + 1
+        label[[*block, *(d + v for d in block)]] = i * v + 1
+    grid, sums = np.zeros((v, v), dtype=np.int64), window(np.arange(2 * v) % v, v)[:v]
+    np.add(window(label, v)[v:0:-1], sums, out=grid, where=window(label != STAR, v)[v:0:-1])
     return Pda(grid, Z=v - nhsdp.b * nhsdp.g, S=nhsdp.b * v)
 
 
@@ -412,20 +421,22 @@ def conjugate_pda(pda: Pda) -> Pda:
     Cell (s, k) of the output holds the row index (plus one) at which symbol
     s + 1 appears in column k of the input, star if it does not appear.
     Requires 0 < Z < F and that every input row contains at least one symbol,
-    otherwise the output would miss a symbol, and S * K <= MAX_CELLS.
+    otherwise the output would miss a symbol, and S * K <= MAX_CELLS.  The
+    cells come from the symbol index: the one a ``CheckedPda`` holds, else
+    ``symbol_groups``.
     """
     F, K, Z, S = pda.F, pda.K, pda.Z, pda.S
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
     _check_cells("conjugate", S, K)
-    row, user = np.divmod(np.flatnonzero(pda.grid), K)
+    row, user, present, start = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
     empty = np.flatnonzero(np.bincount(row, minlength=F) == 0)
     if empty.size:
         raise ValueError(
             f"row {int(empty[0])} is all stars; compact rows before conjugating"
         )
     out = np.zeros((S, K), dtype=np.int64)
-    out[pda.grid[row, user] - 1, user] = row + 1
+    out[(present - 1).repeat(np.diff(start)), user] = row + 1
     return Pda(out, Z=S - (F - Z), S=F)
 
 

@@ -652,7 +652,37 @@ class TestPairWalkMemory:
         assert peak_mib(verify_pda, arr) <= grid_mib / 2
 
 
+def reference_lift(v, blocks):
+    """The lift difference by difference: for each d of block i, cells
+    (f, (f + d) mod v) carry i*v + (f + k) mod v + 1; elements may be any
+    integers, reduced here."""
+    grid = np.zeros((v, v), dtype=np.int64)
+    f = np.arange(v)
+    for i, block in enumerate(blocks):
+        for d in block:
+            k = (f + d) % v
+            grid[f, k] = i * v + (f + k) % v + 1
+    return grid
+
+
 class TestLift:
+    def test_matches_reference(self, ex15_packing, golden_arrays):
+        assert np.array_equal(pda_from_nhsdp(ex15_packing).grid, reference_lift(15, EX15_BLOCKS))
+        a343 = construct_nhsdp(343, (3, 3, 3))
+        assert np.array_equal(pda_from_nhsdp(a343).grid, reference_lift(343, a343.blocks))
+        a1331 = construct_nhsdp(1331, (5, 5, 5))
+        assert np.array_equal(golden_arrays["a1331"].grid, reference_lift(1331, a1331.blocks))
+
+    @pytest.mark.parametrize("v, m", [(15, (2,)), (27, (1, 2)), (125, (2, 2, 2))])
+    def test_unreduced_elements_match_reference(self, v, m):
+        # The elements moved by turns -2v, v, -v and 3v: negative or past v.
+        turns = itertools.cycle((-2, 1, -1, 3))
+        blocks = [[d + v * next(turns) for d in block] for block in construct_nhsdp(v, m).blocks]
+        assert any(d < 0 for block in blocks for d in block)
+        assert any(d >= v for block in blocks for d in block)
+        arr = pda_from_nhsdp(Nhsdp.from_blocks(v, blocks))
+        assert np.array_equal(arr.grid, reference_lift(v, blocks))
+
     def test_worked_example_cells(self, ex15_packing):
         arr = pda_from_nhsdp(ex15_packing)
         assert arr.params() == (15, 15, 7, 30)
@@ -707,11 +737,44 @@ class TestLift:
         arr = pda_from_nhsdp(packing)
         b, g = math.prod(m), 2 ** len(m)
         assert arr.params() == (v, v, v - b * g, b * v)
+        assert np.array_equal(arr.grid, reference_lift(v, packing.blocks))
         assert verify_pda(arr).ok
         assert pda_stats(arr).regular_g == g
 
 
+def reference_conjugate(arr):
+    """The conjugate grid cell by cell, in row-major order: symbol s at
+    (j, k) puts j + 1 at (s - 1, k)."""
+    out = np.zeros((arr.S, arr.K), dtype=np.int64)
+    for (j, k), s in np.ndenumerate(arr.grid):
+        if s != STAR:
+            out[s - 1, k] = j + 1
+    return out
+
+
 class TestConjugate:
+    def test_matches_reference(self, ex4_pda, ex15_packing):
+        lift = pda_from_nhsdp(ex15_packing)
+        for arr in (ex4_pda, lift, drop_columns(lift, range(8)), mn_pda(6, 2)):
+            assert np.array_equal(conjugate_pda(arr).grid, reference_conjugate(arr))
+
+    def test_matches_reference_on_random_grids(self):
+        # Unchecked grids, symbols repeating in a column too: the last row
+        # of a repeat wins, as in a row-major scatter.
+        rng = np.random.default_rng(34)
+        for _ in range(60):
+            F, K = (int(x) for x in rng.integers(2, 12, size=2))
+            grid = index_grid(rng, F, K, int(rng.integers(1, F * K)))
+            grid[np.arange(F), rng.integers(0, K, size=F)] = rng.integers(1, grid.max() + 1, size=F)
+            arr = Pda(grid, Z=1, S=int(grid.max()) + F)  # S >= F: the conjugate's Z >= 0
+            assert np.array_equal(conjugate_pda(arr).grid, reference_conjugate(arr))
+
+    def test_reads_the_checked_index(self, ex15_packing, monkeypatch):
+        arr = pda_from_nhsdp(ex15_packing)
+        checked, plain = verify_pda(arr).info["checked"], conjugate_pda(arr)
+        monkeypatch.setattr(pda_mod, "symbol_groups", lambda pda: pytest.fail("indexed again"))
+        assert same_pda(conjugate_pda(checked), plain)
+
     def test_worked_4x4(self, ex4_pda):
         conj = conjugate_pda(ex4_pda)
         assert conj.params() == (4, 4, 2, 4)
