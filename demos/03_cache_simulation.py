@@ -40,8 +40,10 @@ print("bytes on wire:", transcript.bytes_on_wire,
 
 # Every user decodes at once, each from its own cache copy and the broadcast,
 # whose symbol index names the cells of each payload: no array is needed.
+# The result is one read-only (K, F, packet_len) uint8 array, user k's file
+# in files[k].
 files = decode(cache, transcript)
-assert files == tuple(library.file_bytes(n) for n in demand)
+assert [f.tobytes() for f in files] == [library.file_bytes(n) for n in demand]
 print("all four users decoded their files byte-exactly")
 
 # Sweep every demand vector: the load never moves and decoding never fails.

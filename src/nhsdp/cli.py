@@ -253,7 +253,8 @@ def _cmd_simulate(args) -> int:
     cache = simulate.place(arr, library)
     transcript = simulate.deliver(arr, library, demand)
     files = simulate.decode(cache, transcript)
-    bad = [k for k in range(arr.K) if files[k] != library.file_bytes(demand[k])]
+    packets = library.data.view("u1")[..., : args.packet_len]  # (N, F, packet_len)
+    bad = [k for k in range(arr.K) if (files[k] != packets[demand[k]]).any()]
     load = transcript.payloads.size / (arr.F * args.packet_len)
     print(f"demand {spec}: {arr.K - len(bad)}/{arr.K} users decoded, load = {load:g}")
     _write(args.out, serialize.transcript_chunks(transcript))

@@ -49,7 +49,8 @@ class Pda:
         grid = np.asarray(self.grid, dtype=np.int64)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("PDA grid must be a non-empty 2-D array")
-        if grid.min() < 0 or grid.max() > self.S:
+        # One scan: as uint64, a negative cell reads above any int64 symbol.
+        if int(grid.view(np.uint64).max()) > min(self.S, 2**63 - 1):
             raise ValueError("cells must be the star (0) or symbols in [1, S]")
         if not (0 <= self.Z <= grid.shape[0]):
             raise ValueError("Z must lie in [0, F]")
@@ -152,8 +153,8 @@ class CheckedPda(Pda):
 
     Only ``verify_pda`` makes one, on the grid buffer of the array it
     verified: a direct call, ``dataclasses.replace`` and ``from_grid`` all
-    raise.  So ``deliver`` and ``exhaustive_demand_check`` take ``groups``
-    as it is, and anything that takes a Pda takes this one.
+    raise.  So ``symbol_index`` hands out ``groups`` as it is, and anything
+    that takes a Pda takes this one.
     """
 
     groups: SymbolGroups
@@ -220,6 +221,12 @@ def symbol_groups(pda: Pda) -> SymbolGroups:
     user = np.right_shift(cell, rb, out=symbol)
     row = np.bitwise_and(cell, (1 << rb) - 1, out=cell)
     return SymbolGroups(row, user, present, start)
+
+
+def symbol_index(pda: Pda) -> SymbolGroups:
+    """``pda.groups`` of a ``CheckedPda``, else ``symbol_groups(pda)``;
+    ``verify_pda`` builds its own, so a verdict never trusts a carried one."""
+    return pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
 
 
 def verify_pda(pda: Pda) -> Verdict:
@@ -422,14 +429,13 @@ def conjugate_pda(pda: Pda) -> Pda:
     s + 1 appears in column k of the input, star if it does not appear.
     Requires 0 < Z < F and that every input row contains at least one symbol,
     otherwise the output would miss a symbol, and S * K <= MAX_CELLS.  The
-    cells come from the symbol index: the one a ``CheckedPda`` holds, else
-    ``symbol_groups``.
+    cells come from ``symbol_index(pda)``.
     """
     F, K, Z, S = pda.F, pda.K, pda.Z, pda.S
     if not (0 < Z < F):
         raise ValueError(f"conjugate needs 0 < Z < F, got Z={Z}, F={F}")
     _check_cells("conjugate", S, K)
-    row, user, present, start = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
+    row, user, present, start = symbol_index(pda)
     empty = np.flatnonzero(np.bincount(row, minlength=F) == 0)
     if empty.size:
         raise ValueError(
@@ -532,16 +538,14 @@ class PdaStats:
 def pda_stats(pda: Pda) -> PdaStats:
     """Memory ratio Z/F, load S/F, gain K(1-Z/F)/(S/F), and g-regularity.
 
-    All ratios are exact ``Fraction`` values; gain is None for the
-    degenerate all-star array (S = 0).  The group sizes come from the
-    symbol index: the one a ``CheckedPda`` holds, else ``symbol_groups``.
+    All ratios are exact ``Fraction`` values; gain is None for the all-star
+    array (S = 0).  The group sizes come from ``symbol_index(pda)``.
     """
     K, F, Z, S = pda.params()
     memory = Fraction(Z, F)
     load = Fraction(S, F)
     gain = Fraction(K * (F - Z), S) if S else None
-    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
-    sizes = np.diff(groups.start)
+    sizes = np.diff(symbol_index(pda).start)
     regular: int | None = None
     if 0 < S == sizes.size and (sizes == sizes[0]).all():  # else some symbol is missing
         regular = int(sizes[0])

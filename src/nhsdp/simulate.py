@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pda import STAR, CheckedPda, Pda, SymbolGroups, _check_cells, symbol_groups
+from .pda import STAR, Pda, SymbolGroups, _check_cells, symbol_index
 
 DEFAULT_PACKET_LEN = 16
 DEFAULT_DEMAND_BUDGET = 1_000_000
@@ -419,9 +419,7 @@ def deliver(
     The server reads only the array and the library.  The transcript's
     payloads are the rows the XOR kernel emitted, so bytes_on_wire counts the
     bytes it broadcast, and its groups are the symbol index they were XORed
-    over: all that decode needs of the array.  That index is the one
-    ``verify_pda`` checked when pda is its ``CheckedPda``, else
-    ``symbol_groups(pda)``, built here.
+    over, ``symbol_index(pda)``: all that decode needs of the array.
     """
     d = tuple(int(x) for x in demands)
     if len(d) != pda.K:
@@ -431,7 +429,7 @@ def deliver(
     if library.F != pda.F:
         raise ValueError("library packet count does not match the PDA")
 
-    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
+    groups = symbol_index(pda)
     out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
@@ -441,7 +439,7 @@ def deliver(
     )
 
 
-def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes, ...]:
+def decode(cache: CacheContents, transcript: DeliveryTranscript) -> np.ndarray:
     """Recover every user's requested file from its cache plus the broadcast.
 
     User k recovers its cell (j, k) of symbol s as payload s XOR the other
@@ -452,12 +450,12 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     makes a transcript, so its index and payloads are those of one Pda;
     decode checks only that the transcript fits the cache: slots in
     [-1, Z), K demands, each below N, the cache's packet_len, and cell rows
-    below the cache's F.  Entry k of the result is user k's file.
+    below the cache's F.
 
     The K*F rows of one (K*F, 1, W) array start as each user's cached
     copies and each cell's payload, and ``_decode`` cancels the cells'
-    interference in place; the workspace and its index arrays are dropped
-    before the K ``bytes`` are copied out.
+    interference in place.  That array is the result, as a read-only
+    (K, F, packet_len) uint8 view: ``files[k].tobytes()`` is user k's file.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
     groups = transcript.groups
@@ -475,14 +473,12 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
 
     ws = _Workspace(groups, len(payloads), cache)
     cached, bases, _ = ws.receivers
-    wire = np.zeros((len(payloads), 8 * W), dtype=np.uint8)
-    wire[:, :L] = payloads
-    wire = wire.view(np.uint64)
     demand = np.array([d], dtype=np.int64)
     flat, dZ = cache.users.reshape(-1, W), demand[0] * Z
     # Each cached row is the user's own copy and each cell's row starts as
     # its symbol's payload, in pieces of at most _CHUNK_WORDS words.
-    files = np.empty((K * F, 1, W), dtype=np.uint64)
+    files = np.zeros((K * F, 1, W), dtype=np.uint64)
+    packets = files.view(np.uint8).reshape(K * F, 8 * W)
     step = max(1, _CHUNK_WORDS // W)
     for lo in range(0, len(cached), step):
         hi = lo + step
@@ -490,15 +486,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> tuple[bytes,
     targets = groups.user * F + groups.row
     for lo in range(0, len(targets), step):
         hi = min(lo + step, len(targets))
-        files[targets[lo:hi], 0] = wire.take(groups.symbols(lo, hi) - 1, axis=0)
+        packets[targets[lo:hi], :L] = payloads.take(groups.symbols(lo, hi) - 1, axis=0)
     blocked = _decode(ws, demand, files, targets)
-    # The workspace and the index arrays go before the K files are copied out.
-    del ws, cached, bases, targets, demand, dZ
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
-    files = files.reshape(K, F, W).view(np.uint8)[..., :L]
-    return tuple(files[k].tobytes() for k in range(K))
+    files = packets.reshape(K, F, 8 * W)[..., :L]
+    files.setflags(write=False)
+    return files
 
 
 @dataclass(frozen=True)
@@ -595,13 +590,12 @@ def exhaustive_demand_check(
     the array and the cache (the groups of each size, the stale table,
     ``_decode``'s blocked users) is worked out once.  So memory does not
     grow with the number of chunks, and no chunk allocates an array that
-    scales with F*K*B.  The symbol index is the one ``verify_pda`` checked
-    when pda is its ``CheckedPda``, else ``symbol_groups(pda)``, built here.
+    scales with F*K*B.  The symbol index is ``symbol_index(pda)``.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
     _check_sizes(pda, N, packet_len)
-    groups = pda.groups if isinstance(pda, CheckedPda) else symbol_groups(pda)
+    groups = symbol_index(pda)
     library = FileLibrary.random(N, pda.F, packet_len, seed)
     cache = place(pda, library)
     ws = _Workspace(groups, pda.S, cache)
@@ -609,7 +603,7 @@ def exhaustive_demand_check(
     user, row, P = groups.user, groups.row, len(groups.row)
     packets, cells = library.data.reshape(-1, W), np.arange(P)
     stale = _stale(ws, library.data)
-    size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (F * K * W)))
+    size = max(1, min(_MAX_CHUNK, _CHUNK_WORDS // (max(P, pda.S, 1) * W)))
 
     total, exhaustive, chunks = _demand_chunks(N, K, demand_budget, seed, size)
     failures = []

@@ -83,7 +83,7 @@ class TestPipelines:
     @staticmethod
     def count_index_builds(monkeypatch):
         """The params of each array symbol_groups indexes, and per decode
-        call the builds it made; simulate imports symbol_groups by name."""
+        call the builds it made."""
         builds, in_decode = [], []
         real_groups, real_decode = pda_mod.symbol_groups, simulate.decode
 
@@ -99,7 +99,6 @@ class TestPipelines:
                 in_decode.append(len(builds) - before)
 
         monkeypatch.setattr(pda_mod, "symbol_groups", spy)
-        monkeypatch.setattr(simulate, "symbol_groups", spy)
         monkeypatch.setattr(simulate, "decode", decode)
         return builds, in_decode
 

@@ -124,6 +124,29 @@ def assert_matches_mutation_reference(arr, j, k):
     return verdict.code
 
 
+class TestCellRange:
+    """Every cell is the star or a symbol in [1, S], checked in one scan."""
+
+    @pytest.mark.parametrize(
+        "rows, S",
+        [
+            ([[STAR, -1]], 1),  # a negative cell
+            ([[STAR, 3], [3, STAR]], 2),  # a cell above S
+            ([[-1]], 2**63 - 1),  # -1 reads as 2^64 - 1 in the scan
+            ([[-1]], 10**30),  # and an S past int64 does not admit it
+            ([[STAR, STAR]], -1),  # no cell can reach a negative S
+            (np.array([[STAR, 1], [-5, STAR]]).T, 1),  # a strided grid
+        ],
+    )
+    def test_refused(self, rows, S):
+        with pytest.raises(ValueError, match=r"^cells must be the star \(0\) or symbols in \[1, S\]$"):
+            Pda(rows, Z=0, S=S)
+
+    @pytest.mark.parametrize("top, S", [(2, 2), (2**63 - 1, 2**63 - 1), (5, 10**30)])
+    def test_accepted_up_to_S(self, top, S):
+        assert Pda([[STAR, top], [top, STAR]], Z=1, S=S).grid.max() == top
+
+
 class TestSymbolGroups:
     def test_order_is_symbol_user_row(self, ex15_packing):
         for arr in (pda_from_nhsdp(ex15_packing), make_pda(EX4_GRID, Z=2, S=4)):

@@ -34,6 +34,11 @@ from conftest import packet_bytes, peak_mib
 from nhsdp.packing import Nhsdp
 
 
+def decoded(cache, transcript) -> list[bytes]:
+    """Each user's file as ``decode`` returns it, one ``bytes`` per user."""
+    return [f.tobytes() for f in decode(cache, transcript)]
+
+
 def xor_bytes(*chunks: bytes) -> bytes:
     out = 0
     for c in chunks:
@@ -213,7 +218,7 @@ class TestDelivery:
         transcript = deliver(arr, library, (0, 1))
         assert transcript.transmissions == ()
         assert transcript.bytes_on_wire == 0
-        assert decode(cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
+        assert decoded(cache, transcript) == [library.file_bytes(0), library.file_bytes(1)]
 
     def test_absent_symbols_get_zero_payloads(self):
         arr = Pda([[0, 3], [3, 0]], Z=1, S=4)  # symbols 1, 2 and 4 never occur
@@ -227,7 +232,7 @@ class TestDelivery:
         third = transcript.transmissions[2]
         assert third.contributors == ((0, 1), (1, 0))
         assert third.payload == xor_bytes(packet_bytes(library, 0, 1), packet_bytes(library, 1, 0))
-        assert decode(cache, transcript) == (library.file_bytes(0), library.file_bytes(1))
+        assert decoded(cache, transcript) == [library.file_bytes(0), library.file_bytes(1)]
         report = exhaustive_demand_check(arr, N=2)
         assert report.ok and report.exhaustive and report.checked == 4
         assert report.nominal_load == 2
@@ -273,14 +278,14 @@ class TestCheckedIndex:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """The params of each array simulate's symbol_groups indexes."""
-        builds, real = [], simulate.symbol_groups
+        """The params of each array pda.symbol_groups indexes."""
+        builds, real = [], pda_mod.symbol_groups
 
         def spy(pda):
             builds.append(pda.params())
             return real(pda)
 
-        monkeypatch.setattr(simulate, "symbol_groups", spy)
+        monkeypatch.setattr(pda_mod, "symbol_groups", spy)
         return builds
 
     # Groups of 2 (ex4, ex15), of 3 and 4 (irregular), and of 1 to 4 (mixed).
@@ -349,8 +354,7 @@ def test_transcript_golden(request, name, n_files, seed, demand):
     doc = json.loads(serialize.transcript_to_json(transcript))
     canonical = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(canonical).hexdigest() == TRANSCRIPT_GOLDENS[name]
-    files = decode(cache, transcript)
-    assert files == tuple(library.file_bytes(n) for n in demand)
+    assert decoded(cache, transcript) == [library.file_bytes(n) for n in demand]
 
 
 class TestDecode:
@@ -358,14 +362,22 @@ class TestDecode:
         library = FileLibrary.random(4, 4, seed=5)
         cache = place(ex4_pda, library)
         transcript = deliver(ex4_pda, library, (0, 1, 2, 3))
-        files = decode(cache, transcript)
-        assert files == tuple(library.file_bytes(k) for k in range(4))
+        assert decoded(cache, transcript) == [library.file_bytes(k) for k in range(4)]
+
+    def test_returns_one_read_only_array(self, ex15_pda):
+        library = FileLibrary.random(2, 15, packet_len=5, seed=3)
+        cache = place(ex15_pda, library)
+        d = [k % 2 for k in range(15)]
+        files = decode(cache, deliver(ex15_pda, library, d))
+        assert files.dtype == np.uint8 and files.shape == (15, 15, 5)
+        assert not files.flags.writeable
+        assert (files == library.data.view(np.uint8)[d, :, :5]).all()
 
     def test_same_demand_vector(self, ex15_pda):
         library = FileLibrary.random(2, 15, seed=5)
         cache = place(ex15_pda, library)
         transcript = deliver(ex15_pda, library, (0,) * 15)
-        assert decode(cache, transcript) == (library.file_bytes(0),) * 15
+        assert decoded(cache, transcript) == [library.file_bytes(0)] * 15
 
     def test_unrecoverable_fires_on_corrupt_cache(self, ex4_pda):
         library = FileLibrary.random(4, 4, seed=5)
@@ -456,7 +468,7 @@ class TestDecode:
             assert verify_pda(arr).ok and not np.array_equal(arr.grid, ex15_pda.grid)
             transcript = deliver(arr, library, d)
             try:
-                outcomes.add(list(decode(cache, transcript)) == want)
+                outcomes.add(decoded(cache, transcript) == want)
             except UnrecoverablePacketError:
                 outcomes.add("blocked")
             # Each user's rows outside its cells from its cache, each cell's
@@ -508,7 +520,7 @@ class TestDecode:
             if verify_pda(arr).ok:
                 continue
             try:
-                outcomes[list(decode(cache, deliver(arr, library, d))) == want] += 1
+                outcomes[decoded(cache, deliver(arr, library, d)) == want] += 1
             except UnrecoverablePacketError:
                 outcomes["blocked"] += 1
         assert outcomes == {outcome: count}
@@ -630,7 +642,7 @@ class TestDemandSweep:
         library = FileLibrary.random(2, ex15_pda.F, seed=4)
         cache = place(ex15_pda, library)
         transcript = deliver(ex15_pda, library, (1,) * 15)
-        assert decode(cache, transcript) == (library.file_bytes(1),) * 15
+        assert decoded(cache, transcript) == [library.file_bytes(1)] * 15
         assert len(walks) == 1
         walks.clear()
         chunks.clear()
@@ -812,6 +824,17 @@ class TestWorkspace:
         three = peak_mib(exhaustive_demand_check, ex15_pda, 2, 16, 600)  # 256 + 256 + 89
         assert full <= 5 * P * B * W * 8 / 2**20
         assert full <= 1.1 * three
+
+    def test_chunk_is_sized_from_cells_and_payloads(self, monkeypatch):
+        # The (125, 125, 61, 1000) lift: its P = 8000 cells, the larger of
+        # P and S, of W = 2 words keep 2^18 // (8000 * 2) = 16 vectors to a
+        # chunk, so the 15 samples and the all-equal corner run as one.
+        # Sizing from the F*K*W words of whole users' files gave 8.
+        arr = pda_from_nhsdp(construct_nhsdp(125, (2, 2, 2)))
+        sizes, real = [], simulate._payloads
+        monkeypatch.setattr(simulate, "_payloads", lambda ws, data, d: sizes.append(len(d)) or real(ws, data, d))
+        report = exhaustive_demand_check(arr, N=2, demand_budget=15)
+        assert report.ok and report.checked == 16 and sizes == [16]
 
 
 def reference_sweep(arr, cache, library, vectors):
