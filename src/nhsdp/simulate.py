@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pda import STAR, Pda, SymbolGroups, _check_cells, symbol_index
+from .pda import _TILE, STAR, Pda, SymbolGroups, _check_cells, symbol_index
 
 DEFAULT_PACKET_LEN = 16
 DEFAULT_DEMAND_BUDGET = 1_000_000
@@ -122,11 +122,14 @@ class CacheContents:
     """Per-user cache copies: user k holds packet (n, j) iff cell (j, k) is a star.
 
     ``users[k, n, slots[k, j]]`` is user k's own copy of packet j of file n;
-    ``slots[k, j]`` is -1 where user k does not cache row j.
+    ``slots[k, j]`` is -1 where user k does not cache row j.  ``place``
+    makes the slot map int32 (int64 once K*N*Zmax reaches 2**31, which
+    ``MAX_CELLS`` rules out), the dtype of the cache-row table that
+    ``decode`` builds from it.
     """
 
     users: np.ndarray  # (K, N, Zmax, W) uint64
-    slots: np.ndarray  # (K, F) int64
+    slots: np.ndarray  # (K, F) int32
     packet_len: int  # the library's, which decode requires of a transcript
 
     def cached_bytes(self, k: int, packet_len: int) -> int:
@@ -156,7 +159,10 @@ class DeliveryTranscript:
 
     Only ``deliver`` makes one, so its groups index the cells of one Pda
     and its payloads hold a row for each of that Pda's symbols: a direct
-    call and ``dataclasses.replace`` both raise.
+    call and ``dataclasses.replace`` both raise.  The payloads view the
+    whole of the (S*W)-word buffer deliver XORed into, its rows zero-padded
+    to W words, which decode reads back through ``payloads.base`` and moves
+    whole.
     """
 
     demands: tuple[int, ...]
@@ -200,6 +206,11 @@ def _check_sizes(pda: Pda, N: int, packet_len: int) -> int:
     return zmax
 
 
+def _row_dtype(rows: int) -> type:
+    """The narrowest of int32 and int64 that numbers ``rows`` cache rows."""
+    return np.int32 if rows < 2**31 else np.int64
+
+
 def place(pda: Pda, library: FileLibrary) -> CacheContents:
     """Placement: star cells decide what each user caches; K*N*Zmax*W <= MAX_CELLS words."""
     if library.F != pda.F:
@@ -208,18 +219,33 @@ def place(pda: Pda, library: FileLibrary) -> CacheContents:
         )
     zmax = _check_sizes(pda, library.N, library.packet_len)
     N, W = library.N, library.data.shape[2]
-    star = np.ascontiguousarray((pda.grid == STAR).T)  # (K, F), row-major for _decode's take
-    slots = np.where(star, np.cumsum(star, axis=1) - 1, -1)
+    star = np.ascontiguousarray((pda.grid == STAR).T)  # (K, F)
+    # A star row's slot is its rank among its user's star rows: the running
+    # count of stars, times the star, less one, so -1 off the stars.
+    slots = np.cumsum(star, axis=1, dtype=_row_dtype(pda.K * N * zmax))
+    slots *= star
+    slots -= 1
     ks, js = np.divmod(np.flatnonzero(star), pda.F)
     users = np.zeros((pda.K, N, zmax, W), dtype=np.uint64)
     # Each file's cached packets go to their cache rows k*N*Z + n*Z + slot
     # in one scatter, a packet of W words moved as one item.
-    packet = np.dtype((np.void, 8 * W))
-    rows, data = users.view(packet).reshape(-1), library.data.view(packet)[..., 0]
+    rows, data = _items(users).reshape(-1), _items(library.data)
     base = ks * (N * zmax) + slots[ks, js]
     for n in range(N):
         rows[base + n * zmax] = data[n].take(js)
     return CacheContents(users, slots, library.packet_len)
+
+
+def _items(words: np.ndarray, axes: int = 1) -> np.ndarray:
+    """A C-contiguous uint64 array with its last ``axes`` axes as one void
+    item, so that a fancy gather or scatter moves a whole packet (or a
+    packet per demand vector) as one item.  It is a view, so a scatter into
+    it writes into ``words``; any other layout raises, as the reshape would
+    copy it."""
+    if not words.flags.c_contiguous:
+        raise ValueError("packet items need a C-contiguous array")
+    lead, width = words.shape[: words.ndim - axes], math.prod(words.shape[words.ndim - axes :])
+    return words.reshape(*lead, width).view(np.dtype((np.void, 8 * width)))[..., 0]
 
 
 class _Workspace:
@@ -228,12 +254,15 @@ class _Workspace:
 
     ``buffer`` hands out C-contiguous leading slices of flat arrays kept by
     name, so a short last chunk reuses them; an array is replaced only when
-    a request outgrows it, which the first (largest) chunk does.  The rest
-    depends only on the array and the cache and is built on first use:
-    ``classes`` for the payload kernel and the decoder's tile walk, and
-    ``receivers`` for decode's cached rows, the sweep's cache check and
-    the decoder's blocked users.
-    ``blocked`` is filled by the decoder's first tile walk.
+    a request outgrows it, which the first (largest) chunk does.  With a
+    cache, ``table`` is its (K, F) cache-row table, built from the slots
+    as the workspace is made: entry (k, j) is the row k*N*Z + slot of
+    ``users.reshape(-1, W)`` that holds user k's copy of packet j of file
+    0, and -1 where k has no slot for row j.  The rest depends only on the
+    array and the cache and is built on first use: ``classes`` for the
+    payload kernel and the decoder's tile walk, and ``receivers`` for
+    decode's cached rows, the sweep's cache check and the decoder's
+    blocked users.  ``blocked`` is filled by the decoder's first tile walk.
     """
 
     def __init__(self, groups: SymbolGroups, S: int, cache: CacheContents | None = None):
@@ -241,6 +270,12 @@ class _Workspace:
         self.turns = {}  # the decoder's turn tables, by tile shape
         self.blocked = None
         self._buffers = {}
+        if cache is not None:
+            K, N, Z, _ = cache.users.shape
+            table = cache.slots.astype(_row_dtype(K * N * Z))
+            table += np.arange(0, K * N * Z, N * Z, dtype=table.dtype)[:, None]
+            np.copyto(table, -1, where=cache.slots < 0)
+            self.table = table
 
     def buffer(self, name: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
         size = math.prod(shape)
@@ -256,22 +291,40 @@ class _Workspace:
         return self.groups.size_classes()
 
     @cached_property
-    def receivers(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        """(cached, bases, unset): the output row k*F + j of each packet
-        user k caches outside its own cells and its cache row at file 0,
-        k*N*Z + slot; and per user with a star row it has no slot for, its
+    def receivers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """(cached, bases, cut, unset): the output row k*F + j of each
+        packet user k caches outside its own cells, ascending, and its
+        cache row at file 0 from ``table``; user k's are cached[cut[k] :
+        cut[k + 1]].  And per user with a star row it has no slot for, its
         first such row as a blocked witness.  Cell rows are decoded, so a
         slot on one is never read as the user's copy."""
-        users, slots = self.cache.users, self.cache.slots
-        _, N, Z, _ = users.shape
-        F = slots.shape[1]
-        star = np.ones(slots.shape, dtype=bool)
-        star[self.groups.user, self.groups.row] = False
-        cached = np.flatnonzero(star & (slots >= 0))
-        bases = cached // F * (N * Z) + slots.ravel()[cached]
-        ks, js = np.divmod(np.flatnonzero(star & (slots < 0)), F)
+        K, F = self.table.shape
+        table, user, row = self.table.reshape(-1), self.groups.user, self.groups.row
+        # 1 where the user has a slot, 0 where it has none, 2 on its cells
+        kind = (table >= 0).view(np.int8)
+        for lo in range(0, len(row), _CHUNK_WORDS):
+            at = user[lo : lo + _CHUNK_WORDS] * F
+            at += row[lo : lo + _CHUNK_WORDS]
+            kind[at] = 2
+        cached = np.flatnonzero(kind == 1)
+        ks, js = np.divmod(np.flatnonzero(kind == 0), F)
         first = np.unique(ks, return_index=True)[1]
-        return cached, bases, {int(ks[i]): (int(js[i]), int(ks[i]), 0) for i in first}
+        unset = {int(ks[i]): (int(js[i]), int(ks[i]), 0) for i in first}
+        cut = cached.searchsorted(np.arange(0, (K + 1) * F, F))
+        return cached, table.take(cached), cut, unset
+
+
+def _turn(n: int, a: int, b: int, shift: int | None) -> np.ndarray:
+    """The (b', n, a) turn table of a tile of n groups: entry (t, x, i)
+    is the position among the tile's (n, b) other cells of receiver i's
+    t-th other cell.  Receiver i is other cell i + shift, so its others
+    are cells i + shift + 1 + t (t < b - 1) cyclically; with shift None it
+    meets all b of them."""
+    if shift is None:
+        col = np.arange(b)[:, None, None] + np.zeros(a, dtype=np.int64)
+    else:
+        col = (np.arange(1, b)[:, None, None] + np.arange(a) + shift) % b
+    return col + np.arange(0, n * b, b)[:, None]
 
 
 # The payload kernel loops over the offset within a symbol group, so each
@@ -287,11 +340,12 @@ class _Workspace:
 # against the cache's F; its users are below len(demands) == K), every
 # symbol has a payload row (deliver and the sweep write one for each
 # symbol 1..S of the Pda), slots lie in [-1, Z) (place writes them,
-# decode checks them) and each cell's ``dest`` row lies in the decoder's
-# output (decode's user*F + row is below K*F, the sweep's cell index
-# below the number of cells).  The one exception, a read through slot
-# -1, belongs to a receiver that the decoder reports blocked: decode
-# returns none of its bytes, and the sweep reports it as blocked.
+# decode checks them), so a cache-row table entry is a row of the cache or
+# -1, and each cell's ``dest`` row lies in the decoder's output (decode's
+# user*F + row is below K*F, the sweep's cell index below the number of
+# cells).  The one exception, a read through an entry of -1, belongs to a
+# receiver that the decoder reports blocked: decode returns none of its
+# bytes, and the sweep reports it as blocked.
 
 def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(S, B, W) broadcast for B demand vectors d (B, K): per symbol, the
@@ -322,72 +376,84 @@ def _payloads(ws: _Workspace, data: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _decode(
-    ws: _Workspace, d: np.ndarray, out: np.ndarray, dest: np.ndarray
+    ws: _Workspace, d: np.ndarray, out: np.ndarray, dest: np.ndarray | None = None
 ) -> dict[int, tuple[int, int, int]]:
     """Cancel the interference for B demand vectors d: for each non-star
     cell c, XOR into row ``dest[c]`` of out, (rows, B, W), the other
     packets of c's symbol, each read from c's user's cache through the
-    slot map.  Return the users blocked by a packet their cache has no
-    slot for.
+    cache-row table.  With dest None, cell c's row is user[c]*F + row[c].
+    Return the users blocked by a packet their cache has no slot for.
 
     The caller fills out: with each cell's payload, so its row becomes
     the decoded packet (decode), or with its payload XOR the packet its
     user wants, so a correctly decoded row becomes zero (the sweep).
     The reads follow the tiles of ``groups.tiles`` (the cross entries
-    ``verify_pda`` checks): a turn table lists each receiver's other cells
-    after its own, other cell first, so one gather per tile reads them
-    behind the receivers' rows and an XOR fold over the leading axis
-    cancels them.  An entry weighs four times its B*W packet words, so a
-    tile reads at most a quarter of ``pda._TILE`` words; tiles twice as
-    large ran slower on the 15-user demand sweep, whose working set then
-    left the cache.  XOR and the least blocked pair do not depend on the
-    tiling.  A blocked user's witness (row, user whose demand names the
-    file, symbol) is its least blocked (receiver cell, other cell) pair,
-    else its first row neither cached nor in a cell, with symbol 0.
+    ``verify_pda`` checks).  Per tile, the rows and users of the other
+    cells are gathered once, at the tile's (n, b) cells, and a turn table
+    (``_turn``, kept by tile shape) lines them up behind each receiver:
+    receiver i's other cells after its own, cyclically.  Per entry, one
+    gather of the cache-row table at the receiver's user and the other
+    cell's row, plus the other cell's demand offset, gives the cache row
+    to read; each entry gathers its B offsets, a row of d*Z, at the other
+    cell's user.  One gather reads the copies behind the receivers' rows,
+    an XOR fold over the leading axis cancels them, and the receivers'
+    rows go back as items of B*W words.
+    An entry weighs four times its B*W packet words, so a tile reads at
+    most a quarter of ``pda._TILE`` words; tiles twice as large ran slower
+    on the 15-user demand sweep, whose working set then left the cache.
+    XOR and the least blocked pair do not depend on the tiling.  A blocked
+    user's witness (row, user whose demand names the file, symbol) is its
+    least blocked (receiver cell, other cell) pair, else its first row
+    neither cached nor in a cell, with symbol 0.
 
     The blocked users depend only on the array and the cache, so the
-    first tile walk of a workspace finds them and adds the star-row screen
-    of ``ws.receivers``.  Each call runs only the demand-dependent gathers
-    and XORs, with ``out=`` into the workspace's buffers: the gather
-    indices and the tile reads.  Each call walks the tiles afresh, one at
-    a time, so no table of all cross entries is kept.
+    first tile walk of a workspace finds them, from the sign of the table
+    entries it reads, and adds the star-row screen of ``ws.receivers``.
+    Each call runs only the demand-dependent gathers and XORs, with
+    ``out=`` into the workspace's buffers: the gather indices and the
+    tile reads.  Each call walks the tiles afresh, one at a time, so no
+    table of all cross entries is kept.
     """
-    users, slots = ws.cache.users, ws.cache.slots
+    users, table = ws.cache.users, ws.table.reshape(-1)
     K, N, Z, W = users.shape
-    F = slots.shape[1]
+    F = ws.table.shape[1]
     B, flat = len(d), users.reshape(-1, W)
     groups = ws.groups
     user, row = groups.user, groups.row
     dZ = ws.buffer("dZ", d.T.shape, np.int64)
     np.multiply(d.T, Z, out=dZ)
 
+    rows = _items(out, 2)  # out's rows, and below the receivers', as items of B*W words
     lost = [] if ws.blocked is None else None  # (receiver cells, other cells) with no slot
     for rec, oth, shift in groups.tiles(4 * B * W, ws.classes):
-        key = rec.shape[1], oth.shape[1], shift
-        if key not in ws.turns:  # receiver i's other cells: columns i + shift + 1, ... cyclically
-            a, b, _ = key
-            if shift is None:
-                ws.turns[key] = np.arange(b)[:, None]
-            else:
-                ws.turns[key] = (np.arange(1, b)[:, None] + np.arange(a) + shift) % b
-        other = oth[:, ws.turns[key]].transpose(1, 0, 2)  # (b', n, a)
-        ur = user[rec]
-        slot = slots.take(ur * F + row[other])
-        # the receivers' rows, then each receiver's copy of each other
-        # cell's packet: (1 + b', n, a, B, W)
-        index = ws.buffer("index", (*slot.shape, B), np.int64)
-        np.take(dZ, user[other], axis=0, out=index, mode="clip")
-        index += (slot + ur * (N * Z))[..., None]
-        read = ws.buffer("read", (1 + len(slot), *slot.shape[1:], B, W))
-        at = dest[rec]
+        shape = (*rec.shape, oth.shape[1], shift)
+        turn = ws.turns.get(shape)
+        if turn is None:
+            turn = ws.turns[shape] = _turn(*shape)
+        ur = user.take(rec)
+        ur *= F
+        key = row.take(oth).take(turn)  # (b', n, a)
+        key += ur
+        base = np.take(table, key, out=ws.buffer("base", key.shape, table.dtype), mode="clip")
+        # each receiver's cache row of each other cell's packet: (b', n, a, B)
+        index = ws.buffer("index", (*key.shape, B), np.int64)
+        np.take(dZ, user.take(oth).take(turn), axis=0, out=index, mode="clip")
+        index += base[..., None]
+        # the receivers' rows, then their copies: (1 + b', n, a, B, W)
+        read = ws.buffer("read", (1 + len(key), *rec.shape, B, W))
+        if dest is None:
+            at = row.take(rec)
+            at += ur
+        else:
+            at = dest[rec]
         np.take(out, at, axis=0, out=read[0], mode="clip")
         np.take(flat, index, axis=0, out=read[1:], mode="clip")
         for other_read in read[1:]:
             np.bitwise_xor(read[0], other_read, out=read[0])
-        out[at] = read[0]
-        if lost is not None and slot.min(initial=0) < 0:
-            o, x, i = np.nonzero(slot < 0)
-            lost.append((rec[x, i], other[o, x, i]))
+        rows[at.ravel()] = read[0].reshape(-1, B * W).view(rows.dtype)[:, 0]
+        if lost is not None and base.min(initial=0) < 0:
+            o, x, i = np.nonzero(base < 0)
+            lost.append((rec[x, i], oth.take(turn[o, x, i])))
     if lost is not None:
         ws.blocked = {}
         if lost:
@@ -396,7 +462,7 @@ def _decode(
             for i in order[np.unique(user[a[order]], return_index=True)[1]]:
                 c, o = int(a[i]), int(b[i])
                 ws.blocked[int(user[c])] = (int(row[o]), int(user[o]), int(groups.symbols(c, c + 1)[0]))
-        for k, witness in ws.receivers[2].items():
+        for k, witness in ws.receivers[3].items():
             ws.blocked.setdefault(k, witness)
     return ws.blocked
 
@@ -430,6 +496,8 @@ def deliver(
         raise ValueError("library packet count does not match the PDA")
 
     groups = symbol_index(pda)
+    # (S, 1, W): the whole of a fresh workspace's buffer, which decode reads
+    # back through the payloads' base
     out = _payloads(_Workspace(groups, pda.S), library.data, np.array([d], dtype=np.int64))
     payloads = out.view(np.uint8)[:, 0, : library.packet_len]
     payloads.setflags(write=False)
@@ -453,9 +521,14 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> np.ndarray:
     below the cache's F.
 
     The K*F rows of one (K*F, 1, W) array start as each user's cached
-    copies and each cell's payload, and ``_decode`` cancels the cells'
-    interference in place.  That array is the result, as a read-only
-    (K, F, packet_len) uint8 view: ``files[k].tobytes()`` is user k's file.
+    copies and each cell's payload, moved as whole W-word rows: the copies
+    through the cache-row table that the workspace builds from the slots
+    as they are now, the payloads from the zero-padded word rows of
+    deliver's buffer, ``payloads.base``.
+    ``_decode`` then cancels the cells' interference in place.  That array
+    is the result, as a read-only (K, F, packet_len) uint8 view:
+    ``files[k].tobytes()`` is user k's file.  Beside it, decode holds the
+    (K, F) table, int32 like the slot map, and the cached rows' positions.
     """
     d, L, payloads = transcript.demands, transcript.packet_len, transcript.payloads
     groups = transcript.groups
@@ -472,26 +545,33 @@ def decode(cache: CacheContents, transcript: DeliveryTranscript) -> np.ndarray:
         raise ValueError(f"transcript cells must lie in the cache's {F} rows x {K} users")
 
     ws = _Workspace(groups, len(payloads), cache)
-    cached, bases, _ = ws.receivers
+    cached, bases, cut, _ = ws.receivers
     demand = np.array([d], dtype=np.int64)
-    flat, dZ = cache.users.reshape(-1, W), demand[0] * Z
     # Each cached row is the user's own copy and each cell's row starts as
-    # its symbol's payload, in pieces of at most _CHUNK_WORDS words.
+    # its symbol's payload: whole W-word rows, gathered and scattered as
+    # items in pieces of about _CHUNK_WORDS words, the cached rows a run of
+    # whole users at a time.
     files = np.zeros((K * F, 1, W), dtype=np.uint64)
-    packets = files.view(np.uint8).reshape(K * F, 8 * W)
+    rows, copies = _items(files, 2), _items(np.ascontiguousarray(cache.users)).reshape(-1)
+    wire = _items(payloads.base.reshape(len(payloads), W))
     step = max(1, _CHUNK_WORDS // W)
-    for lo in range(0, len(cached), step):
-        hi = lo + step
-        files[cached[lo:hi], 0] = flat.take(bases[lo:hi] + dZ[cached[lo:hi] // F], axis=0)
-    targets = groups.user * F + groups.row
-    for lo in range(0, len(targets), step):
-        hi = min(lo + step, len(targets))
-        packets[targets[lo:hi], :L] = payloads.take(groups.symbols(lo, hi) - 1, axis=0)
-    blocked = _decode(ws, demand, files, targets)
+    per = max(1, step // Z)
+    for k in range(0, K, per):
+        lo, hi = cut[k], cut[min(k + per, K)]
+        at = np.repeat(demand[0, k : k + per] * Z, np.diff(cut[k : k + per + 1]))
+        at += bases[lo:hi]
+        rows[cached[lo:hi]] = copies.take(at)
+    user, row = groups.user, groups.row
+    for lo in range(0, len(row), step):
+        hi = min(lo + step, len(row))
+        at = user[lo:hi] * F
+        at += row[lo:hi]
+        rows[at] = wire.take(groups.symbols(lo, hi) - 1)
+    blocked = _decode(ws, demand, files)
     if blocked:
         k = min(blocked)
         raise UnrecoverablePacketError(_unrecoverable(k, blocked[k], d))
-    files = packets.reshape(K, F, 8 * W)[..., :L]
+    files = files.view(np.uint8).reshape(K, F, 8 * W)[..., :L]
     files.setflags(write=False)
     return files
 
@@ -546,10 +626,10 @@ def _demand_chunks(N: int, K: int, budget: int, seed: int, size: int):
 def _stale(ws: _Workspace, data: np.ndarray) -> np.ndarray:
     """(K, N) bool: whether any packet user k caches outside its cells,
     as its copy of file n, differs from the library's (N, F, W) data."""
-    users, slots = ws.cache.users, ws.cache.slots
+    users = ws.cache.users
     K, N, Z, W = users.shape
-    F = slots.shape[1]
-    cached, bases, _ = ws.receivers
+    F = ws.table.shape[1]
+    cached, bases, _, _ = ws.receivers
     flat, stale = users.reshape(-1, W), np.zeros((K, N), dtype=bool)
     step = max(1, _CHUNK_WORDS // W)
     for lo in range(0, len(cached), step):
@@ -590,7 +670,12 @@ def exhaustive_demand_check(
     the array and the cache (the groups of each size, the stale table,
     ``_decode``'s blocked users) is worked out once.  So memory does not
     grow with the number of chunks, and no chunk allocates an array that
-    scales with F*K*B.  The symbol index is ``symbol_index(pda)``.
+    scales with F*K*B.  The prefill reads the wanted packets in pieces no
+    larger than a tile's reads, so the cells are the one large buffer of
+    a chunk: with pieces as large as the cells, the v=125 sweep of 16
+    vectors held 5.4 MiB of buffers, which the allocator handed back to
+    the system after each call and took again, page by page, on the next.
+    The symbol index is ``symbol_index(pda)``.
     """
     if demand_budget < 0:
         raise ValueError(f"demand budget must be non-negative, got {demand_budget}")
@@ -615,7 +700,7 @@ def exhaustive_demand_check(
         dF = ws.buffer("dF", d.T.shape, np.int64)
         np.multiply(d.T, F, out=dF)
         out = ws.buffer("cells", (P, B, W))
-        step = max(1, _CHUNK_WORDS // (B * W))
+        step = max(1, _TILE // 4 // (B * W))  # no more words than a tile reads
         for lo in range(0, P, step):
             hi = min(lo + step, P)
             piece = out[lo:hi]

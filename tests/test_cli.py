@@ -80,6 +80,24 @@ class TestPipelines:
         doc = json.loads(out.read_text())
         assert doc["seed"] == 5 and len(doc["transmissions"]) == 4
 
+    def test_one_demand_run_counts_each_wrong_user(self, tmp_path, capsys, monkeypatch):
+        # Users 0, 3, 4 and 14 decode a wrong byte.
+        arr = tmp_path / "p15.txt"
+        arr.write_text(serialize.pda_to_text(pda_from_nhsdp(construct_nhsdp(15, (2,)))))
+        real_decode = simulate.decode
+
+        def decode(cache, transcript):
+            files = real_decode(cache, transcript).copy()
+            files[[0, 3, 4, 14], -1, -1] ^= 1
+            return files
+
+        monkeypatch.setattr(simulate, "decode", decode)
+        demand = ",".join(str(k % 2) for k in range(15))
+        code, stdout, _ = run(
+            capsys, "simulate", arr, "--N", 2, "--demands", demand, "--packet-len", 16
+        )
+        assert code == 1 and f"demand {demand}: 11/15 users decoded, load = 2" in stdout
+
     @staticmethod
     def count_index_builds(monkeypatch):
         """The params of each array symbol_groups indexes, and per decode

@@ -96,9 +96,12 @@ def reference_blocked(pda, slots):
     (user, row) order, on a row the user has no slot for; else its first
     star row with no slot, as (row, user, 0)."""
     grid, out = pda.grid, {}
+    cells = collections.defaultdict(list)  # symbol: its (user, row) cells
+    for r, u in zip(*np.nonzero(grid != STAR)):
+        cells[int(grid[r, u])].append((int(u), int(r)))
     for k in range(pda.K):
         for s in sorted(int(x) for x in grid[:, k] if x):
-            others = sorted((int(u), int(r)) for r, u in zip(*np.nonzero(grid == s)) if u != k)
+            others = sorted((u, r) for u, r in cells[s] if u != k)
             missing = [(r, u, s) for u, r in others if slots[k, r] < 0]
             if missing:
                 out[k] = missing[0]
@@ -837,36 +840,45 @@ class TestWorkspace:
         assert report.ok and report.checked == 16 and sizes == [16]
 
 
-def reference_sweep(arr, cache, library, vectors):
-    """The (vector, user, reason) failures of a sweep over vectors, from
-    public deliver and a cell-by-cell rebuild of each user's file out of
-    its own cache: a star row is the user's copy, any other cell its
-    symbol's payload XOR the symbol's other packets as the user holds them."""
-    grid, L = arr.grid, library.packet_len
-    blocked = reference_blocked(arr, cache.slots)
+def reference_files(arr, cache, payloads, d) -> list[bytes]:
+    """Each user's file rebuilt cell by cell out of its own cache: a star
+    row is the user's copy, any other cell its symbol's payload XOR the
+    symbol's other packets as the user holds them.  Users that
+    ``reference_blocked`` names are rebuilt too, from whatever slots they
+    have."""
+    grid, L = arr.grid, payloads.shape[1]
     copies = cache.users.view(np.uint8)[..., :L]
     cells = {
         s: [(int(r), int(u)) for r, u in zip(*np.nonzero(grid == s))]
         for s in np.unique(grid[grid != STAR]).tolist()
     }
+    files = []
+    for k in range(arr.K):
+        rebuilt = np.empty((arr.F, L), dtype=np.uint8)
+        for j in range(arr.F):
+            s = int(grid[j, k])
+            if s == STAR:
+                rebuilt[j] = copies[k, d[k], cache.slots[k, j]]
+                continue
+            rebuilt[j] = payloads[s - 1]
+            for r, u in cells[s]:
+                if u != k:
+                    rebuilt[j] ^= copies[k, d[u], cache.slots[k, r]]
+        files.append(rebuilt.tobytes())
+    return files
+
+
+def reference_sweep(arr, cache, library, vectors):
+    """The (vector, user, reason) failures of a sweep over vectors, from
+    public deliver and ``reference_files``."""
+    blocked = reference_blocked(arr, cache.slots)
     failures = []
     for d in vectors:
-        payloads = deliver(arr, library, d).payloads
+        files = reference_files(arr, cache, deliver(arr, library, d).payloads, d)
         for k in range(arr.K):
             if k in blocked:
                 failures.append((d, k, blocked_reason(k, blocked[k], d)))
-                continue
-            rebuilt = np.empty((arr.F, L), dtype=np.uint8)
-            for j in range(arr.F):
-                s = int(grid[j, k])
-                if s == STAR:
-                    rebuilt[j] = copies[k, d[k], cache.slots[k, j]]
-                    continue
-                rebuilt[j] = payloads[s - 1]
-                for r, u in cells[s]:
-                    if u != k:
-                        rebuilt[j] ^= copies[k, d[u], cache.slots[k, r]]
-            if rebuilt.tobytes() != library.file_bytes(d[k]):
+            elif files[k] != library.file_bytes(d[k]):
                 failures.append((d, k, "decoded bytes differ from the library file"))
     return tuple(failures)
 
@@ -901,3 +913,113 @@ class TestSweepOracle:
             assert report.failures == want
             reasons += [reason for _, _, reason in want]
         assert "lacks interfering packet" in " ".join(reasons) and "differ" in " ".join(reasons)
+
+
+@pytest.fixture(scope="module")
+def a125_pda() -> Pda:
+    """The (2,2,2) lift at v=125, the array of the benchmark's sampled sweep."""
+    return pda_from_nhsdp(construct_nhsdp(125, (2, 2, 2)))
+
+
+class TestCacheRowTable:
+    """decode and the sweep read each user's copies through a cache-row
+    table built from the slots as they stand when they run, so an edit
+    made to a cache after place decodes as the plain rebuild from that
+    cache decodes."""
+
+    EDITS = ["clear", "swap_users", "swap_rows", "cell_row"]
+
+    @staticmethod
+    def edit(arr, cache, kind, rng):
+        """Clear 1 to 3 slots, swap two users' slot maps, swap two of one
+        user's slots, or give a user a slot on one of its own cell rows."""
+        slots = cache.slots
+        if kind == "clear":
+            k, j = np.nonzero(slots >= 0)
+            pick = rng.choice(len(k), size=int(rng.integers(1, 4)), replace=False)
+            slots[k[pick], j[pick]] = -1
+        elif kind == "swap_users":
+            a, b = rng.choice(arr.K, size=2, replace=False)
+            slots[[a, b]] = slots[[b, a]]
+        elif kind == "swap_rows":
+            k = int(rng.integers(arr.K))
+            a, b = rng.choice(np.flatnonzero(slots[k] >= 0), size=2, replace=False)
+            slots[k, [a, b]] = slots[k, [b, a]]
+        else:
+            k = int(rng.integers(arr.K))
+            j = rng.choice(np.flatnonzero(arr.grid[:, k] != STAR))
+            slots[k, j] = slots[k, slots[k] >= 0].max()
+
+    @pytest.mark.parametrize("kind", EDITS)
+    @pytest.mark.parametrize("packet_len", [1, 5, 8, 16])
+    @pytest.mark.parametrize("name", ["ex15", "a125"])
+    def test_decode_follows_edited_slots(self, request, name, packet_len, kind):
+        arr = request.getfixturevalue(f"{name}_pda")
+        library = FileLibrary.random(2, arr.F, packet_len, seed=packet_len)
+        rng = np.random.default_rng(packet_len)
+        d = tuple(int(x) for x in rng.integers(2, size=arr.K))
+        for _ in range(3 if name == "ex15" else 1):
+            cache = place(arr, library)
+            transcript = deliver(arr, library, d)
+            self.edit(arr, cache, kind, rng)
+            blocked = reference_blocked(arr, cache.slots)
+            if blocked:
+                k = min(blocked)
+                with pytest.raises(UnrecoverablePacketError) as error:
+                    decode(cache, transcript)
+                assert str(error.value) == blocked_reason(k, blocked[k], d)
+            else:
+                want = reference_files(arr, cache, transcript.payloads, d)
+                assert decoded(cache, transcript) == want
+                assert (want == [library.file_bytes(n) for n in d]) == (kind == "cell_row")
+
+    @pytest.mark.parametrize("kind", EDITS)
+    @pytest.mark.parametrize("packet_len", [1, 5, 8, 16])
+    @pytest.mark.parametrize("name", ["ex15", "a125"])
+    def test_sweep_follows_edited_slots(self, request, monkeypatch, name, packet_len, kind):
+        arr = request.getfixturevalue(f"{name}_pda")
+        budget, seed = (6, 2) if name == "ex15" else (1, 2)
+        rng = np.random.default_rng(packet_len)
+        caches = []
+
+        def edit(cache):
+            self.edit(arr, cache, kind, rng)
+            caches.append(cache)
+
+        corrupt_place(monkeypatch, edit)
+        library = FileLibrary.random(2, arr.F, packet_len, seed=seed)
+        sample = random.Random(seed)
+        vectors = [(0,) * arr.K] + [tuple(sample.randrange(2) for _ in range(arr.K)) for _ in range(budget)]
+        report = exhaustive_demand_check(arr, 2, packet_len, demand_budget=budget, seed=seed)
+        assert report.checked == len(vectors)
+        assert report.failures == reference_sweep(arr, caches[-1], library, vectors)
+        assert report.ok == (kind == "cell_row")
+
+    def test_slot_map_is_the_int64_running_count(self):
+        # Random grids with an all-star and a star-free column: place's
+        # int32 slot map is the int64 cumsum-and-where map it replaced.
+        rng = np.random.default_rng(5)
+        for F, K in [(1, 2), (6, 3), (17, 9), (64, 31)]:
+            grid = rng.integers(0, 3, size=(F, K))
+            grid[:, 0], grid[:, -1] = STAR, 1
+            cache = place(Pda(grid, Z=0, S=2), FileLibrary.random(2, F, 5, seed=F))
+            star = grid.T == STAR
+            want = np.where(star, np.cumsum(star, axis=1, dtype=np.int64) - 1, -1)
+            assert cache.slots.dtype == np.int32
+            assert np.array_equal(cache.slots, want)
+        assert simulate._row_dtype(2**31 - 1) is np.int32
+        assert simulate._row_dtype(2**31) is np.int64
+
+    def test_packet_items_refuse_a_strided_array(self):
+        # A scatter into a copy would be lost, so no copy is made.
+        words = np.zeros((4, 6), dtype=np.uint64)
+        assert simulate._items(words).shape == (4,)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            simulate._items(words[:, :3])
+
+    def test_decode_reads_a_strided_cache(self, ex15_pda):
+        library = FileLibrary.random(2, ex15_pda.F, 5, seed=3)
+        cache = place(ex15_pda, library)
+        transcript = deliver(ex15_pda, library, (0, 1) * 7 + (1,))
+        strided = simulate.CacheContents(np.asfortranarray(cache.users), cache.slots, 5)
+        assert decoded(strided, transcript) == decoded(cache, transcript)
